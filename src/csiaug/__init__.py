@@ -21,7 +21,6 @@ The same steps are available as ``csiaug`` CLI subcommands.
 
 from csiaug.augment import (
     augment_dataset,
-    augment_matrix,
     bubble_shift_down,
     bubble_shift_up,
     md_baseline,
@@ -32,15 +31,11 @@ from csiaug.channel import (
     generate_angular_dataset,
     generate_dataset,
     load_scenario,
-    sample_channel,
     save_scenario,
 )
 from csiaug.codec import (
-    CodeVector,
     EvalReport,
     LinearCodec,
-    decode,
-    encode,
     evaluate,
     fit_codec,
     nmse,
@@ -52,7 +47,6 @@ from csiaug.core import (
     AugmentMode,
     AugmentParams,
     AugmentationRecord,
-    ChannelMatrix,
     Dataset,
     DftPlan,
     Domain,
@@ -72,12 +66,7 @@ from csiaug.dataset_io import (
     write_report,
 )
 from csiaug.rng import derive_seed, make_generator, splitmix64
-from csiaug.transform import (
-    from_angular_delay,
-    inverse_transform_dataset,
-    to_angular_delay,
-    transform_dataset,
-)
+from csiaug.transform import inverse_transform_dataset, transform_dataset
 
 __version__ = "0.1.0"
 
@@ -87,8 +76,6 @@ __all__ = [
     "AugmentMode",
     "AugmentParams",
     "AugmentationRecord",
-    "ChannelMatrix",
-    "CodeVector",
     "CorruptedFileError",
     "Dataset",
     "DftPlan",
@@ -100,16 +87,12 @@ __all__ = [
     "ScenarioSpec",
     "ShiftDirection",
     "augment_dataset",
-    "augment_matrix",
     "bubble_shift_down",
     "bubble_shift_up",
-    "decode",
     "decompose",
     "derive_seed",
-    "encode",
     "evaluate",
     "fit_codec",
-    "from_angular_delay",
     "generate_angular_dataset",
     "generate_dataset",
     "inverse_transform_dataset",
@@ -123,10 +106,8 @@ __all__ = [
     "read_dataset",
     "read_report",
     "recompose",
-    "sample_channel",
     "save_scenario",
     "splitmix64",
-    "to_angular_delay",
     "transform_dataset",
     "write_codec",
     "write_dataset",

@@ -17,14 +17,13 @@ Three families:
 
 All of these leave the complex samples' phase untouched except the
 baseline.  Seeded operations derive one child seed per sample from the
-pass seed and the sample index, so results do not depend on worker
-count or scheduling.
+pass seed and the sample index, so any sample's result can be
+reproduced in isolation.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 import numpy as np
 
@@ -41,16 +40,17 @@ from csiaug.core import (
 )
 from csiaug.rng import derive_seed, make_generator
 
-WORKERS_ENV = "CSIAUG_WORKERS"
 
-
-def _check_amplitude(amplitude: np.ndarray) -> np.ndarray:
+def _check_amplitude(amplitude: np.ndarray, batched: bool = False) -> np.ndarray:
     amp = np.array(amplitude, dtype=np.float64, copy=True)
-    if amp.ndim != 2 or amp.shape[0] < 1 or amp.shape[1] < 1:
-        raise ValueError(f"amplitude matrix must be 2-D and non-empty, got shape {amp.shape}")
+    bad_rank = amp.ndim < 2 or (amp.ndim > 2 and not batched)
+    if bad_rank or amp.shape[-2] < 1 or amp.shape[-1] < 1:
+        what = "a 2-D matrix or a batch of them" if batched else "a 2-D matrix"
+        raise ValueError(f"amplitude must be {what} with rows and cols, got shape {amp.shape}")
     if not np.all(np.isfinite(amp)):
         raise ValueError("amplitude entries must be finite")
-    if np.min(amp) < 0.0:
+    # A batch may hold zero matrices, and np.min rejects empty arrays.
+    if amp.size and np.min(amp) < 0.0:
         raise ValueError("amplitude entries must be non-negative")
     return amp
 
@@ -89,6 +89,23 @@ def _bubble_down_column(col: list[float], shift: int) -> None:
             k -= 1
 
 
+def _shift_columns(
+    amplitude: np.ndarray, shift: int, column_pass: Callable[[list[float], int], None]
+) -> np.ndarray:
+    amp = _check_amplitude(amplitude, batched=True)
+    shift = _check_shift(shift)
+    if shift == 0:
+        return amp
+    rows, cols = amp.shape[-2:]
+    # amp is a fresh contiguous copy, so each reshaped matrix is a view into it.
+    for matrix in amp.reshape(-1, rows, cols):
+        columns = matrix.T.tolist()
+        for col in columns:
+            column_pass(col, shift)
+        matrix.T[...] = columns
+    return amp
+
+
 def bubble_shift_up(amplitude: np.ndarray, shift: int) -> np.ndarray:
     """Shift each column's profile toward delay 0, at most ``shift`` steps.
 
@@ -97,16 +114,10 @@ def bubble_shift_up(amplitude: np.ndarray, shift: int) -> np.ndarray:
     circular shift up followed by a bubble pass that floats the wrapped
     value to its ordered place.  The result is a permutation of each
     column's values (bitwise), and the phase is not involved at all.
+    ``amplitude`` is one (rows, cols) matrix or a (..., rows, cols)
+    batch; every matrix of a batch is shifted on its own.
     """
-    amp = _check_amplitude(amplitude)
-    shift = _check_shift(shift)
-    if shift == 0:
-        return amp
-    for c in range(amp.shape[1]):
-        col = amp[:, c].tolist()
-        _bubble_up_column(col, shift)
-        amp[:, c] = col
-    return amp
+    return _shift_columns(amplitude, shift, _bubble_up_column)
 
 
 def bubble_shift_down(amplitude: np.ndarray, shift: int) -> np.ndarray:
@@ -115,17 +126,10 @@ def bubble_shift_down(amplitude: np.ndarray, shift: int) -> np.ndarray:
     Mirror image of :func:`bubble_shift_up`: steps are capped at the
     distance from the peak to the bottom row, and after each one-row
     circular shift down the repair pass re-seats values that landed
-    between the top entry and the runner-up slot.
+    between the top entry and the runner-up slot.  Accepts the same
+    matrix or batch shapes.
     """
-    amp = _check_amplitude(amplitude)
-    shift = _check_shift(shift)
-    if shift == 0:
-        return amp
-    for c in range(amp.shape[1]):
-        col = amp[:, c].tolist()
-        _bubble_down_column(col, shift)
-        amp[:, c] = col
-    return amp
+    return _shift_columns(amplitude, shift, _bubble_down_column)
 
 
 def random_generation(amplitude: np.ndarray, block_size: int, seed: int) -> np.ndarray:
@@ -186,38 +190,31 @@ def md_baseline(
     return shifted, new_phase
 
 
-def augment_matrix(values: np.ndarray, params: AugmentParams, sample_seed: int) -> np.ndarray:
-    """Augment one complex angular-delay matrix, returning a new array.
+def _augment_samples(samples: np.ndarray, params: AugmentParams) -> np.ndarray:
+    """Augmented copy of a (count, rows, cols) complex batch.
 
-    Decomposes into amplitude and phase, transforms the amplitude per
-    the chosen method (phase preserved bit-for-bit except for the
-    cyclic-shift baseline, which randomizes it), and recomposes.
+    The whole batch is split into polar form and recomposed once; only
+    the seeded methods visit samples one at a time, sample ``i`` using
+    the child seed derived from ``params.seed`` and ``i``.
     """
-    amplitude, phase = polar_parts(np.asarray(values, dtype=np.complex128))
+    amplitude, phase = polar_parts(samples)
     if params.method is AugmentMethod.BUBBLE_SHIFT_UP:
         amplitude = bubble_shift_up(amplitude, params.shift)
     elif params.method is AugmentMethod.BUBBLE_SHIFT_DOWN:
         amplitude = bubble_shift_down(amplitude, params.shift)
     elif params.method is AugmentMethod.RANDOM_GENERATION:
-        amplitude = random_generation(amplitude, params.block_size, sample_seed)
+        for i in range(len(samples)):
+            seed = derive_seed(params.seed, i)
+            amplitude[i] = random_generation(amplitude[i], params.block_size, seed)
     elif params.method is AugmentMethod.MODEL_DRIVEN:
-        amplitude, phase = md_baseline(
-            amplitude, phase, params.shift, params.direction, sample_seed
-        )
+        for i in range(len(samples)):
+            seed = derive_seed(params.seed, i)
+            amplitude[i], phase[i] = md_baseline(
+                amplitude[i], phase[i], params.shift, params.direction, seed
+            )
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown method {params.method!r}")
     return combine_polar(amplitude, phase)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV} must be at least 1, got {workers}")
-    return workers
 
 
 def _record(params: AugmentParams, mode: AugmentMode) -> AugmentationRecord:
@@ -237,10 +234,9 @@ def augment_dataset(
     """Augment every sample of an angular-delay dataset.
 
     Sample ``i`` uses the child seed derived from ``params.seed`` and
-    ``i``, so output is reproducible and independent of worker count
-    (set the ``CSIAUG_WORKERS`` environment variable to parallelize).
-    APPEND keeps the originals and adds the augmented copies after them,
-    doubling the sample count; REPLACE keeps only the augmented copies.
+    ``i``, so output is reproducible sample by sample.  APPEND keeps
+    the originals and adds the augmented copies after them, doubling the
+    sample count; REPLACE keeps only the augmented copies.
     The provenance chain gains one record either way.
     """
     if dataset.domain is not Domain.ANGULAR_DELAY:
@@ -249,22 +245,7 @@ def augment_dataset(
         )
     if not isinstance(mode, AugmentMode):
         raise TypeError("mode must be an AugmentMode")
-    count = len(dataset)
-    augmented = np.empty_like(dataset.samples)
-
-    def run(index: int) -> None:
-        augmented[index] = augment_matrix(
-            dataset.samples[index], params, derive_seed(params.seed, index)
-        )
-
-    workers = _worker_count()
-    if workers == 1 or count <= 1:
-        for i in range(count):
-            run(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(count)))
-
+    augmented = _augment_samples(dataset.samples, params)
     if mode is AugmentMode.APPEND:
         samples = np.concatenate([dataset.samples, augmented], axis=0)
     else:

@@ -26,7 +26,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from csiaug.core import ChannelMatrix, Dataset, DftPlan, Domain, Provenance
+from csiaug.core import Dataset, DftPlan, Domain, Provenance
 from csiaug.rng import check_seed, derive_seed, make_generator
 from csiaug.transform import transform_values
 
@@ -157,12 +157,6 @@ def _synthesize(
     )
     steer = np.exp(-1j * np.pi * np.sin(theta)[..., :, None] * a[..., None, :])
     return (delay_resp * coef[..., None, :]) @ steer
-
-
-def sample_channel(spec: ScenarioSpec, rng: np.random.Generator) -> ChannelMatrix:
-    """Draw one channel matrix from the scenario using the given generator."""
-    tau, theta, phi = _draw_paths(spec, rng)
-    return ChannelMatrix(_synthesize(spec, tau, theta, phi))
 
 
 def _batch_draws(spec: ScenarioSpec, start: int, stop: int) -> tuple[np.ndarray, ...]:

@@ -7,10 +7,12 @@ trains the linear codec, ``eval`` measures NMSE on a test set, ``report``
 lays multiple evaluations out as a methods-by-ratios grid, and ``sweep``
 automates a parameter sweep of augment + fit + eval.
 
-Exit codes: 0 on success, 2 for usage errors (bad flags or flag
-combinations), 1 for runtime failures (missing or malformed files,
-invalid data).  All artifacts are written atomically and contain no
-timestamps, so reruns with the same inputs and seeds are byte-identical.
+Exit codes: 0 on success, 2 for usage errors (bad flags, flag
+combinations, or flag values out of range whatever the input holds),
+1 for runtime failures (missing or malformed files, invalid data, or
+flag values that conflict with the input).  All artifacts are written
+atomically and contain no timestamps, so reruns with the same inputs
+and seeds are byte-identical.
 """
 
 from __future__ import annotations
@@ -36,13 +38,24 @@ from csiaug.dataset_io import (
     write_dataset,
     write_report,
 )
+from csiaug.rng import MASK64
 from csiaug.transform import inverse_transform_dataset, transform_dataset
 
 _SHIFT_METHODS = ("bs-up", "bs-down", "md")
 
+# (flag, lowest, highest) for values that are invalid whatever the input holds.
+_FLAG_RANGES = (
+    ("count", 0, None),
+    ("seed", 0, MASK64),
+    ("shift", 0, None),
+    ("block", 1, None),
+    ("na", 1, None),
+    ("nc", 1, None),
+)
+
 
 class UsageError(Exception):
-    """Flag combination the parser grammar cannot express."""
+    """Flag combination or value the parser grammar cannot express."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,6 +128,17 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", required=True, help="output summary (.json)")
 
     return parser
+
+
+def _check_flag_ranges(args: argparse.Namespace) -> None:
+    for flag, low, high in _FLAG_RANGES:
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        if value < low:
+            raise UsageError(f"--{flag} must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise UsageError(f"--{flag} must be at most {high}, got {value}")
 
 
 def _parse_exact_ratio(text: str) -> Fraction:
@@ -255,6 +279,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"--values must be comma-separated integers, got {args.values!r}") from None
     if not values:
         raise UsageError("--values is empty")
+    low = 0 if args.param == "shift" else 1
+    if min(values) < low:
+        raise UsageError(f"--values for --param {args.param} must be at least {low}")
     ratio = _parse_exact_ratio(args.ratio)
     train = read_dataset(args.train)
     test = read_dataset(args.test)
@@ -309,6 +336,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return 0 if code in (0, None) else int(code)
     try:
+        _check_flag_ranges(args)
         return _DISPATCH[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from csiaug.core import AngularDelayMatrix, Dataset, Domain
+from csiaug.core import Dataset, Domain
 
 DB_FLOOR = -300.0
 ORTHONORMALITY_TOL = 1e-8
@@ -145,25 +145,6 @@ class LinearCodec:
         }
 
 
-@dataclass(frozen=True)
-class CodeVector:
-    """Compressed representation of one angular-delay matrix."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=np.float64, copy=True)
-        if vals.ndim != 1:
-            raise ValueError(f"code vector must be 1-D, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("code vector entries must be finite")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
 def component_count(ratio: Fraction, feature_dim: int) -> int:
     """round(ratio * feature_dim), computed exactly on rationals."""
     return round(ratio * feature_dim)
@@ -209,27 +190,6 @@ def fit_codec(train: Dataset, ratio: Fraction | str | int) -> LinearCodec:
     _, vectors = np.linalg.eigh(cov)
     basis = _fix_signs(vectors[:, ::-1][:, :m])
     return LinearCodec(rows, cols, ratio, mean, basis)
-
-
-def encode(codec: LinearCodec, matrix: AngularDelayMatrix) -> CodeVector:
-    """Project one matrix onto the codec subspace."""
-    if matrix.shape != (codec.delay_bins, codec.antennas):
-        raise ValueError(
-            f"matrix shape {matrix.shape} does not match codec "
-            f"({codec.delay_bins}, {codec.antennas})"
-        )
-    x = features(matrix.values[None, :, :])[0]
-    return CodeVector(codec.basis.T @ (x - codec.mean))
-
-
-def decode(codec: LinearCodec, code: CodeVector) -> AngularDelayMatrix:
-    """Reconstruct a matrix from its code vector."""
-    if len(code) != codec.components:
-        raise ValueError(
-            f"code length {len(code)} does not match codec components {codec.components}"
-        )
-    x = codec.basis @ code.values + codec.mean
-    return AngularDelayMatrix(unfeatures(x[None, :], codec.delay_bins, codec.antennas)[0])
 
 
 def encode_batch(codec: LinearCodec, samples: np.ndarray) -> np.ndarray:

@@ -3,8 +3,7 @@
 Complex matrices are held in float64/complex128 internally; 32-bit
 precision appears only at the serialization boundary (see
 ``csiaug.dataset_io``).  All containers are frozen dataclasses wrapping
-read-only NumPy arrays, so instances can be shared freely across worker
-threads.
+read-only NumPy arrays, so instances can be shared freely.
 """
 
 from __future__ import annotations
@@ -46,64 +45,31 @@ class AugmentMode(enum.Enum):
     APPEND = "append"
 
 
-def _frozen_complex_matrix(values: Any, what: str) -> np.ndarray:
-    vals = np.array(values, dtype=np.complex128, copy=True)
-    if vals.ndim != 2:
-        raise ValueError(f"{what} must be 2-D, got shape {vals.shape}")
-    if vals.shape[0] < 1 or vals.shape[1] < 1:
-        raise ValueError(f"{what} must have at least one row and column, got {vals.shape}")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"{what} entries must be finite")
-    vals.flags.writeable = False
-    return vals
-
-
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """Complex downlink channel response, subcarriers x antennas.
-
-    Entries are linear channel gains.  The array is copied, validated
-    (finite, non-empty) and frozen at construction.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _frozen_complex_matrix(self.values, "channel matrix"))
-
-    @property
-    def subcarriers(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def antennas(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChannelMatrix):
-            return NotImplemented
-        return self.shape == other.shape and self.values.tobytes() == other.values.tobytes()
-
-
 @dataclass(frozen=True)
 class AngularDelayMatrix:
     """Complex matrix in the delay (rows) x angle (columns) representation.
 
     Rows index multipath delay bins, columns index spatial angle bins;
-    typically obtained from a :class:`ChannelMatrix` by the 2-D transform
-    in :mod:`csiaug.transform`, keeping only the leading delay rows.
+    typically one sample of a dataset transformed by
+    :mod:`csiaug.transform`, keeping only the leading delay rows.  The
+    array is copied, validated (finite, non-empty) and frozen at
+    construction.
     """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", _frozen_complex_matrix(self.values, "angular-delay matrix")
-        )
+        vals = np.array(self.values, dtype=np.complex128, copy=True)
+        if vals.ndim != 2:
+            raise ValueError(f"angular-delay matrix must be 2-D, got shape {vals.shape}")
+        if vals.shape[0] < 1 or vals.shape[1] < 1:
+            raise ValueError(
+                f"angular-delay matrix must have at least one row and column, got {vals.shape}"
+            )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("angular-delay matrix entries must be finite")
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
 
     @property
     def delay_bins(self) -> int:
@@ -266,16 +232,6 @@ class Dataset:
     @property
     def sample_shape(self) -> tuple[int, int]:
         return self.samples.shape[1:]
-
-    def matrix(self, index: int) -> ChannelMatrix | AngularDelayMatrix:
-        """Sample ``index`` wrapped in the type matching the domain tag."""
-        values = self.samples[index]
-        if self.domain is Domain.SPATIAL_FREQUENCY:
-            return ChannelMatrix(values)
-        return AngularDelayMatrix(values)
-
-    def with_samples(self, samples: np.ndarray, domain: Domain | None = None) -> "Dataset":
-        return Dataset(samples, domain if domain is not None else self.domain, self.meta)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):

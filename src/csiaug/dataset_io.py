@@ -148,10 +148,13 @@ def read_dataset(path: str | Path) -> Dataset:
             f"{path}: payload length mismatch, header implies {expected} bytes, "
             f"file has {len(data)}"
         )
-    flat = np.frombuffer(data, dtype="<c8", offset=_DATASET_HEADER.size)
-    samples = flat.reshape(count, rows, cols).astype(np.complex128)
     meta = _read_sidecar(path)
-    return Dataset(samples, _CODE_TO_DOMAIN[domain_code], meta)
+    flat = np.frombuffer(data, dtype="<c8", offset=_DATASET_HEADER.size)
+    try:
+        samples = flat.reshape(count, rows, cols).astype(np.complex128)
+        return Dataset(samples, _CODE_TO_DOMAIN[domain_code], meta)
+    except ValueError as exc:
+        raise CorruptedFileError(f"{path}: dataset payload invalid: {exc}") from exc
 
 
 def _read_sidecar(path: str | Path) -> Provenance:
@@ -162,6 +165,8 @@ def _read_sidecar(path: str | Path) -> Provenance:
     try:
         with open(side, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
         return Provenance.from_dict(data)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{side}: malformed metadata sidecar: {exc}") from exc

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from csiaug.core import AngularDelayMatrix, ChannelMatrix, Dataset, DftPlan, Domain
+from csiaug.core import Dataset, DftPlan, Domain
 
 
 def transform_values(values: np.ndarray, plan: DftPlan) -> np.ndarray:
@@ -39,32 +39,8 @@ def inverse_transform_values(values: np.ndarray, plan: DftPlan) -> np.ndarray:
     return np.fft.fft(np.pad(angle, pad), axis=-2, norm="ortho")
 
 
-def to_angular_delay(channel: ChannelMatrix, plan: DftPlan) -> AngularDelayMatrix:
-    """Transform a channel matrix and keep the leading delay rows."""
-    if channel.shape != (plan.subcarriers, plan.antennas):
-        raise ValueError(
-            f"channel shape {channel.shape} does not match plan "
-            f"({plan.subcarriers}, {plan.antennas})"
-        )
-    return AngularDelayMatrix(transform_values(channel.values, plan))
-
-
-def from_angular_delay(matrix: AngularDelayMatrix, plan: DftPlan) -> ChannelMatrix:
-    """Invert :func:`to_angular_delay`, treating dropped delay rows as zero.
-
-    Exact (to rounding) when the plan keeps all rows; otherwise returns
-    the channel whose truncated transform equals ``matrix``.
-    """
-    if matrix.shape != (plan.delay_bins, plan.antennas):
-        raise ValueError(
-            f"matrix shape {matrix.shape} does not match plan "
-            f"({plan.delay_bins}, {plan.antennas})"
-        )
-    return ChannelMatrix(inverse_transform_values(matrix.values, plan))
-
-
 def transform_dataset(dataset: Dataset, plan: DftPlan) -> Dataset:
-    """Apply :func:`to_angular_delay` to every sample of a dataset."""
+    """Transform every sample of a dataset, keeping the leading delay rows."""
     if dataset.domain is not Domain.SPATIAL_FREQUENCY:
         raise ValueError(f"dataset is already in domain {dataset.domain.value}")
     if dataset.sample_shape != (plan.subcarriers, plan.antennas):
@@ -76,7 +52,11 @@ def transform_dataset(dataset: Dataset, plan: DftPlan) -> Dataset:
 
 
 def inverse_transform_dataset(dataset: Dataset, plan: DftPlan) -> Dataset:
-    """Apply :func:`from_angular_delay` to every sample of a dataset."""
+    """Invert :func:`transform_dataset`, treating dropped delay rows as zero.
+
+    Exact (to rounding) when the plan keeps all rows; otherwise each
+    sample becomes the channel whose truncated transform equals it.
+    """
     if dataset.domain is not Domain.ANGULAR_DELAY:
         raise ValueError(f"dataset is already in domain {dataset.domain.value}")
     if dataset.sample_shape != (plan.delay_bins, plan.antennas):

@@ -21,8 +21,8 @@ from csiaug.augment import (
 from csiaug.channel import (
     ScenarioSpec,
     generate_angular_dataset,
+    generate_dataset,
     load_scenario,
-    sample_channel,
     save_scenario,
 )
 from csiaug.cli import run as cli_run
@@ -31,7 +31,6 @@ from csiaug.core import (
     AugmentMethod,
     AugmentMode,
     AugmentParams,
-    ChannelMatrix,
     Dataset,
     DftPlan,
     Domain,
@@ -46,8 +45,8 @@ from csiaug.dataset_io import (
     write_codec,
     write_dataset,
 )
-from csiaug.rng import derive_seed, make_generator
-from csiaug.transform import from_angular_delay, to_angular_delay
+from csiaug.rng import derive_seed
+from csiaug.transform import inverse_transform_dataset, transform_dataset
 
 PRESET_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SEED_BASE = 20260823  # arbitrary fixed base for every seeded trial below
@@ -124,11 +123,11 @@ def test_transform_round_trip_parseval_and_integer_delay_rows():
     g = np.random.default_rng(SEED_BASE + 2)
     h = g.standard_normal((64, 8)) + 1j * g.standard_normal((64, 8))
     plan = DftPlan(64, 8, 64)
-    ang = to_angular_delay(ChannelMatrix(h), plan)
-    back = from_angular_delay(ang, plan)
-    rel_err = np.linalg.norm(back.values - h) / np.linalg.norm(h)
+    ang = transform_dataset(Dataset(h[None], Domain.SPATIAL_FREQUENCY), plan).samples[0]
+    back = inverse_transform_dataset(Dataset(ang[None], Domain.ANGULAR_DELAY), plan).samples[0]
+    rel_err = np.linalg.norm(back - h) / np.linalg.norm(h)
     assert rel_err < 1e-10
-    parseval = abs(np.linalg.norm(ang.values) - np.linalg.norm(h)) / np.linalg.norm(h)
+    parseval = abs(np.linalg.norm(ang) - np.linalg.norm(h)) / np.linalg.norm(h)
     assert parseval < 1e-10
 
     worst = 1.0
@@ -144,8 +143,8 @@ def test_transform_round_trip_parseval_and_integer_delay_rows():
             gain_decay=0.0,
             seed=case,
         )
-        sample = sample_channel(spec, make_generator(case))
-        power = np.abs(to_angular_delay(sample, plan).values) ** 2
+        sample = generate_dataset(spec, 1)
+        power = np.abs(transform_dataset(sample, plan).samples[0]) ** 2
         fraction = power[tau].sum() / power.sum()
         worst = min(worst, fraction)
         assert fraction > 1.0 - 1e-10

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from csiaug.augment import (
     augment_dataset,
-    augment_matrix,
     bubble_shift_down,
     bubble_shift_up,
     md_baseline,
     random_generation,
 )
 from csiaug.core import (
+    AngularDelayMatrix,
     AugmentMethod,
     AugmentMode,
     AugmentParams,
@@ -22,7 +22,9 @@ from csiaug.core import (
     Provenance,
     ShiftDirection,
     combine_polar,
+    decompose,
     polar_parts,
+    recompose,
 )
 from csiaug.rng import derive_seed
 
@@ -135,6 +137,8 @@ def test_shift_input_not_mutated():
 def test_amplitude_validation():
     with pytest.raises(ValueError, match="2-D"):
         bubble_shift_up(np.ones(4), 1)
+    with pytest.raises(ValueError, match="2-D"):
+        random_generation(np.ones((2, 4, 4)), 2, seed=0)
     with pytest.raises(ValueError, match="finite"):
         bubble_shift_up(np.array([[np.nan], [1.0]]), 1)
     with pytest.raises(ValueError, match="non-negative"):
@@ -222,43 +226,44 @@ complex_samples = st.integers(0, 2**32 - 1).map(
 )
 
 
+def per_sample_reference(values, params, index):
+    """Sample ``index`` of an augmentation pass, built from the 2-D primitives."""
+    amp, phase = decompose(AngularDelayMatrix(values))
+    seed = derive_seed(params.seed, index)
+    if params.method is AugmentMethod.BUBBLE_SHIFT_UP:
+        amp = bubble_shift_up(amp, params.shift)
+    elif params.method is AugmentMethod.BUBBLE_SHIFT_DOWN:
+        amp = bubble_shift_down(amp, params.shift)
+    elif params.method is AugmentMethod.RANDOM_GENERATION:
+        amp = random_generation(amp, params.block_size, seed)
+    else:
+        amp, phase = md_baseline(amp, phase, params.shift, params.direction, seed)
+    return recompose(amp, phase).values
+
+
+def one_sample(values):
+    return Dataset(values[None], Domain.ANGULAR_DELAY)
+
+
 @given(complex_samples, st.integers(0, 4))
-def test_augment_matrix_preserves_phase_for_bubble_shifts(values, shift):
+def test_augment_dataset_preserves_phase_for_bubble_shifts(values, shift):
     amp, phase = polar_parts(values)
     for method, fn in (
         (AugmentMethod.BUBBLE_SHIFT_UP, bubble_shift_up),
         (AugmentMethod.BUBBLE_SHIFT_DOWN, bubble_shift_down),
     ):
         params = AugmentParams(method=method, shift=shift, seed=0)
-        got = augment_matrix(values, params, sample_seed=123)
+        got = augment_dataset(one_sample(values), params, AugmentMode.REPLACE).samples[0]
         assert np.array_equal(got, combine_polar(fn(amp, shift), phase))
 
 
 @given(complex_samples, st.integers(0, 4))
-def test_augment_matrix_preserves_amplitude_multiset(values, shift):
+def test_augment_dataset_preserves_amplitude_multiset(values, shift):
     params = AugmentParams(method=AugmentMethod.BUBBLE_SHIFT_DOWN, shift=shift, seed=0)
-    got = augment_matrix(values, params, sample_seed=0)
+    got = augment_dataset(one_sample(values), params, AugmentMode.REPLACE).samples[0]
     tol = 1e-12 * (1.0 + np.abs(values).max())
     assert np.allclose(
         np.sort(np.abs(got), axis=0), np.sort(np.abs(values), axis=0), atol=tol, rtol=0
-    )
-
-
-def test_augment_matrix_dispatches_rg_and_md():
-    g = np.random.default_rng(9)
-    values = g.standard_normal((6, 4)) + 1j * g.standard_normal((6, 4))
-    amp, phase = polar_parts(values)
-    rg = AugmentParams(method=AugmentMethod.RANDOM_GENERATION, block_size=3, seed=0)
-    assert np.array_equal(
-        augment_matrix(values, rg, sample_seed=77),
-        combine_polar(random_generation(amp, 3, seed=77), phase),
-    )
-    md = AugmentParams(
-        method=AugmentMethod.MODEL_DRIVEN, shift=1, seed=0, direction=ShiftDirection.UP
-    )
-    assert np.array_equal(
-        augment_matrix(values, md, sample_seed=77),
-        combine_polar(*md_baseline(amp, phase, 1, ShiftDirection.UP, seed=77)),
     )
 
 
@@ -270,6 +275,60 @@ def make_dataset(count=5, rows=6, cols=4, seed=13):
     return Dataset(samples, Domain.ANGULAR_DELAY, Provenance(seed=1))
 
 
+def pass_params(shift, block_size, seed):
+    """One pass of every method, md in both directions."""
+    return [
+        AugmentParams(method=AugmentMethod.BUBBLE_SHIFT_UP, shift=shift, seed=seed),
+        AugmentParams(method=AugmentMethod.BUBBLE_SHIFT_DOWN, shift=shift, seed=seed),
+        AugmentParams(method=AugmentMethod.RANDOM_GENERATION, block_size=block_size, seed=seed),
+        AugmentParams(
+            method=AugmentMethod.MODEL_DRIVEN, shift=shift, seed=seed, direction=ShiftDirection.UP
+        ),
+        AugmentParams(
+            method=AugmentMethod.MODEL_DRIVEN,
+            shift=shift,
+            seed=seed,
+            direction=ShiftDirection.DOWN,
+        ),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 5),
+    st.integers(1, 8),
+    st.integers(1, 5),
+    st.integers(0, 9),
+    st.integers(1, 4),
+    st.booleans(),
+)
+def test_augment_dataset_matches_per_sample_primitives(
+    data_seed, count, rows, cols, shift, block_size, coarse
+):
+    # The batch pass must equal, bitwise, stacking the 2-D primitives
+    # sample by sample.  Coarse values add ties and exact zeros.
+    ds = make_dataset(count, rows, cols, data_seed)
+    if coarse:
+        ds = Dataset(np.round(ds.samples, 0), Domain.ANGULAR_DELAY, ds.meta)
+    for params in pass_params(shift, block_size, seed=data_seed):
+        expect = np.array(
+            [per_sample_reference(v, params, i) for i, v in enumerate(ds.samples)],
+            dtype=np.complex128,
+        ).reshape(ds.samples.shape)
+        appended = augment_dataset(ds, params, AugmentMode.APPEND)
+        assert appended.samples[:count].tobytes() == ds.samples.tobytes()
+        assert appended.samples[count:].tobytes() == expect.tobytes()
+        replaced = augment_dataset(ds, params, AugmentMode.REPLACE)
+        assert replaced.samples.tobytes() == expect.tobytes()
+
+    amp = np.abs(ds.samples).reshape(1, count, rows, cols)
+    for fn in (bubble_shift_up, bubble_shift_down):
+        stacked = np.array([fn(a, shift) for a in amp[0]]).reshape(amp.shape)
+        assert fn(amp, shift).tobytes() == stacked.tobytes()
+        assert fn(amp[0], shift).tobytes() == stacked[0].tobytes()
+
+
 def test_augment_dataset_append_keeps_originals_first():
     ds = make_dataset()
     params = AugmentParams(method=AugmentMethod.BUBBLE_SHIFT_DOWN, shift=1, seed=21)
@@ -277,7 +336,7 @@ def test_augment_dataset_append_keeps_originals_first():
     assert len(out) == 2 * len(ds)
     assert np.array_equal(out.samples[: len(ds)], ds.samples)
     for i in range(len(ds)):
-        expect = augment_matrix(ds.samples[i], params, derive_seed(params.seed, i))
+        expect = per_sample_reference(ds.samples[i], params, i)
         assert np.array_equal(out.samples[len(ds) + i], expect)
 
 
@@ -287,7 +346,7 @@ def test_augment_dataset_replace_keeps_count():
     out = augment_dataset(ds, params, mode=AugmentMode.REPLACE)
     assert len(out) == len(ds)
     for i in range(len(ds)):
-        expect = augment_matrix(ds.samples[i], params, derive_seed(params.seed, i))
+        expect = per_sample_reference(ds.samples[i], params, i)
         assert np.array_equal(out.samples[i], expect)
 
 
@@ -312,32 +371,16 @@ def test_augment_dataset_empty_and_domain_checks():
     empty = Dataset(
         np.zeros((0, 4, 2), dtype=np.complex128), Domain.ANGULAR_DELAY, Provenance(seed=0)
     )
-    params = AugmentParams(method=AugmentMethod.BUBBLE_SHIFT_UP, shift=1, seed=0)
-    out = augment_dataset(empty, params, mode=AugmentMode.APPEND)
-    assert len(out) == 0
-    assert len(out.meta.augmentations) == 1
+    for params in pass_params(shift=1, block_size=2, seed=0):
+        out = augment_dataset(empty, params, mode=AugmentMode.APPEND)
+        assert len(out) == 0 and out.sample_shape == (4, 2)
+        assert len(out.meta.augmentations) == 1
 
     wrong = Dataset(np.zeros((1, 4, 2), dtype=np.complex128), Domain.SPATIAL_FREQUENCY)
     with pytest.raises(ValueError, match="domain"):
         augment_dataset(wrong, params)
     with pytest.raises(TypeError, match="mode"):
         augment_dataset(empty, params, mode="append")
-
-
-def test_augment_dataset_worker_count_invariance(monkeypatch):
-    ds = make_dataset(count=12)
-    params = AugmentParams(method=AugmentMethod.RANDOM_GENERATION, block_size=4, seed=3)
-    monkeypatch.delenv("CSIAUG_WORKERS", raising=False)
-    serial = augment_dataset(ds, params, mode=AugmentMode.REPLACE)
-    monkeypatch.setenv("CSIAUG_WORKERS", "3")
-    threaded = augment_dataset(ds, params, mode=AugmentMode.REPLACE)
-    assert np.array_equal(serial.samples, threaded.samples)
-    monkeypatch.setenv("CSIAUG_WORKERS", "zero")
-    with pytest.raises(ValueError, match="CSIAUG_WORKERS"):
-        augment_dataset(ds, params, mode=AugmentMode.REPLACE)
-    monkeypatch.setenv("CSIAUG_WORKERS", "0")
-    with pytest.raises(ValueError, match="CSIAUG_WORKERS"):
-        augment_dataset(ds, params, mode=AugmentMode.REPLACE)
 
 
 def test_zero_shift_replace_roundtrips_samples():

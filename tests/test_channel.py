@@ -12,7 +12,6 @@ from csiaug.channel import (
     generate_angular_dataset,
     generate_dataset,
     load_scenario,
-    sample_channel,
     save_scenario,
 )
 from csiaug.core import DftPlan, Domain
@@ -101,9 +100,23 @@ def test_generation_matches_per_sample_draws():
     ds = generate_dataset(spec, 5)
     assert ds.domain is Domain.SPATIAL_FREQUENCY
     assert ds.sample_shape == (32, 8)
+    n = np.arange(32)[:, None]
+    a = np.arange(8)[None, :]
     for i in range(5):
-        single = sample_channel(spec, make_generator(derive_seed(spec.seed, i)))
-        assert np.array_equal(ds.samples[i], single.values)
+        # Sample i draws (delays, angles, phases) from its own child generator
+        # and evaluates the model in the module docstring.
+        rng = make_generator(derive_seed(spec.seed, i))
+        tau = rng.uniform(*spec.delay_range, spec.paths)
+        theta = rng.uniform(*spec.angle_range, spec.paths)
+        phi = rng.uniform(-np.pi, np.pi, spec.paths)
+        want = sum(
+            g
+            * np.exp(1j * p)
+            * np.exp(-2j * np.pi * n * t / 32)
+            * np.exp(-1j * np.pi * a * np.sin(th))
+            for g, t, th, p in zip(spec.path_gains(), tau, theta, phi)
+        )
+        assert np.abs(ds.samples[i] - want).max() < 1e-12 * np.abs(want).max()
 
 
 def test_generation_prefix_stability():

@@ -177,6 +177,46 @@ def test_usage_errors_exit_2(workspace, argv, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+RANGE_CASES = [
+    # out of range whatever the input holds: usage errors
+    pytest.param(["gen", "--scenario", "s.json", "--count", "-5", "--out", "y.csia"], 2,
+                 id="gen-count-negative"),
+    pytest.param(["gen", "--scenario", "s.json", "--count", "4", "--seed", "-1",
+                  "--out", "y.csia"], 2, id="gen-seed-negative"),
+    pytest.param(["gen", "--scenario", "s.json", "--count", "4", "--seed", str(2**64),
+                  "--out", "y.csia"], 2, id="gen-seed-above-64-bits"),
+    pytest.param(["augment", "--in", "x.csia", "--method", "bs-up", "--shift", "-1",
+                  "--out", "y.csia"], 2, id="augment-shift-negative"),
+    pytest.param(["augment", "--in", "x.csia", "--method", "rg", "--block", "0",
+                  "--out", "y.csia"], 2, id="augment-block-zero"),
+    pytest.param(["transform", "--in", "f.csia", "--na", "0", "--out", "y.csia"], 2,
+                 id="transform-na-zero"),
+    pytest.param(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
+                  "--param", "shift", "--values", "1,-1", "--ratio", "1/4", "--out", "y.json"],
+                 2, id="sweep-shift-negative"),
+    # valid flag values that conflict with the input: runtime errors
+    pytest.param(["transform", "--in", "f.csia", "--na", "2000", "--out", "y.csia"], 1,
+                 id="transform-na-above-subcarriers"),
+    pytest.param(["transform", "--in", "x.csia", "--inverse", "--nc", "4", "--out", "y.csia"],
+                 1, id="transform-nc-below-delay-rows"),
+]
+
+
+@pytest.mark.parametrize("argv,code", RANGE_CASES)
+def test_out_of_range_flag_values(workspace, argv, code, capsys):
+    paths = {
+        "s.json": workspace / "scenario.json",
+        "f.csia": workspace / "train.csia",  # 16 subcarriers
+        "x.csia": workspace / "train_ang.csia",  # 8 delay rows
+        "y.csia": workspace / "ignored.csia",
+        "y.json": workspace / "ignored.json",
+    }
+    assert cli.run([str(paths.get(a, a)) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert ("usage error" in err) == (code == 2)
+    assert not (workspace / "ignored.csia").exists()
+
+
 def test_transform_inverse_requires_nc(workspace, capsys):
     argv = ["transform", "--in", str(workspace / "train_ang.csia"), "--inverse",
             "--out", str(workspace / "ignored.csia")]
@@ -219,6 +259,13 @@ def test_runtime_errors_exit_1(workspace, tmp_path, capsys):
     assert cli.run(["fit", "--train", str(corrupt), "--ratio", "1/4",
                     "--out", str(tmp_path / "c.csic")]) == 1
     capsys.readouterr()
+    # a sidecar that is valid JSON but not an object is malformed input
+    odd = tmp_path / "odd.csia"
+    odd.write_bytes((workspace / "train.csia").read_bytes())
+    (tmp_path / "odd.csia.meta.json").write_text("[]")
+    assert cli.run(["transform", "--in", str(odd), "--na", "4",
+                    "--out", str(tmp_path / "t.csia")]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_augment_rejects_frequency_domain(workspace, tmp_path, capsys):

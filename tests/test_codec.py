@@ -7,13 +7,10 @@ import pytest
 
 from csiaug.codec import (
     DB_FLOOR,
-    CodeVector,
     EvalReport,
     LinearCodec,
     component_count,
-    decode,
     decode_batch,
-    encode,
     encode_batch,
     evaluate,
     features,
@@ -24,7 +21,7 @@ from csiaug.codec import (
     to_db,
     unfeatures,
 )
-from csiaug.core import AngularDelayMatrix, Dataset, Domain, Provenance
+from csiaug.core import Dataset, Domain, Provenance
 
 
 def angular_dataset(samples, seed=0):
@@ -155,25 +152,25 @@ def test_codes_are_scale_equivariant():
 def test_single_sample_round_trip_matches_batch():
     ds = random_dataset(12, 5, 3, seed=8)
     codec = fit_codec(ds, "1/4")
-    m = AngularDelayMatrix(ds.samples[4])
-    code = encode(codec, m)
-    assert len(code) == codec.components
-    assert np.allclose(code.values, encode_batch(codec, ds.samples[4:5])[0], atol=1e-12)
-    back = decode(codec, code)
-    assert np.allclose(back.values, reconstruct_batch(codec, ds.samples[4:5])[0], atol=1e-12)
+    code = encode_batch(codec, ds.samples[4:5])
+    assert code.shape == (1, codec.components)
+    assert np.allclose(code[0], encode_batch(codec, ds.samples)[4], atol=1e-12)
+    back = decode_batch(codec, code)
+    assert back.shape == (1, 5, 3)
+    assert np.allclose(back[0], reconstruct_batch(codec, ds.samples)[4], atol=1e-12)
 
 
 def test_codec_shape_checks():
     ds = random_dataset(10, 4, 3, seed=9)
     codec = fit_codec(ds, "1/4")
     with pytest.raises(ValueError, match="shape"):
-        encode(codec, AngularDelayMatrix(np.zeros((3, 4), dtype=complex)))
+        encode_batch(codec, np.zeros((1, 3, 4), dtype=complex))
     with pytest.raises(ValueError, match="shape"):
         encode_batch(codec, np.zeros((2, 5, 3), dtype=complex))
     with pytest.raises(ValueError, match="code"):
         decode_batch(codec, np.zeros((2, codec.components + 1)))
-    with pytest.raises(ValueError, match="code length"):
-        decode(codec, CodeVector(np.zeros(codec.components + 1)))
+    with pytest.raises(ValueError, match="code"):
+        decode_batch(codec, np.zeros(codec.components))
 
 
 def test_fit_codec_validation():

@@ -12,7 +12,6 @@ from csiaug.core import (
     AugmentMode,
     AugmentParams,
     AugmentationRecord,
-    ChannelMatrix,
     Dataset,
     DftPlan,
     Domain,
@@ -36,10 +35,12 @@ def complex_matrices(max_side=6):
 
 
 def test_matrix_validation_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="2-D"):
+        AngularDelayMatrix(np.zeros(4, dtype=complex))
+    with pytest.raises(ValueError, match="2-D"):
+        AngularDelayMatrix(np.zeros((1, 2, 2), dtype=complex))
     with pytest.raises(ValueError):
-        ChannelMatrix(np.zeros(4, dtype=complex))
-    with pytest.raises(ValueError):
-        ChannelMatrix(np.zeros((0, 3), dtype=complex))
+        AngularDelayMatrix(np.zeros((0, 3), dtype=complex))
     with pytest.raises(ValueError):
         AngularDelayMatrix(np.zeros((2, 0), dtype=complex))
 
@@ -47,30 +48,39 @@ def test_matrix_validation_rejects_bad_shapes():
 def test_matrix_validation_rejects_non_finite():
     bad = np.array([[1.0, np.nan]], dtype=complex)
     with pytest.raises(ValueError, match="finite"):
-        ChannelMatrix(bad)
+        AngularDelayMatrix(bad)
     with pytest.raises(ValueError, match="finite"):
         AngularDelayMatrix(np.array([[np.inf + 0j]]))
 
 
 def test_matrices_are_immutable_copies():
     src = np.ones((2, 2), dtype=complex)
-    m = ChannelMatrix(src)
+    m = AngularDelayMatrix(src)
     src[0, 0] = 5.0
     assert m.values[0, 0] == 1.0
     with pytest.raises(ValueError):
         m.values[0, 0] = 3.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         m.values = src
+    batch = np.ones((3, 2, 2), dtype=complex)
+    ds = Dataset(batch, Domain.SPATIAL_FREQUENCY)
+    batch[0, 0, 0] = 5.0
+    assert ds.samples[0, 0, 0] == 1.0
+    with pytest.raises(ValueError):
+        ds.samples[0, 0, 0] = 3.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.samples = batch
 
 
 def test_matrix_dims_and_equality():
-    m = ChannelMatrix(np.arange(6, dtype=float).reshape(2, 3) + 0j)
-    assert (m.subcarriers, m.antennas) == (2, 3)
-    assert m == ChannelMatrix(m.values)
-    assert m != ChannelMatrix(m.values + 1)
-    a = AngularDelayMatrix(np.ones((4, 2), dtype=complex))
-    assert (a.delay_bins, a.angle_bins) == (4, 2)
-    assert a != m  # different types never compare equal
+    a = AngularDelayMatrix(np.arange(6, dtype=float).reshape(2, 3) + 0j)
+    assert (a.delay_bins, a.angle_bins) == (2, 3)
+    assert a.shape == (2, 3)
+    assert a == AngularDelayMatrix(a.values)
+    assert a != AngularDelayMatrix(a.values + 1)
+    assert a != AngularDelayMatrix(a.values.T)
+    # different types never compare equal
+    assert a != Dataset(a.values[None], Domain.ANGULAR_DELAY)
 
 
 def test_decompose_zero_matrix():
@@ -126,10 +136,7 @@ def test_dataset_basics():
     ds = Dataset(samples, Domain.ANGULAR_DELAY)
     assert len(ds) == 3
     assert ds.sample_shape == (2, 2)
-    assert isinstance(ds.matrix(0), AngularDelayMatrix)
-    assert isinstance(
-        Dataset(samples, Domain.SPATIAL_FREQUENCY).matrix(1), ChannelMatrix
-    )
+    assert np.array_equal(ds.samples[1], samples[1])
     stacked = np.stack(list(ds))
     assert np.array_equal(stacked, samples)
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from csiaug.codec import EvalReport, LinearCodec, fit_codec
 from csiaug.core import (
@@ -119,6 +121,10 @@ def test_malformed_sidecar_rejected(tmp_path):
     sidecar_path(path).write_text(json.dumps({"augmentations": [{"method": "x"}]}))
     with pytest.raises(FileFormatError, match="sidecar"):
         read_dataset(path)
+    for not_an_object in ("[]", "1", '"x"'):
+        sidecar_path(path).write_text(not_an_object)
+        with pytest.raises(FileFormatError, match="sidecar"):
+            read_dataset(path)
 
 
 def write_valid_then_corrupt(tmp_path, mutate):
@@ -197,6 +203,26 @@ def test_forged_count_rejected(tmp_path):
     path = tmp_path / "count.csia"
     path.write_bytes(header + struct.pack("<2f", 0.0, 0.0))  # one sample, header says two
     with pytest.raises(CorruptedFileError, match="mismatch"):
+        read_dataset(path)
+
+
+def test_non_finite_payload_rejected(tmp_path):
+    header = struct.pack("<4sHBBIII", b"CSIA", 1, 1, 0, 2, 1, 1)
+    path = tmp_path / "nan.csia"
+    sidecar_path(path).write_text(json.dumps(Provenance().to_dict()))
+    for bad in (np.nan, np.inf):
+        path.write_bytes(header + struct.pack("<4f", 1.0, 0.0, bad, 0.0))
+        with pytest.raises(CorruptedFileError, match="nan.csia.*finite"):
+            read_dataset(path)
+
+
+def test_oversized_sample_shape_rejected(tmp_path):
+    # zero samples of 2**32-1 by 2**32-1 pass the length check but no
+    # array of that shape can exist.
+    path = tmp_path / "huge.csia"
+    path.write_bytes(struct.pack("<4sHBBIII", b"CSIA", 1, 1, 0, 0, 2**32 - 1, 2**32 - 1))
+    sidecar_path(path).write_text(json.dumps(Provenance().to_dict()))
+    with pytest.raises(CorruptedFileError, match="huge.csia"):
         read_dataset(path)
 
 
@@ -331,3 +357,70 @@ def test_report_round_trip(tmp_path):
     path.write_text(json.dumps({"label": "x"}))
     with pytest.raises(FileFormatError, match="malformed report"):
         read_report(path)
+
+
+# Fuzzing: up to three truncations, bit flips or forged header fields
+# must leave a file that either parses or raises one of the container
+# errors, never anything else.
+
+
+def mutations(fields):
+    """Truncate, flip one bit, or forge a field; positions wrap at the length."""
+    truncate = st.integers(0, 2**16).map(lambda n: ("truncate", n, None))
+    flip = st.integers(0, 2**16).map(lambda bit: ("flip", bit, None))
+    forge = st.tuples(
+        st.just("forge"),
+        st.sampled_from(fields),
+        st.sampled_from([0, 1, 2, 3, 7, 255, 2**16 - 1, 2**31, 2**32 - 1]),
+    )
+    return st.lists(st.one_of(truncate, flip, forge), min_size=1, max_size=3)
+
+
+def mutate(raw, mutations):
+    out = bytearray(raw)
+    for kind, where, value in mutations:
+        if kind == "truncate" and out:
+            del out[where % len(out):]
+        elif kind == "flip" and out:
+            bit = where % (8 * len(out))
+            out[bit // 8] ^= 1 << (bit % 8)
+        elif kind == "forge":
+            offset, fmt = where
+            if offset + struct.calcsize(fmt) <= len(out):
+                value &= (1 << (8 * struct.calcsize(fmt))) - 1
+                struct.pack_into(fmt, out, offset, value)
+    return bytes(out)
+
+
+def parses_or_rejects(reader, path):
+    try:
+        reader(path)
+    except (FileFormatError, CorruptedFileError):
+        pass
+
+
+DATASET_FIELDS = [(4, "<H"), (6, "<B"), (7, "<B"), (8, "<I"), (12, "<I"), (16, "<I")]
+CODEC_FIELDS = [(4, "<H"), (6, "<I"), (10, "<I"), (14, "<I"), (18, "<I"), (22, "<I")]
+FUZZ = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@FUZZ
+@given(st.sampled_from([0, 3]), mutations(DATASET_FIELDS))
+def test_dataset_reader_fuzz(tmp_path, count, mutations):
+    path = tmp_path / "fuzz.csia"
+    # Values in [1, 2) turn into inf or NaN when the top exponent bit flips.
+    parts = np.random.default_rng(count).uniform(1.0, 2.0, (2, count, 4, 2))
+    write_dataset(Dataset(parts[0] + 1j * parts[1], Domain.ANGULAR_DELAY), path)
+    path.write_bytes(mutate(path.read_bytes(), mutations))
+    parses_or_rejects(read_dataset, path)
+
+
+@FUZZ
+@given(mutations(CODEC_FIELDS))
+def test_codec_reader_fuzz(tmp_path, mutations):
+    path = tmp_path / "fuzz.csic"
+    write_codec(fitted_codec(), path)
+    path.write_bytes(mutate(path.read_bytes(), mutations))
+    parses_or_rejects(read_codec, path)

@@ -1,19 +1,12 @@
 import numpy as np
 import pytest
 
-from csiaug.core import (
-    AngularDelayMatrix,
-    ChannelMatrix,
-    Dataset,
-    DftPlan,
-    Domain,
-    Provenance,
-)
+from csiaug.core import Dataset, DftPlan, Domain, Provenance
 from csiaug.transform import (
-    from_angular_delay,
     inverse_transform_dataset,
-    to_angular_delay,
+    inverse_transform_values,
     transform_dataset,
+    transform_values,
 )
 
 
@@ -41,7 +34,7 @@ def random_channel(rng, nc, nt):
 def test_matches_dense_dft_oracle(nc, nt, na):
     rng = np.random.default_rng(nc * 100 + nt * 10 + na)
     h = random_channel(rng, nc, nt)
-    got = to_angular_delay(ChannelMatrix(h), DftPlan(nc, nt, na)).values
+    got = transform_values(h, DftPlan(nc, nt, na))
     want = reference_transform(h, na)
     assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
 
@@ -50,35 +43,31 @@ def test_single_delay_tone_concentrates_in_one_row():
     # A pure phase ramp of one cycle across 4 subcarriers is a path at
     # delay bin 1; the transform puts all energy there, scaled to 2.
     h = np.exp(-2j * np.pi * np.arange(4) / 4).reshape(4, 1)
-    ha = to_angular_delay(ChannelMatrix(h), DftPlan(4, 1, 4)).values
+    ha = transform_values(h, DftPlan(4, 1, 4))
     assert np.abs(ha - np.array([[0], [2], [0], [0]])).max() < 1e-12
 
 
 def test_size_one_transform_is_identity():
     h = np.array([[3.5 - 1.25j]])
-    ha = to_angular_delay(ChannelMatrix(h), DftPlan(1, 1, 1)).values
+    ha = transform_values(h, DftPlan(1, 1, 1))
     assert np.abs(ha - h).max() < 1e-15
 
 
 def test_zeros_map_to_zeros():
     plan = DftPlan(16, 4, 8)
-    assert not np.any(to_angular_delay(ChannelMatrix(np.zeros((16, 4))), plan).values)
-    assert not np.any(
-        from_angular_delay(
-            to_angular_delay(ChannelMatrix(np.zeros((16, 4))), plan), plan
-        ).values
-    )
+    assert not np.any(transform_values(np.zeros((16, 4)), plan))
+    assert not np.any(inverse_transform_values(transform_values(np.zeros((16, 4)), plan), plan))
 
 
 def test_untruncated_round_trip_and_parseval():
     rng = np.random.default_rng(7)
     plan = DftPlan(64, 8, 64)
     h = random_channel(rng, 64, 8)
-    ha = to_angular_delay(ChannelMatrix(h), plan)
+    ha = transform_values(h, plan)
     h_norm = np.linalg.norm(h)
-    assert abs(np.linalg.norm(ha.values) - h_norm) / h_norm < 1e-10
-    back = from_angular_delay(ha, plan)
-    assert np.linalg.norm(back.values - h) / h_norm < 1e-10
+    assert abs(np.linalg.norm(ha) - h_norm) / h_norm < 1e-10
+    back = inverse_transform_values(ha, plan)
+    assert np.linalg.norm(back - h) / h_norm < 1e-10
 
 
 def test_linearity():
@@ -86,10 +75,8 @@ def test_linearity():
     plan = DftPlan(32, 4, 12)
     h1, h2 = random_channel(rng, 32, 4), random_channel(rng, 32, 4)
     a, b = 1.7 - 0.3j, -0.4 + 2.2j
-    combined = to_angular_delay(ChannelMatrix(a * h1 + b * h2), plan).values
-    separate = a * to_angular_delay(ChannelMatrix(h1), plan).values + b * to_angular_delay(
-        ChannelMatrix(h2), plan
-    ).values
+    combined = transform_values(a * h1 + b * h2, plan)
+    separate = a * transform_values(h1, plan) + b * transform_values(h2, plan)
     assert np.abs(combined - separate).max() < 1e-10 * np.abs(separate).max()
 
 
@@ -100,21 +87,20 @@ def test_truncated_round_trip_for_band_limited_input():
     nc, nt, na = 64, 4, 8
     plan = DftPlan(nc, nt, na)
     rows = rng.standard_normal((na, nt)) + 1j * rng.standard_normal((na, nt))
-    h = from_angular_delay(AngularDelayMatrix(rows), plan)
-    ha = to_angular_delay(h, plan)
-    assert np.linalg.norm(ha.values - rows) / np.linalg.norm(rows) < 1e-10
-    again = to_angular_delay(from_angular_delay(ha, plan), plan)
-    assert np.linalg.norm(again.values - ha.values) / np.linalg.norm(ha.values) < 1e-10
+    h = inverse_transform_values(rows, plan)
+    ha = transform_values(h, plan)
+    assert np.linalg.norm(ha - rows) / np.linalg.norm(rows) < 1e-10
+    again = transform_values(inverse_transform_values(ha, plan), plan)
+    assert np.linalg.norm(again - ha) / np.linalg.norm(ha) < 1e-10
 
 
 def test_shape_mismatches_rejected():
     plan = DftPlan(16, 4, 8)
     with pytest.raises(ValueError, match="shape"):
-        to_angular_delay(ChannelMatrix(np.zeros((8, 4))), plan)
+        transform_dataset(Dataset(np.zeros((1, 8, 4)), Domain.SPATIAL_FREQUENCY), plan)
+    ang = transform_dataset(Dataset(np.zeros((1, 16, 4)), Domain.SPATIAL_FREQUENCY), plan)
     with pytest.raises(ValueError, match="shape"):
-        from_angular_delay(
-            to_angular_delay(ChannelMatrix(np.zeros((16, 4))), plan), DftPlan(16, 4, 4)
-        )
+        inverse_transform_dataset(ang, DftPlan(16, 4, 4))
 
 
 def test_dataset_transform_matches_per_sample_loop():
@@ -127,12 +113,12 @@ def test_dataset_transform_matches_per_sample_loop():
     assert batch.domain is Domain.ANGULAR_DELAY
     assert batch.meta == meta
     for i in range(5):
-        single = to_angular_delay(ChannelMatrix(samples[i]), plan).values
+        single = transform_values(samples[i], plan)
         assert np.array_equal(batch.samples[i], single)
     back = inverse_transform_dataset(batch, plan)
     assert back.domain is Domain.SPATIAL_FREQUENCY
     for i in range(5):
-        single = from_angular_delay(AngularDelayMatrix(batch.samples[i]), plan).values
+        single = inverse_transform_values(batch.samples[i], plan)
         assert np.array_equal(back.samples[i], single)
     # the inverse is a right inverse on the truncated domain, not on raw samples
     again = transform_dataset(back, plan)
