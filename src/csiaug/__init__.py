@@ -65,7 +65,7 @@ from csiaug.dataset_io import (
     write_dataset,
     write_report,
 )
-from csiaug.rng import derive_seed, make_generator, splitmix64
+from csiaug.rng import derive_seed, make_generator
 from csiaug.transform import inverse_transform_dataset, transform_dataset
 
 __version__ = "0.1.0"
@@ -107,7 +107,6 @@ __all__ = [
     "read_report",
     "recompose",
     "save_scenario",
-    "splitmix64",
     "transform_dataset",
     "write_codec",
     "write_dataset",

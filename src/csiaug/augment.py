@@ -16,9 +16,10 @@ Three families:
   them it destroys the phase structure.
 
 All of these leave the complex samples' phase untouched except the
-baseline.  Seeded operations derive one child seed per sample from the
-pass seed and the sample index, so any sample's result can be
-reproduced in isolation.
+baseline.  The seeded operations draw matrix k of a flattened
+(..., rows, cols) batch from random stream ``(seed, k)`` (see
+:mod:`csiaug.rng`), so any sample's result can be reproduced in
+isolation, and a single 2-D call draws from stream ``(seed, 0)``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from csiaug.core import (
     combine_polar,
     polar_parts,
 )
-from csiaug.rng import derive_seed, make_generator
+from csiaug.rng import RNG_SCHEME, make_generator
 
 
 def _check_amplitude(amplitude: np.ndarray, batched: bool = False) -> np.ndarray:
@@ -142,24 +143,31 @@ def random_generation(amplitude: np.ndarray, block_size: int, seed: int) -> np.n
     block is clipped at the matrix edges, never wrapped.  Redrawn
     entries are i.i.d. uniform between the matrix's global min and max
     (computed before any redraw); everything outside the clipped block
-    is left bit-identical.
+    is left bit-identical.  The centre column and then the block are
+    drawn from stream ``(seed, 0)``.
     """
-    amp = _check_amplitude(amplitude)
+    return _redraw_blocks(_check_amplitude(amplitude), block_size, seed)
+
+
+def _redraw_blocks(amp: np.ndarray, block_size: int, seed: int) -> np.ndarray:
+    """:func:`random_generation` in place on every matrix of a contiguous
+    (..., rows, cols) batch; matrix k draws from stream ``(seed, k)``."""
     if int(block_size) < 1:
         raise ValueError(f"block size must be positive, got {block_size}")
     block_size = int(block_size)
-    rows, cols = amp.shape
-    peak_row = int(np.argmax(amp)) // cols
-    low = float(np.min(amp))
-    high = float(np.max(amp))
-    rng = make_generator(seed)
-    centre_col = int(rng.integers(0, cols))
     before = (block_size - 1) // 2
-    r0 = max(peak_row - before, 0)
-    r1 = min(peak_row - before + block_size, rows)
-    c0 = max(centre_col - before, 0)
-    c1 = min(centre_col - before + block_size, cols)
-    amp[r0:r1, c0:c1] = rng.uniform(low, high, size=(r1 - r0, c1 - c0))
+    rows, cols = amp.shape[-2:]
+    for k, matrix in enumerate(amp.reshape(-1, rows, cols)):
+        peak_row = int(np.argmax(matrix)) // cols
+        low = float(np.min(matrix))
+        high = float(np.max(matrix))
+        rng = make_generator(seed, k)
+        centre_col = int(rng.integers(0, cols))
+        r0 = max(peak_row - before, 0)
+        r1 = min(peak_row - before + block_size, rows)
+        c0 = max(centre_col - before, 0)
+        c1 = min(centre_col - before + block_size, cols)
+        matrix[r0:r1, c0:c1] = rng.uniform(low, high, size=(r1 - r0, c1 - c0))
     return amp
 
 
@@ -174,9 +182,12 @@ def md_baseline(
 
     The amplitude columns are circularly shifted ``shift`` rows in the
     given direction with no repair pass; the phase matrix is replaced
-    elementwise by i.i.d. uniform draws on [-pi, pi).
+    elementwise by i.i.d. uniform draws on [-pi, pi).  ``amplitude`` and
+    ``phase`` are one (rows, cols) matrix or a (..., rows, cols) batch;
+    matrix k of the flattened batch draws its phase from stream
+    ``(seed, k)``.
     """
-    amp = _check_amplitude(amplitude)
+    amp = _check_amplitude(amplitude, batched=True)
     shift = _check_shift(shift)
     phase = np.asarray(phase, dtype=np.float64)
     if phase.shape != amp.shape:
@@ -184,18 +195,20 @@ def md_baseline(
     if not isinstance(direction, ShiftDirection):
         raise TypeError("direction must be a ShiftDirection")
     offset = -shift if direction is ShiftDirection.UP else shift
-    shifted = np.roll(amp, offset, axis=0)
-    rng = make_generator(seed)
-    new_phase = rng.uniform(-np.pi, np.pi, size=amp.shape)
+    shifted = np.roll(amp, offset, axis=-2)
+    rows, cols = amp.shape[-2:]
+    new_phase = np.empty_like(amp)
+    for k, matrix in enumerate(new_phase.reshape(-1, rows, cols)):
+        matrix[...] = make_generator(seed, k).uniform(-np.pi, np.pi, size=(rows, cols))
     return shifted, new_phase
 
 
 def _augment_samples(samples: np.ndarray, params: AugmentParams) -> np.ndarray:
     """Augmented copy of a (count, rows, cols) complex batch.
 
-    The whole batch is split into polar form and recomposed once; only
-    the seeded methods visit samples one at a time, sample ``i`` using
-    the child seed derived from ``params.seed`` and ``i``.
+    The whole batch is split into polar form, passed through one batch
+    primitive and recomposed once; sample ``i`` of a seeded method draws
+    from stream ``(params.seed, i)``.
     """
     amplitude, phase = polar_parts(samples)
     if params.method is AugmentMethod.BUBBLE_SHIFT_UP:
@@ -203,15 +216,12 @@ def _augment_samples(samples: np.ndarray, params: AugmentParams) -> np.ndarray:
     elif params.method is AugmentMethod.BUBBLE_SHIFT_DOWN:
         amplitude = bubble_shift_down(amplitude, params.shift)
     elif params.method is AugmentMethod.RANDOM_GENERATION:
-        for i in range(len(samples)):
-            seed = derive_seed(params.seed, i)
-            amplitude[i] = random_generation(amplitude[i], params.block_size, seed)
+        # polar_parts returns a fresh contiguous, finite, non-negative array.
+        amplitude = _redraw_blocks(amplitude, params.block_size, params.seed)
     elif params.method is AugmentMethod.MODEL_DRIVEN:
-        for i in range(len(samples)):
-            seed = derive_seed(params.seed, i)
-            amplitude[i], phase[i] = md_baseline(
-                amplitude[i], phase[i], params.shift, params.direction, seed
-            )
+        amplitude, phase = md_baseline(
+            amplitude, phase, params.shift, params.direction, params.seed
+        )
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown method {params.method!r}")
     return combine_polar(amplitude, phase)
@@ -225,7 +235,9 @@ def _record(params: AugmentParams, mode: AugmentMode) -> AugmentationRecord:
         parameters["shift"] = params.shift
         if params.method is AugmentMethod.MODEL_DRIVEN:
             parameters["direction"] = params.direction.value
-    return AugmentationRecord(method=params.method.value, parameters=parameters, seed=params.seed)
+    return AugmentationRecord(
+        method=params.method.value, parameters=parameters, seed=params.seed, rng=RNG_SCHEME
+    )
 
 
 def augment_dataset(
@@ -233,8 +245,8 @@ def augment_dataset(
 ) -> Dataset:
     """Augment every sample of an angular-delay dataset.
 
-    Sample ``i`` uses the child seed derived from ``params.seed`` and
-    ``i``, so output is reproducible sample by sample.  APPEND keeps
+    Sample ``i`` of a seeded method draws from stream
+    ``(params.seed, i)``, so output is reproducible sample by sample.  APPEND keeps
     the originals and adds the augmented copies after them, doubling the
     sample count; REPLACE keeps only the augmented copies.
     The provenance chain gains one record either way.

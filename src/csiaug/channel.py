@@ -8,6 +8,10 @@ antenna a) of a sample is
 
     sum_l  g_l * exp(j phi_l) * exp(-2j pi n tau_l / Nc) * exp(-j pi a sin(theta_l))
 
+Sample i of a dataset draws its delays, then angles, then phases from
+random stream ``(seed, i)`` (see :mod:`csiaug.rng`), so datasets with
+different seeds share no stream.
+
 Train/test pairs that differ only in ``delay_range`` emulate a
 deployment whose delay profile drifted away from the training
 distribution; the shipped scenario presets are built this way.  This is
@@ -22,12 +26,12 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from csiaug.core import Dataset, DftPlan, Domain, Provenance
-from csiaug.rng import check_seed, derive_seed, make_generator
+from csiaug.rng import RNG_SCHEME, check_seed, make_generator
 from csiaug.transform import transform_values
 
 _SCENARIO_FIELDS = (
@@ -61,25 +65,26 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         for name in ("subcarriers", "antennas", "paths"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-            object.__setattr__(self, name, int(getattr(self, name)))
-        d0, d1 = (float(v) for v in self.delay_range)
+            value = _coerce(name, int, getattr(self, name))
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+            object.__setattr__(self, name, value)
+        d0, d1 = _coerce("delay_range", _pair, self.delay_range)
         if not (0.0 <= d0 <= d1 < self.subcarriers):
             raise ValueError(
                 f"delay_range must satisfy 0 <= lo <= hi < subcarriers, got ({d0}, {d1})"
             )
-        a0, a1 = (float(v) for v in self.angle_range)
+        a0, a1 = _coerce("angle_range", _pair, self.angle_range)
         half_pi = math.pi / 2
         if not (-half_pi <= a0 <= a1 <= half_pi):
             raise ValueError(f"angle_range must lie within [-pi/2, pi/2], got ({a0}, {a1})")
-        gd = float(self.gain_decay)
+        gd = _coerce("gain_decay", float, self.gain_decay)
         if not (math.isfinite(gd) and gd >= 0.0):
             raise ValueError(f"gain_decay must be finite and non-negative, got {self.gain_decay}")
         object.__setattr__(self, "delay_range", (d0, d1))
         object.__setattr__(self, "angle_range", (a0, a1))
         object.__setattr__(self, "gain_decay", gd)
-        object.__setattr__(self, "seed", check_seed(self.seed))
+        object.__setattr__(self, "seed", _coerce("seed", check_seed, self.seed))
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         return replace(self, seed=seed)
@@ -106,24 +111,35 @@ class ScenarioSpec:
         missing = sorted(set(_SCENARIO_FIELDS) - set(data))
         if missing:
             raise ValueError(f"missing scenario fields: {', '.join(missing)}")
-        return cls(
-            subcarriers=data["subcarriers"],
-            antennas=data["antennas"],
-            paths=data["paths"],
-            delay_range=tuple(data["delay_range"]),
-            angle_range=tuple(data["angle_range"]),
-            gain_decay=data["gain_decay"],
-            seed=data["seed"],
-        )
+        return cls(**{name: data[name] for name in _SCENARIO_FIELDS})
+
+
+def _coerce(name: str, convert: Callable[[Any], Any], value: Any) -> Any:
+    """``convert(value)`` for scenario field ``name``; failures name the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"scenario field {name}: {exc}") from None
+
+
+def _pair(value: Any) -> tuple[float, float]:
+    lo, hi = (float(v) for v in value)
+    return lo, hi
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
-    """Read a ScenarioSpec from a JSON file (unknown fields rejected)."""
+    """Read a ScenarioSpec from a JSON file (unknown fields rejected).
+
+    Any malformed content raises ``ValueError`` naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"scenario file {path} must contain a JSON object")
-    return ScenarioSpec.from_dict(data)
+    try:
+        return ScenarioSpec.from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"scenario file {path}: {exc}") from None
 
 
 def save_scenario(spec: ScenarioSpec, path: str | Path) -> None:
@@ -160,22 +176,17 @@ def _synthesize(
 
 
 def _batch_draws(spec: ScenarioSpec, start: int, stop: int) -> tuple[np.ndarray, ...]:
-    count = stop - start
-    tau = np.empty((count, spec.paths))
-    theta = np.empty((count, spec.paths))
-    phi = np.empty((count, spec.paths))
-    for i in range(count):
-        rng = make_generator(derive_seed(spec.seed, start + i))
-        tau[i], theta[i], phi[i] = _draw_paths(spec, rng)
-    return tau, theta, phi
+    # Sample i draws from stream (spec.seed, i); callers pass start < stop.
+    draws = [_draw_paths(spec, make_generator(spec.seed, i)) for i in range(start, stop)]
+    return tuple(np.stack(column) for column in zip(*draws))
 
 
 def generate_dataset(spec: ScenarioSpec, count: int) -> Dataset:
     """Generate ``count`` i.i.d. channel samples in the frequency domain.
 
-    Sample ``i`` is drawn from a child generator seeded by mixing
-    ``spec.seed`` with ``i``, so any sample can be regenerated in
-    isolation and the dataset is independent of batching.
+    Sample ``i`` draws its paths from stream ``(spec.seed, i)`` (see
+    :mod:`csiaug.rng`), so any sample can be regenerated in isolation
+    and the dataset is independent of batching.
     """
     if int(count) < 0:
         raise ValueError(f"count must be non-negative, got {count}")
@@ -188,7 +199,7 @@ def generate_dataset(spec: ScenarioSpec, count: int) -> Dataset:
     return Dataset(
         samples,
         Domain.SPATIAL_FREQUENCY,
-        Provenance(scenario=spec.to_dict(), seed=spec.seed),
+        Provenance(scenario=spec.to_dict(), seed=spec.seed, rng=RNG_SCHEME),
     )
 
 
@@ -212,5 +223,5 @@ def generate_angular_dataset(spec: ScenarioSpec, count: int, delay_bins: int) ->
     return Dataset(
         out,
         Domain.ANGULAR_DELAY,
-        Provenance(scenario=spec.to_dict(), seed=spec.seed),
+        Provenance(scenario=spec.to_dict(), seed=spec.seed, rng=RNG_SCHEME),
     )

@@ -9,7 +9,7 @@ read-only NumPy arrays, so instances can be shared freely.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Mapping
 
 import numpy as np
@@ -134,19 +134,39 @@ def combine_polar(amplitude: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return amplitude * (np.cos(phase) + 1j * np.sin(phase))
 
 
+def _rng_scheme(data: Mapping[str, Any]) -> str | None:
+    """The ``rng`` key of a provenance dict; absent in records older than the key."""
+    scheme = data.get("rng")
+    if scheme is not None and not isinstance(scheme, str):
+        raise TypeError(f"rng scheme must be a string, got {type(scheme).__name__}")
+    return scheme
+
+
+def _with_rng(out: dict[str, Any], rng: str | None) -> dict[str, Any]:
+    # Legacy records carry no scheme; leaving the key out keeps their
+    # sidecars byte-identical through read -> write.
+    if rng is not None:
+        out["rng"] = rng
+    return out
+
+
 @dataclass(frozen=True)
 class AugmentationRecord:
-    """One applied augmentation step: method token, parameters, base seed."""
+    """One applied augmentation step: method token, parameters, base seed,
+    and the name of the random-stream scheme the seed was used with
+    (``None`` for records written before schemes were recorded)."""
 
     method: str
     parameters: Mapping[str, Any]
     seed: int
+    rng: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parameters", dict(self.parameters))
 
     def to_dict(self) -> dict[str, Any]:
-        return {"method": self.method, "parameters": dict(self.parameters), "seed": self.seed}
+        out = {"method": self.method, "parameters": dict(self.parameters), "seed": self.seed}
+        return _with_rng(out, self.rng)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AugmentationRecord":
@@ -154,17 +174,20 @@ class AugmentationRecord:
             method=str(data["method"]),
             parameters=dict(data["parameters"]),
             seed=int(data["seed"]),
+            rng=_rng_scheme(data),
         )
 
 
 @dataclass(frozen=True)
 class Provenance:
-    """How a dataset came to be: generation scenario, base seed, and the
-    append-only chain of augmentations applied since generation."""
+    """How a dataset came to be: generation scenario, base seed and its
+    random-stream scheme, and the append-only chain of augmentations
+    applied since generation."""
 
     scenario: Mapping[str, Any] | None = None
     seed: int | None = None
     augmentations: tuple[AugmentationRecord, ...] = ()
+    rng: str | None = None
 
     def __post_init__(self) -> None:
         if self.scenario is not None:
@@ -172,18 +195,15 @@ class Provenance:
         object.__setattr__(self, "augmentations", tuple(self.augmentations))
 
     def with_augmentation(self, record: AugmentationRecord) -> "Provenance":
-        return Provenance(
-            scenario=self.scenario,
-            seed=self.seed,
-            augmentations=self.augmentations + (record,),
-        )
+        return replace(self, augmentations=self.augmentations + (record,))
 
     def to_dict(self) -> dict[str, Any]:
-        return {
+        out = {
             "scenario": dict(self.scenario) if self.scenario is not None else None,
             "seed": self.seed,
             "augmentations": [rec.to_dict() for rec in self.augmentations],
         }
+        return _with_rng(out, self.rng)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Provenance":
@@ -193,6 +213,7 @@ class Provenance:
             augmentations=tuple(
                 AugmentationRecord.from_dict(rec) for rec in data.get("augmentations", [])
             ),
+            rng=_rng_scheme(data),
         )
 
 

@@ -237,8 +237,11 @@ def write_report(report: EvalReport, path: str | Path) -> None:
 
 
 def read_report(path: str | Path) -> EvalReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FileFormatError(f"{path}: report is not UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FileFormatError(f"{path}: report must be a JSON object")
     try:

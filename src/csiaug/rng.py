@@ -1,16 +1,15 @@
 """Deterministic seeding utilities.
 
-Every random draw in this package flows through two documented primitives,
-so generated datasets and augmentations are reproducible bit-for-bit:
-
-* ``splitmix64`` -- the SplitMix64 finalizer (Steele, Lea & Flood), a
-  bijective 64-bit mixing function.  Per-sample seeds are derived as
-  ``splitmix64(base_seed XOR sample_index)``, which decorrelates the
-  streams of adjacent samples while staying order-independent, so samples
-  may be produced in parallel.
-* ``make_generator`` -- a NumPy ``Generator`` backed by the Philox 4x64-10
-  counter-based bit generator keyed with a 64-bit seed.  Philox is
-  platform-independent: the same key yields the same stream everywhere.
+Every random draw in this package comes from one primitive,
+``make_generator(seed, index)``: a NumPy ``Generator`` backed by the
+Philox 4x64-10 counter-based bit generator, keyed with the 128-bit
+value ``seed | index << 64``.  Sample ``i`` of a pass with seed ``s``
+draws from stream ``(s, i)``.  Philox is built so that distinct keys
+give independent streams without hashing the key (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11), and it is
+platform-independent: the same key yields the same stream everywhere.
+Stream ``(s, 0)`` is the stream of ``Philox(key=s)``, so a one-matrix
+call draws what a plain 64-bit key would.
 """
 
 from __future__ import annotations
@@ -19,24 +18,8 @@ import numpy as np
 
 MASK64 = (1 << 64) - 1
 
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-
-
-def splitmix64(value: int) -> int:
-    """SplitMix64 finalizer: one increment-and-mix step, modulo 2**64."""
-    z = (value + _GOLDEN) & MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-    return z ^ (z >> 31)
-
-
-def derive_seed(base_seed: int, index: int) -> int:
-    """Per-sample seed for sample ``index`` under ``base_seed``."""
-    if index < 0:
-        raise ValueError(f"sample index must be non-negative, got {index}")
-    return splitmix64((base_seed ^ index) & MASK64)
+# Recorded in provenance next to every seed this package consumes.
+RNG_SCHEME = "philox4x64-10(seed,index)"
 
 
 def check_seed(seed: int, name: str = "seed") -> int:
@@ -47,6 +30,12 @@ def check_seed(seed: int, name: str = "seed") -> int:
     return seed
 
 
-def make_generator(seed: int) -> np.random.Generator:
-    """Philox-backed generator keyed with a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=check_seed(seed)))
+def make_generator(seed: int, index: int) -> np.random.Generator:
+    """Philox-backed generator for stream ``index`` under ``seed``."""
+    key = check_seed(seed) | check_seed(index, "index") << 64
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def derive_seed(base_seed: int, index: int) -> int:
+    """A 64-bit seed nested under ``base_seed``: stream ``(base_seed, index)``'s first word."""
+    return int(make_generator(base_seed, index).bit_generator.random_raw())

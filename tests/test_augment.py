@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csiaug.augment import (
+    _redraw_blocks,
     augment_dataset,
     bubble_shift_down,
     bubble_shift_up,
@@ -26,7 +27,7 @@ from csiaug.core import (
     polar_parts,
     recompose,
 )
-from csiaug.rng import derive_seed
+from csiaug.rng import make_generator
 
 
 def column(values):
@@ -226,19 +227,55 @@ complex_samples = st.integers(0, 2**32 - 1).map(
 )
 
 
+def rg_reference(amp, block_size, seed, index):
+    """Random generation of matrix ``index``, following the documented draw order."""
+    amp = amp.copy()
+    rows, cols = amp.shape
+    peak_row = int(np.argmax(amp)) // cols
+    rng = make_generator(seed, index)
+    centre_col = int(rng.integers(0, cols))
+    r0 = max(peak_row - (block_size - 1) // 2, 0)
+    r1 = min(peak_row - (block_size - 1) // 2 + block_size, rows)
+    c0 = max(centre_col - (block_size - 1) // 2, 0)
+    c1 = min(centre_col - (block_size - 1) // 2 + block_size, cols)
+    amp[r0:r1, c0:c1] = rng.uniform(amp.min(), amp.max(), size=(r1 - r0, c1 - c0))
+    return amp
+
+
+def md_reference(amp, shift, direction, seed, index):
+    """Cyclic-shift baseline of matrix ``index``: rolled amplitude, redrawn phase."""
+    offset = -shift if direction is ShiftDirection.UP else shift
+    phase = make_generator(seed, index).uniform(-np.pi, np.pi, size=amp.shape)
+    return np.roll(amp, offset, axis=0), phase
+
+
 def per_sample_reference(values, params, index):
-    """Sample ``index`` of an augmentation pass, built from the 2-D primitives."""
+    """Sample ``index`` of an augmentation pass: the 2-D bubble shifts, or
+    the seeded methods evaluated on stream ``(params.seed, index)``."""
     amp, phase = decompose(AngularDelayMatrix(values))
-    seed = derive_seed(params.seed, index)
     if params.method is AugmentMethod.BUBBLE_SHIFT_UP:
         amp = bubble_shift_up(amp, params.shift)
     elif params.method is AugmentMethod.BUBBLE_SHIFT_DOWN:
         amp = bubble_shift_down(amp, params.shift)
     elif params.method is AugmentMethod.RANDOM_GENERATION:
-        amp = random_generation(amp, params.block_size, seed)
+        amp = rg_reference(amp, params.block_size, params.seed, index)
     else:
-        amp, phase = md_baseline(amp, phase, params.shift, params.direction, seed)
+        amp, phase = md_reference(amp, params.shift, params.direction, params.seed, index)
     return recompose(amp, phase).values
+
+
+def batch_primitive(samples, params):
+    """One pass of the batch primitive over ``polar_parts(samples)``."""
+    amp, phase = polar_parts(samples)
+    if params.method is AugmentMethod.BUBBLE_SHIFT_UP:
+        amp = bubble_shift_up(amp, params.shift)
+    elif params.method is AugmentMethod.BUBBLE_SHIFT_DOWN:
+        amp = bubble_shift_down(amp, params.shift)
+    elif params.method is AugmentMethod.RANDOM_GENERATION:
+        amp = _redraw_blocks(amp, params.block_size, params.seed)
+    else:
+        amp, phase = md_baseline(amp, phase, params.shift, params.direction, params.seed)
+    return combine_polar(amp, phase)
 
 
 def one_sample(values):
@@ -306,8 +343,9 @@ def pass_params(shift, block_size, seed):
 def test_augment_dataset_matches_per_sample_primitives(
     data_seed, count, rows, cols, shift, block_size, coarse
 ):
-    # The batch pass must equal, bitwise, stacking the 2-D primitives
-    # sample by sample.  Coarse values add ties and exact zeros.
+    # The batch pass must equal, bitwise, the batch primitives applied to
+    # the polar parts, and sample i must equal the per-sample reference on
+    # stream (seed, i).  Coarse values add ties and exact zeros.
     ds = make_dataset(count, rows, cols, data_seed)
     if coarse:
         ds = Dataset(np.round(ds.samples, 0), Domain.ANGULAR_DELAY, ds.meta)
@@ -316,6 +354,7 @@ def test_augment_dataset_matches_per_sample_primitives(
             [per_sample_reference(v, params, i) for i, v in enumerate(ds.samples)],
             dtype=np.complex128,
         ).reshape(ds.samples.shape)
+        assert batch_primitive(ds.samples, params).tobytes() == expect.tobytes()
         appended = augment_dataset(ds, params, AugmentMode.APPEND)
         assert appended.samples[:count].tobytes() == ds.samples.tobytes()
         assert appended.samples[count:].tobytes() == expect.tobytes()
@@ -327,6 +366,28 @@ def test_augment_dataset_matches_per_sample_primitives(
         stacked = np.array([fn(a, shift) for a in amp[0]]).reshape(amp.shape)
         assert fn(amp, shift).tobytes() == stacked.tobytes()
         assert fn(amp[0], shift).tobytes() == stacked[0].tobytes()
+    # A leading batch axis flattens in C order: matrix k uses stream (seed, k).
+    shifted, phase = md_baseline(amp, amp, shift, ShiftDirection.DOWN, data_seed)
+    for k, a in enumerate(amp[0]):
+        want = md_reference(a, shift, ShiftDirection.DOWN, data_seed, k)
+        assert shifted[0, k].tobytes() == want[0].tobytes()
+        assert phase[0, k].tobytes() == want[1].tobytes()
+
+
+def test_seeded_sample_ignores_the_rest_of_the_batch():
+    # Sample k's draws come from stream (seed, k) alone, so changing every
+    # other sample of the batch leaves sample k's output unchanged.
+    ds = make_dataset(count=6, seed=3)
+    other = make_dataset(count=6, seed=4).samples.copy()
+    other[2] = ds.samples[2]
+    mixed = Dataset(other, Domain.ANGULAR_DELAY, ds.meta)
+    for params in pass_params(shift=2, block_size=3, seed=17)[2:]:
+        a = augment_dataset(ds, params, AugmentMode.REPLACE).samples
+        b = augment_dataset(mixed, params, AugmentMode.REPLACE).samples
+        assert a[2].tobytes() == b[2].tobytes()
+        assert a[2].tobytes() == augment_dataset(
+            Dataset(ds.samples[:3], Domain.ANGULAR_DELAY), params, AugmentMode.REPLACE
+        ).samples[2].tobytes()
 
 
 def test_augment_dataset_append_keeps_originals_first():

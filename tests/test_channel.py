@@ -15,7 +15,7 @@ from csiaug.channel import (
     save_scenario,
 )
 from csiaug.core import DftPlan, Domain
-from csiaug.rng import derive_seed, make_generator
+from csiaug.rng import make_generator
 from csiaug.transform import transform_dataset
 
 PRESET_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -86,6 +86,16 @@ def test_scenario_file_round_trip(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "field,value", [("delay_range", 5), ("subcarriers", None), ("seed", None)]
+)
+def test_malformed_scenario_field_names_file_and_field(tmp_path, field, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**small_spec().to_dict(), field: value}))
+    with pytest.raises(ValueError, match=rf"{path}.*{field}"):
+        load_scenario(path)
+
+
 def test_generation_is_deterministic():
     spec = small_spec()
     a = generate_dataset(spec, 6)
@@ -103,9 +113,9 @@ def test_generation_matches_per_sample_draws():
     n = np.arange(32)[:, None]
     a = np.arange(8)[None, :]
     for i in range(5):
-        # Sample i draws (delays, angles, phases) from its own child generator
+        # Sample i draws (delays, angles, phases) from stream (seed, i)
         # and evaluates the model in the module docstring.
-        rng = make_generator(derive_seed(spec.seed, i))
+        rng = make_generator(spec.seed, i)
         tau = rng.uniform(*spec.delay_range, spec.paths)
         theta = rng.uniform(*spec.angle_range, spec.paths)
         phi = rng.uniform(-np.pi, np.pi, spec.paths)
@@ -117,6 +127,15 @@ def test_generation_matches_per_sample_draws():
             for g, t, th, p in zip(spec.path_gains(), tau, theta, phi)
         )
         assert np.abs(ds.samples[i] - want).max() < 1e-12 * np.abs(want).max()
+
+
+def test_adjacent_seeds_share_no_sample():
+    # Seeds 0 and 1 name disjoint streams: no sample of one dataset
+    # reappears anywhere in the other (a train/test leak otherwise).
+    first = generate_dataset(small_spec(seed=0), 8).samples
+    second = generate_dataset(small_spec(seed=1), 8).samples
+    shared = {a.tobytes() for a in first} & {b.tobytes() for b in second}
+    assert not shared
 
 
 def test_generation_prefix_stability():

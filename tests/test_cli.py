@@ -268,6 +268,19 @@ def test_runtime_errors_exit_1(workspace, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field,value", [("delay_range", 5), ("subcarriers", None), ("seed", None)]
+)
+def test_gen_malformed_scenario_exits_1(workspace, tmp_path, capsys, field, value):
+    scenario = json.loads((workspace / "scenario.json").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**scenario, field: value}))
+    argv = ["gen", "--scenario", str(bad), "--count", "2", "--out", str(tmp_path / "g.csia")]
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and field in err
+
+
 def test_augment_rejects_frequency_domain(workspace, tmp_path, capsys):
     argv = ["augment", "--in", str(workspace / "train.csia"), "--method", "bs-down",
             "--shift", "1", "--out", str(tmp_path / "a.csia")]

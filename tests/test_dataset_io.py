@@ -9,9 +9,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from csiaug.augment import augment_dataset
+from csiaug.channel import ScenarioSpec, generate_angular_dataset
 from csiaug.codec import EvalReport, LinearCodec, fit_codec
 from csiaug.core import (
     AugmentationRecord,
+    AugmentMethod,
+    AugmentParams,
     Dataset,
     Domain,
     Provenance,
@@ -28,6 +32,7 @@ from csiaug.dataset_io import (
     write_dataset,
     write_report,
 )
+from csiaug.rng import RNG_SCHEME
 
 
 def float32_dataset(count=3, rows=4, cols=2, seed=5, domain=Domain.ANGULAR_DELAY):
@@ -109,6 +114,45 @@ def test_missing_sidecar_warns_and_defaults(tmp_path):
     with pytest.warns(UserWarning, match="sidecar"):
         back = read_dataset(path)
     assert back.meta == Provenance()
+
+
+LEGACY_SIDECAR = {
+    "augmentations": [
+        {"method": "rg", "parameters": {"block_size": 4, "mode": "append"}, "seed": 9}
+    ],
+    "scenario": {"subcarriers": 8},
+    "seed": 3,
+}
+
+
+def test_sidecar_rng_scheme_fresh_and_legacy(tmp_path):
+    # A sidecar written before schemes were recorded has no "rng" key; it
+    # reads with rng None and rewrites byte for byte.
+    legacy = tmp_path / "legacy.csia"
+    write_dataset(float32_dataset(), legacy)
+    legacy_text = json.dumps(LEGACY_SIDECAR, indent=2, sort_keys=True) + "\n"
+    sidecar_path(legacy).write_text(legacy_text)
+    back = read_dataset(legacy)
+    assert back.meta.rng is None and back.meta.augmentations[0].rng is None
+    write_dataset(back, tmp_path / "again.csia")
+    assert sidecar_path(tmp_path / "again.csia").read_text() == legacy_text
+    # Augmenting it tags only the new record.
+    params = AugmentParams(method=AugmentMethod.BUBBLE_SHIFT_UP, shift=1, seed=4)
+    grown = augment_dataset(back, params).meta.to_dict()
+    assert "rng" not in grown and "rng" not in grown["augmentations"][0]
+    assert grown["augmentations"][1]["rng"] == RNG_SCHEME
+
+    # Fresh generation and augmentation both record the scheme.
+    spec = ScenarioSpec(8, 2, 2, (0.0, 3.0), (-0.5, 0.5), 0.3, seed=6)
+    fresh = augment_dataset(generate_angular_dataset(spec, 3, 4), params)
+    path = tmp_path / "fresh.csia"
+    write_dataset(fresh, path)
+    side = json.loads(sidecar_path(path).read_text())
+    assert side["rng"] == RNG_SCHEME and side["augmentations"][0]["rng"] == RNG_SCHEME
+    assert read_dataset(path).meta == fresh.meta
+    sidecar_path(path).write_text(json.dumps({**side, "rng": 1}))
+    with pytest.raises(FileFormatError, match="rng scheme"):
+        read_dataset(path)
 
 
 def test_malformed_sidecar_rejected(tmp_path):
@@ -356,6 +400,13 @@ def test_report_round_trip(tmp_path):
         read_report(path)
     path.write_text(json.dumps({"label": "x"}))
     with pytest.raises(FileFormatError, match="malformed report"):
+        read_report(path)
+    write_report(report, path)
+    path.write_text(path.read_text()[:-10])
+    with pytest.raises(FileFormatError, match="not UTF-8 JSON"):
+        read_report(path)
+    path.write_bytes(b'{"label": "\xff"}')
+    with pytest.raises(FileFormatError, match="not UTF-8 JSON"):
         read_report(path)
 
 

@@ -40,7 +40,6 @@ PUBLIC_NAMES = {
     "read_report",
     "recompose",
     "save_scenario",
-    "splitmix64",
     "transform_dataset",
     "write_codec",
     "write_dataset",

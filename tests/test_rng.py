@@ -1,0 +1,36 @@
+"""Tests for the (seed, index)-keyed random streams."""
+
+import numpy as np
+import pytest
+
+from csiaug.rng import derive_seed, make_generator
+
+
+def test_swapped_seed_and_index_name_different_streams():
+    assert not np.array_equal(make_generator(0, 1).random(8), make_generator(1, 0).random(8))
+    assert derive_seed(0, 1) != derive_seed(1, 0)
+
+
+def test_stream_key_packs_seed_and_index():
+    seed, index = 2**64 - 1, 2**63 + 5
+    key = np.array([seed, index], dtype=np.uint64)
+    want = np.random.Generator(np.random.Philox(key=key)).random(8)
+    assert np.array_equal(make_generator(seed, index).random(8), want)
+    # Stream (s, 0) is the stream a bare 64-bit key gives.
+    for s in (0, 7, 3001):
+        plain = np.random.Generator(np.random.Philox(key=s)).random(8)
+        assert np.array_equal(make_generator(s, 0).random(8), plain)
+
+
+def test_derive_seed_is_first_word_of_stream():
+    word = derive_seed(20260823, 4)
+    assert 0 <= word < 2**64
+    assert word == int(np.random.Philox(key=20260823 | 4 << 64).random_raw())
+
+
+@pytest.mark.parametrize("seed,index", [(0, 2**64), (-1, 0), (0, -1), (2**64, 0)])
+def test_out_of_range_words_rejected(seed, index):
+    with pytest.raises(ValueError, match="64 unsigned bits"):
+        make_generator(seed, index)
+    with pytest.raises(ValueError, match="64 unsigned bits"):
+        derive_seed(seed, index)
