@@ -6,7 +6,9 @@ Three families:
   profile toward shorter or longer delay, one step at a time, repairing
   the wrapped element after each step with a bubble pass so the profile
   keeps its decaying shape around the peak.  Deterministic, and a pure
-  permutation of each column's values.
+  permutation of each column's values.  One array kernel steps every
+  column of a batch at once (a masked roll, then a masked compare-and-
+  swap walk); ``tests/test_augment.py`` keeps the list form as reference.
 * Random block regeneration: redraw a small square block, centred on a
   random column of the strongest row, uniformly between the matrix's
   min and max.
@@ -24,8 +26,6 @@ isolation, and a single 2-D call draws from stream ``(seed, 0)``.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from csiaug.core import (
@@ -39,11 +39,18 @@ from csiaug.core import (
     combine_polar,
     polar_parts,
 )
-from csiaug.rng import RNG_SCHEME, make_generator
+from csiaug.rng import RNG_SCHEME, check_int, make_generator
+
+
+def _real(values: np.ndarray, name: str) -> np.ndarray:
+    """``values`` unless complex, which a float cast would cut to its real part."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real, got complex input")
+    return values
 
 
 def _check_amplitude(amplitude: np.ndarray, batched: bool = False) -> np.ndarray:
-    amp = np.array(amplitude, dtype=np.float64, copy=True)
+    amp = np.array(_real(amplitude, "amplitude"), dtype=np.float64, copy=True)
     bad_rank = amp.ndim < 2 or (amp.ndim > 2 and not batched)
     if bad_rank or amp.shape[-2] < 1 or amp.shape[-1] < 1:
         what = "a 2-D matrix or a batch of them" if batched else "a 2-D matrix"
@@ -57,53 +64,44 @@ def _check_amplitude(amplitude: np.ndarray, batched: bool = False) -> np.ndarray
 
 
 def _check_shift(shift: int) -> int:
-    if int(shift) < 0:
+    shift = check_int(shift, "shift")
+    if shift < 0:
         raise ValueError(f"shift must be non-negative, got {shift}")
-    return int(shift)
+    return shift
 
 
-def _bubble_up_column(col: list[float], shift: int) -> None:
-    n = len(col)
-    peak = max(range(n), key=col.__getitem__)
-    for _ in range(min(shift, peak)):
-        # One step up; the old top value wraps to the bottom.
-        col.append(col.pop(0))
-        # Let the wrapped value climb while it beats the one above it.
-        k = n - 1
-        while k >= 1 and col[k] > col[k - 1]:
-            col[k], col[k - 1] = col[k - 1], col[k]
-            k -= 1
+def _bubble_shift(amplitude: np.ndarray, shift: int, up: bool) -> np.ndarray:
+    """Either bubble shift on every column of a (..., rows, cols) batch at once.
 
-
-def _bubble_down_column(col: list[float], shift: int) -> None:
-    n = len(col)
-    peak = max(range(n), key=col.__getitem__)
-    for _ in range(min(shift, n - 1 - peak)):
-        # One step down; the old bottom value wraps to the top.
-        col.insert(0, col.pop())
-        # Walk up from the bottom, trading values into the top slot while
-        # they would sit between the current top two entries.  The top
-        # slot is re-read each swap, so the fence rises as repairs land.
-        k = n - 1
-        while k >= 1 and col[0] < col[k] < col[1]:
-            col[k], col[0] = col[0], col[k]
-            k -= 1
-
-
-def _shift_columns(
-    amplitude: np.ndarray, shift: int, column_pass: Callable[[list[float], int], None]
-) -> np.ndarray:
+    A column takes ``min(shift, room)`` steps, room counted from its first
+    maximum.  Each step rolls the stepping columns one row, then walks a
+    masked compare-and-swap up from the bottom row that a column leaves
+    at its first failed compare.  Must match, bitwise, the list kernels
+    kept in ``tests/test_augment.py``.
+    """
     amp = _check_amplitude(amplitude, batched=True)
     shift = _check_shift(shift)
-    if shift == 0:
-        return amp
-    rows, cols = amp.shape[-2:]
-    # amp is a fresh contiguous copy, so each reshaped matrix is a view into it.
-    for matrix in amp.reshape(-1, rows, cols):
-        columns = matrix.T.tolist()
-        for col in columns:
-            column_pass(col, shift)
-        matrix.T[...] = columns
+    rows = amp.shape[-2]
+    peak = np.argmax(amp, axis=-2)
+    steps = np.minimum(shift, peak if up else rows - 1 - peak)
+    for step in range(int(steps.max(initial=0))):
+        moving = steps > step
+        # Up wraps the top value to the bottom; down wraps the bottom to the top.
+        amp = np.where(moving[..., None, :], np.roll(amp, -1 if up else 1, axis=-2), amp)
+        for k in range(rows - 1, 0, -1):
+            # Up trades row k with the row above while the wrapped value beats
+            # it.  Down trades row k into the top slot while top < row k < row
+            # 1; the top is re-read each time, so the fence rises as it fills.
+            cur = amp[..., k, :]
+            j = k - 1 if up else 0
+            moving &= amp[..., j, :] < cur
+            if not up:
+                moving &= cur < amp[..., 1, :]
+            if not moving.any():
+                break
+            climbed = np.where(moving, cur, amp[..., j, :])
+            amp[..., k, :] = np.where(moving, amp[..., j, :], cur)
+            amp[..., j, :] = climbed
     return amp
 
 
@@ -116,9 +114,9 @@ def bubble_shift_up(amplitude: np.ndarray, shift: int) -> np.ndarray:
     value to its ordered place.  The result is a permutation of each
     column's values (bitwise), and the phase is not involved at all.
     ``amplitude`` is one (rows, cols) matrix or a (..., rows, cols)
-    batch; every matrix of a batch is shifted on its own.
+    batch; every matrix is shifted on its own, all columns in one pass.
     """
-    return _shift_columns(amplitude, shift, _bubble_up_column)
+    return _bubble_shift(amplitude, shift, up=True)
 
 
 def bubble_shift_down(amplitude: np.ndarray, shift: int) -> np.ndarray:
@@ -130,7 +128,7 @@ def bubble_shift_down(amplitude: np.ndarray, shift: int) -> np.ndarray:
     between the top entry and the runner-up slot.  Accepts the same
     matrix or batch shapes.
     """
-    return _shift_columns(amplitude, shift, _bubble_down_column)
+    return _bubble_shift(amplitude, shift, up=False)
 
 
 def random_generation(amplitude: np.ndarray, block_size: int, seed: int) -> np.ndarray:
@@ -152,9 +150,9 @@ def random_generation(amplitude: np.ndarray, block_size: int, seed: int) -> np.n
 def _redraw_blocks(amp: np.ndarray, block_size: int, seed: int) -> np.ndarray:
     """:func:`random_generation` in place on every matrix of a contiguous
     (..., rows, cols) batch; matrix k draws from stream ``(seed, k)``."""
-    if int(block_size) < 1:
+    block_size = check_int(block_size, "block size")
+    if block_size < 1:
         raise ValueError(f"block size must be positive, got {block_size}")
-    block_size = int(block_size)
     before = (block_size - 1) // 2
     rows, cols = amp.shape[-2:]
     for k, matrix in enumerate(amp.reshape(-1, rows, cols)):
@@ -189,7 +187,7 @@ def md_baseline(
     """
     amp = _check_amplitude(amplitude, batched=True)
     shift = _check_shift(shift)
-    phase = np.asarray(phase, dtype=np.float64)
+    phase = np.asarray(_real(phase, "phase"), dtype=np.float64)
     if phase.shape != amp.shape:
         raise ValueError(f"phase shape {phase.shape} must match amplitude shape {amp.shape}")
     if not isinstance(direction, ShiftDirection):

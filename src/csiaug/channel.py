@@ -31,7 +31,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from csiaug.core import Dataset, DftPlan, Domain, Provenance
-from csiaug.rng import RNG_SCHEME, check_seed, make_generator
+from csiaug.rng import RNG_SCHEME, check_int, check_seed, make_generator
 from csiaug.transform import transform_values
 
 _SCENARIO_FIELDS = (
@@ -65,7 +65,7 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         for name in ("subcarriers", "antennas", "paths"):
-            value = _coerce(name, int, getattr(self, name))
+            value = check_int(getattr(self, name), name)
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
             object.__setattr__(self, name, value)
@@ -84,7 +84,7 @@ class ScenarioSpec:
         object.__setattr__(self, "delay_range", (d0, d1))
         object.__setattr__(self, "angle_range", (a0, a1))
         object.__setattr__(self, "gain_decay", gd)
-        object.__setattr__(self, "seed", _coerce("seed", check_seed, self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         return replace(self, seed=seed)

@@ -25,6 +25,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from csiaug.core import Dataset, Domain
+from csiaug.rng import check_int
 
 DB_FLOOR = -300.0
 ORTHONORMALITY_TOL = 1e-8
@@ -258,6 +259,7 @@ class EvalReport:
     db_floor: float = DB_FLOOR
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sample_count", check_int(self.sample_count, "sample_count"))
         object.__setattr__(self, "codec_info", dict(self.codec_info))
         if self.test_provenance is not None:
             object.__setattr__(self, "test_provenance", dict(self.test_provenance))
@@ -283,7 +285,7 @@ class EvalReport:
             ratio=str(data["ratio"]),
             nmse_linear=float(data["nmse_linear"]),
             nmse_db=float(data["nmse_db"]),
-            sample_count=int(data["sample_count"]),
+            sample_count=data["sample_count"],
             codec_info=dict(data["codec_info"]),
             test_provenance=data.get("test_provenance"),
             db_floor=float(data.get("db_floor", DB_FLOOR)),

@@ -14,7 +14,7 @@ from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from csiaug.rng import check_seed
+from csiaug.rng import check_int, check_seed
 
 
 class Domain(enum.Enum):
@@ -163,6 +163,7 @@ class AugmentationRecord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parameters", dict(self.parameters))
+        object.__setattr__(self, "seed", check_int(self.seed, "seed"))
 
     def to_dict(self) -> dict[str, Any]:
         out = {"method": self.method, "parameters": dict(self.parameters), "seed": self.seed}
@@ -173,7 +174,7 @@ class AugmentationRecord:
         return cls(
             method=str(data["method"]),
             parameters=dict(data["parameters"]),
-            seed=int(data["seed"]),
+            seed=data["seed"],
             rng=_rng_scheme(data),
         )
 
@@ -193,6 +194,8 @@ class Provenance:
         if self.scenario is not None:
             object.__setattr__(self, "scenario", dict(self.scenario))
         object.__setattr__(self, "augmentations", tuple(self.augmentations))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", check_int(self.seed, "seed"))
 
     def with_augmentation(self, record: AugmentationRecord) -> "Provenance":
         return replace(self, augmentations=self.augmentations + (record,))
@@ -305,15 +308,17 @@ class AugmentParams:
         if self.method in _SHIFT_METHODS:
             if self.shift is None:
                 raise ValueError(f"method {self.method.value} requires a shift")
-            if int(self.shift) < 0:
-                raise ValueError(f"shift must be non-negative, got {self.shift}")
-            object.__setattr__(self, "shift", int(self.shift))
+            shift = check_int(self.shift, "shift")
+            if shift < 0:
+                raise ValueError(f"shift must be non-negative, got {shift}")
+            object.__setattr__(self, "shift", shift)
         else:
             if self.block_size is None:
                 raise ValueError(f"method {self.method.value} requires a block size")
-            if int(self.block_size) < 1:
-                raise ValueError(f"block size must be positive, got {self.block_size}")
-            object.__setattr__(self, "block_size", int(self.block_size))
+            block_size = check_int(self.block_size, "block size")
+            if block_size < 1:
+                raise ValueError(f"block size must be positive, got {block_size}")
+            object.__setattr__(self, "block_size", block_size)
         if not isinstance(self.direction, ShiftDirection):
             raise TypeError("direction must be a ShiftDirection")
 

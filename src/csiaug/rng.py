@@ -9,7 +9,8 @@ give independent streams without hashing the key (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11), and it is
 platform-independent: the same key yields the same stream everywhere.
 Stream ``(s, 0)`` is the stream of ``Philox(key=s)``, so a one-matrix
-call draws what a plain 64-bit key would.
+call draws what a plain 64-bit key would.  :func:`check_int` is the
+integer check that seeds and every other integer field share.
 """
 
 from __future__ import annotations
@@ -22,9 +23,17 @@ MASK64 = (1 << 64) - 1
 RNG_SCHEME = "philox4x64-10(seed,index)"
 
 
+def check_int(value: int, name: str) -> int:
+    """``value`` as a plain int; ``ValueError`` naming ``name`` unless it is
+    a Python or NumPy integer (``bool``, floats and strings are rejected)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_seed(seed: int, name: str = "seed") -> int:
     """Validate a 64-bit unsigned seed and return it as a plain int."""
-    seed = int(seed)
+    seed = check_int(seed, name)
     if not 0 <= seed <= MASK64:
         raise ValueError(f"{name} must fit in 64 unsigned bits, got {seed}")
     return seed

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from csiaug.augment import (
     _redraw_blocks,
@@ -85,6 +86,77 @@ def test_shift_up_matches_insertion_oracle(values, shift):
     assert got == insertion_oracle_up(values, shift)
 
 
+# The list kernels the array kernel replaced, kept verbatim as the
+# reference: one column as a Python list, shifted in place.
+def _bubble_up_column(col: list[float], shift: int) -> None:
+    n = len(col)
+    peak = max(range(n), key=col.__getitem__)
+    for _ in range(min(shift, peak)):
+        # One step up; the old top value wraps to the bottom.
+        col.append(col.pop(0))
+        # Let the wrapped value climb while it beats the one above it.
+        k = n - 1
+        while k >= 1 and col[k] > col[k - 1]:
+            col[k], col[k - 1] = col[k - 1], col[k]
+            k -= 1
+
+
+def _bubble_down_column(col: list[float], shift: int) -> None:
+    n = len(col)
+    peak = max(range(n), key=col.__getitem__)
+    for _ in range(min(shift, n - 1 - peak)):
+        # One step down; the old bottom value wraps to the top.
+        col.insert(0, col.pop())
+        # Walk up from the bottom, trading values into the top slot while
+        # they would sit between the current top two entries.  The top
+        # slot is re-read each swap, so the fence rises as repairs land.
+        k = n - 1
+        while k >= 1 and col[0] < col[k] < col[1]:
+            col[k], col[0] = col[0], col[k]
+            k -= 1
+
+
+def list_kernel_reference(amp, shift, column_pass):
+    """``column_pass`` applied to every column of every matrix of a batch."""
+    out = np.array(amp, dtype=np.float64)
+    rows, cols = out.shape[-2:]
+    for matrix in out.reshape(-1, rows, cols):
+        columns = matrix.T.tolist()
+        for col in columns:
+            column_pass(col, shift)
+        matrix.T[...] = columns
+    return out
+
+
+# 2-D matrices and (k, rows, cols) batches, k = 0 included; half of the
+# entries come from a four-value set, so ties and zeros are common.
+oracle_inputs = st.tuples(
+    st.lists(st.integers(0, 3), max_size=1), st.integers(1, 10), st.integers(1, 5)
+).flatmap(
+    lambda t: arrays(
+        np.float64,
+        (*t[0], t[1], t[2]),
+        elements=st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_inputs, st.integers(0, 12))
+@example(np.zeros((0, 4, 3)), 2)
+@example(np.array([[0.5, 0.0, 1.0]]), 3)
+@example(np.array([[0.25, 0.5, 1.0, 0.5]]).T, 3)
+@example(np.array([[[0.0], [1.0], [0.5], [0.25], [0.5]]] * 2), 4)
+def test_bubble_shifts_match_list_kernel_reference(amp, shift):
+    for fn, column_pass in (
+        (bubble_shift_up, _bubble_up_column),
+        (bubble_shift_down, _bubble_down_column),
+    ):
+        got = fn(amp, shift)
+        want = list_kernel_reference(amp, shift, column_pass)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 amplitude_matrices = st.integers(0, 2**32 - 1).flatmap(
     lambda seed: st.tuples(
         st.just(seed), st.integers(1, 10), st.integers(1, 6)
@@ -146,6 +218,24 @@ def test_amplitude_validation():
         bubble_shift_down(np.array([[-0.1], [1.0]]), 1)
     with pytest.raises(ValueError, match="shift"):
         bubble_shift_down(np.ones((2, 2)), -1)
+    # Complex input is rejected, not cast to its real part.
+    complex_amp = np.array([[1 + 5j, 0.1], [3 - 1j, 0.2]])
+    for call in (
+        lambda: bubble_shift_up(complex_amp, 1),
+        lambda: bubble_shift_down(complex_amp.tolist(), 1),
+        lambda: random_generation(complex_amp, 2, seed=0),
+        lambda: md_baseline(complex_amp, np.zeros((2, 2)), 1, ShiftDirection.UP, seed=0),
+    ):
+        with pytest.raises(ValueError, match="amplitude must be real"):
+            call()
+    with pytest.raises(ValueError, match="phase must be real"):
+        md_baseline(np.ones((2, 2)), np.ones((2, 2)) * 1j, 1, ShiftDirection.UP, seed=0)
+    # Shift and block size must be integers, not truncated floats or bools.
+    for bad in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="shift must be an integer"):
+            bubble_shift_up(np.ones((2, 2)), bad)
+        with pytest.raises(ValueError, match="block size must be an integer"):
+            random_generation(np.ones((2, 2)), bad, seed=0)
 
 
 def test_random_generation_deterministic_and_local():

@@ -87,7 +87,15 @@ def test_scenario_file_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "field,value", [("delay_range", 5), ("subcarriers", None), ("seed", None)]
+    "field,value",
+    [
+        ("delay_range", 5),
+        ("subcarriers", None),
+        ("seed", None),
+        ("subcarriers", 1024.9),
+        ("paths", True),
+        ("seed", 3001.7),
+    ],
 )
 def test_malformed_scenario_field_names_file_and_field(tmp_path, field, value):
     path = tmp_path / "bad.json"

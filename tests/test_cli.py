@@ -269,7 +269,15 @@ def test_runtime_errors_exit_1(workspace, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field,value", [("delay_range", 5), ("subcarriers", None), ("seed", None)]
+    "field,value",
+    [
+        ("delay_range", 5),
+        ("subcarriers", None),
+        ("seed", None),
+        ("subcarriers", 1024.9),
+        ("paths", True),
+        ("seed", 3001.7),
+    ],
 )
 def test_gen_malformed_scenario_exits_1(workspace, tmp_path, capsys, field, value):
     scenario = json.loads((workspace / "scenario.json").read_text())

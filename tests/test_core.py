@@ -193,6 +193,10 @@ def test_augment_params_validation():
         AugmentParams(AugmentMethod.MODEL_DRIVEN, shift=1, seed=-5)
     with pytest.raises(TypeError):
         AugmentParams("bs-up", shift=1)
+    with pytest.raises(ValueError, match="shift must be an integer"):
+        AugmentParams(AugmentMethod.BUBBLE_SHIFT_UP, shift=1.5)
+    with pytest.raises(ValueError, match="block size must be an integer"):
+        AugmentParams(AugmentMethod.RANDOM_GENERATION, block_size=True)
 
 
 def test_enum_tokens_match_cli_surface():

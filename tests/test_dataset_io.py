@@ -165,6 +165,12 @@ def test_malformed_sidecar_rejected(tmp_path):
     sidecar_path(path).write_text(json.dumps({"augmentations": [{"method": "x"}]}))
     with pytest.raises(FileFormatError, match="sidecar"):
         read_dataset(path)
+    # Integer fields are checked, not truncated.
+    record = {"method": "bs-up", "parameters": {}, "seed": 7.9}
+    for meta in ({"augmentations": [record]}, {"seed": "abc"}, {"seed": 2.5}):
+        sidecar_path(path).write_text(json.dumps(meta))
+        with pytest.raises(FileFormatError, match="sidecar.*seed must be an integer"):
+            read_dataset(path)
     for not_an_object in ("[]", "1", '"x"'):
         sidecar_path(path).write_text(not_an_object)
         with pytest.raises(FileFormatError, match="sidecar"):
@@ -400,6 +406,9 @@ def test_report_round_trip(tmp_path):
         read_report(path)
     path.write_text(json.dumps({"label": "x"}))
     with pytest.raises(FileFormatError, match="malformed report"):
+        read_report(path)
+    path.write_text(json.dumps({**report.to_dict(), "sample_count": 500.5}))
+    with pytest.raises(FileFormatError, match="sample_count must be an integer"):
         read_report(path)
     write_report(report, path)
     path.write_text(path.read_text()[:-10])

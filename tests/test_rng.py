@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from csiaug.rng import derive_seed, make_generator
+from csiaug.rng import check_int, check_seed, derive_seed, make_generator
 
 
 def test_swapped_seed_and_index_name_different_streams():
@@ -34,3 +34,14 @@ def test_out_of_range_words_rejected(seed, index):
         make_generator(seed, index)
     with pytest.raises(ValueError, match="64 unsigned bits"):
         derive_seed(seed, index)
+
+
+def test_check_int_takes_integers_and_names_the_field():
+    for value in (0, -3, 2**70, np.int8(5), np.uint64(2**64 - 1)):
+        got = check_int(value, "n")
+        assert type(got) is int and got == value
+    for value in (True, np.True_, 2.0, 2.5, np.float64(3), "4", None, [1]):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            check_int(value, "count")
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        check_seed(3001.7)
