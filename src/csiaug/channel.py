@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -181,6 +182,22 @@ def _batch_draws(spec: ScenarioSpec, start: int, stop: int) -> tuple[np.ndarray,
     return tuple(np.stack(column) for column in zip(*draws))
 
 
+_CHUNK = 512  # samples per synthesis batch
+
+
+def _generate(spec: ScenarioSpec, count: int, rows: int, domain: Domain, step: Callable) -> Dataset:
+    """``count`` samples synthesised ``_CHUNK`` at a time; ``step`` maps each
+    (chunk, subcarriers, antennas) batch to its (chunk, rows, antennas) result."""
+    count = check_int(count, "count")
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    out = np.empty((count, rows, spec.antennas), dtype=np.complex128)
+    for start in range(0, count, _CHUNK):
+        stop = min(start + _CHUNK, count)
+        out[start:stop] = step(_synthesize(spec, *_batch_draws(spec, start, stop)))
+    return Dataset(out, domain, Provenance(scenario=spec.to_dict(), seed=spec.seed, rng=RNG_SCHEME))
+
+
 def generate_dataset(spec: ScenarioSpec, count: int) -> Dataset:
     """Generate ``count`` i.i.d. channel samples in the frequency domain.
 
@@ -188,19 +205,7 @@ def generate_dataset(spec: ScenarioSpec, count: int) -> Dataset:
     :mod:`csiaug.rng`), so any sample can be regenerated in isolation
     and the dataset is independent of batching.
     """
-    if int(count) < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    count = int(count)
-    samples = np.empty((count, spec.subcarriers, spec.antennas), dtype=np.complex128)
-    for start in range(0, count, 512):
-        stop = min(start + 512, count)
-        tau, theta, phi = _batch_draws(spec, start, stop)
-        samples[start:stop] = _synthesize(spec, tau, theta, phi)
-    return Dataset(
-        samples,
-        Domain.SPATIAL_FREQUENCY,
-        Provenance(scenario=spec.to_dict(), seed=spec.seed, rng=RNG_SCHEME),
-    )
+    return _generate(spec, count, spec.subcarriers, Domain.SPATIAL_FREQUENCY, lambda h: h)
 
 
 def generate_angular_dataset(spec: ScenarioSpec, count: int, delay_bins: int) -> Dataset:
@@ -211,17 +216,6 @@ def generate_angular_dataset(spec: ScenarioSpec, count: int, delay_bins: int) ->
     at the default 1024x32 shape the untruncated batch is 32x larger
     than the result.
     """
-    if int(count) < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    count = int(count)
     plan = DftPlan(spec.subcarriers, spec.antennas, delay_bins)
-    out = np.empty((count, delay_bins, spec.antennas), dtype=np.complex128)
-    for start in range(0, count, 512):
-        stop = min(start + 512, count)
-        tau, theta, phi = _batch_draws(spec, start, stop)
-        out[start:stop] = transform_values(_synthesize(spec, tau, theta, phi), plan)
-    return Dataset(
-        out,
-        Domain.ANGULAR_DELAY,
-        Provenance(scenario=spec.to_dict(), seed=spec.seed, rng=RNG_SCHEME),
-    )
+    step = partial(transform_values, plan=plan)
+    return _generate(spec, count, plan.delay_bins, Domain.ANGULAR_DELAY, step)

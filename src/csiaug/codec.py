@@ -100,9 +100,10 @@ class LinearCodec:
 
     def __post_init__(self) -> None:
         for name in ("delay_bins", "antennas"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-            object.__setattr__(self, name, int(getattr(self, name)))
+            value = check_int(getattr(self, name), name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+            object.__setattr__(self, name, value)
         ratio = parse_ratio(self.ratio)
         object.__setattr__(self, "ratio", ratio)
         dim = 2 * self.delay_bins * self.antennas

@@ -337,10 +337,10 @@ class DftPlan:
 
     def __post_init__(self) -> None:
         for name in ("subcarriers", "antennas", "delay_bins"):
-            value = getattr(self, name)
-            if int(value) < 1:
+            value = check_int(getattr(self, name), name)
+            if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, value)
         if self.delay_bins > self.subcarriers:
             raise ValueError(
                 f"delay_bins ({self.delay_bins}) cannot exceed subcarriers ({self.subcarriers})"

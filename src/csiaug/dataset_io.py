@@ -23,6 +23,9 @@ little-endian 64-bit floats.
 
 Storage quantizes complex values once to 32-bit floats; reading never
 re-quantizes, so write -> read -> write reproduces files byte for byte.
+Payloads move straight between the file and one array: a dataset read
+holds the float32 payload plus the dataset's own complex128 copy, and a
+dataset write holds one float32 copy of the samples.
 All writes go through a temp file plus rename, so a crashed run never
 leaves a half-written artifact at the target path.
 """
@@ -36,7 +39,7 @@ import tempfile
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 import numpy as np
 
@@ -50,11 +53,13 @@ CODEC_VERSION = 1
 
 _DATASET_HEADER = struct.Struct("<4sHBBIII")
 _CODEC_HEADER = struct.Struct("<4sHIIIII")
+_GRAMMAR = {
+    DATASET_MAGIC: (_DATASET_HEADER, DATASET_VERSION),
+    CODEC_MAGIC: (_CODEC_HEADER, CODEC_VERSION),
+}
 
 _DOMAIN_TO_CODE = {Domain.SPATIAL_FREQUENCY: 0, Domain.ANGULAR_DELAY: 1}
 _CODE_TO_DOMAIN = {code: dom for dom, code in _DOMAIN_TO_CODE.items()}
-
-_U32_MAX = 2**32 - 1
 
 
 class FileFormatError(ValueError):
@@ -65,13 +70,14 @@ class CorruptedFileError(ValueError):
     """The file follows the grammar but its content is inconsistent."""
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a sibling temp file and rename, so readers never see partial files."""
+def atomic_write_bytes(path: str | Path, *chunks: Any) -> None:
+    """Write ``chunks`` (bytes or C-contiguous arrays) in order via a temp file and rename."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -90,9 +96,41 @@ def sidecar_path(path: str | Path) -> Path:
 
 
 def _check_u32(value: int, what: str) -> int:
-    if not 0 <= value <= _U32_MAX:
+    if not 0 <= value < 2**32:
         raise ValueError(f"{what} {value} does not fit in an unsigned 32-bit field")
     return value
+
+
+def _read_header(fh: BinaryIO, path: str | Path, magic: bytes) -> tuple[int, ...]:
+    """The fields after magic and version of the header of container ``magic``."""
+    header, version = _GRAMMAR[magic]
+    raw = fh.read(header.size)
+    if len(raw) < header.size:
+        raise CorruptedFileError(
+            f"{path}: truncated header, expected at least {header.size} bytes, got {len(raw)}"
+        )
+    found, found_version, *fields = header.unpack(raw)
+    if found != magic:
+        raise FileFormatError(f"{path}: bad magic {found!r} at offset 0, expected {magic!r}")
+    if found_version != version:
+        raise FileFormatError(
+            f"{path}: unsupported version {found_version} at offset 4, expected {version}"
+        )
+    return tuple(fields)
+
+
+def _read_payload(fh: BinaryIO, path: str | Path, count: int, dtype: str) -> np.ndarray:
+    """The ``count`` entries of ``dtype`` that must fill the rest of the file."""
+    expected = fh.tell() + count * np.dtype(dtype).itemsize
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        raise CorruptedFileError(
+            f"{path}: payload length mismatch, header implies {expected} bytes, file has {size}"
+        )
+    out = np.empty(count, dtype=dtype)
+    if fh.readinto(out) != out.nbytes:
+        raise CorruptedFileError(f"{path}: short read, file ended inside the payload")
+    return out
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -111,8 +149,7 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
         _check_u32(rows, "row count"),
         _check_u32(cols, "col count"),
     )
-    payload = dataset.samples.astype("<c8").tobytes()
-    atomic_write_bytes(path, header + payload)
+    atomic_write_bytes(path, header, np.ascontiguousarray(dataset.samples, dtype="<c8"))
     sidecar = json.dumps(dataset.meta.to_dict(), indent=2, sort_keys=True) + "\n"
     atomic_write_text(sidecar_path(path), sidecar)
 
@@ -123,36 +160,19 @@ def read_dataset(path: str | Path) -> Dataset:
     A missing sidecar is tolerated with a warning (external tools may
     emit bare binaries); a malformed sidecar is an error.
     """
-    data = Path(path).read_bytes()
-    if len(data) < _DATASET_HEADER.size:
-        raise CorruptedFileError(
-            f"{path}: truncated header, expected at least {_DATASET_HEADER.size} bytes, "
-            f"got {len(data)}"
-        )
-    magic, version, domain_code, reserved, count, rows, cols = _DATASET_HEADER.unpack_from(data)
-    if magic != DATASET_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {magic!r} at offset 0, expected {DATASET_MAGIC!r}")
-    if version != DATASET_VERSION:
-        raise FileFormatError(
-            f"{path}: unsupported version {version} at offset 4, expected {DATASET_VERSION}"
-        )
-    if domain_code not in _CODE_TO_DOMAIN:
-        raise FileFormatError(f"{path}: unknown domain code {domain_code} at offset 6")
-    if reserved != 0:
-        raise FileFormatError(f"{path}: reserved byte at offset 7 must be zero, got {reserved}")
-    if rows < 1 or cols < 1:
-        raise FileFormatError(f"{path}: sample shape ({rows}, {cols}) must be at least 1x1")
-    expected = _DATASET_HEADER.size + count * rows * cols * 8
-    if len(data) != expected:
-        raise CorruptedFileError(
-            f"{path}: payload length mismatch, header implies {expected} bytes, "
-            f"file has {len(data)}"
-        )
+    with open(path, "rb") as fh:
+        domain_code, reserved, count, rows, cols = _read_header(fh, path, DATASET_MAGIC)
+        if domain_code not in _CODE_TO_DOMAIN:
+            raise FileFormatError(f"{path}: unknown domain code {domain_code} at offset 6")
+        if reserved != 0:
+            raise FileFormatError(f"{path}: reserved byte at offset 7 must be zero, got {reserved}")
+        if rows < 1 or cols < 1:
+            raise FileFormatError(f"{path}: sample shape ({rows}, {cols}) must be at least 1x1")
+        flat = _read_payload(fh, path, count * rows * cols, "<c8")
     meta = _read_sidecar(path)
-    flat = np.frombuffer(data, dtype="<c8", offset=_DATASET_HEADER.size)
     try:
-        samples = flat.reshape(count, rows, cols).astype(np.complex128)
-        return Dataset(samples, _CODE_TO_DOMAIN[domain_code], meta)
+        # Dataset's own complex128 copy is the one upcast.
+        return Dataset(flat.reshape(count, rows, cols), _CODE_TO_DOMAIN[domain_code], meta)
     except ValueError as exc:
         raise CorruptedFileError(f"{path}: dataset payload invalid: {exc}") from exc
 
@@ -184,46 +204,26 @@ def write_codec(codec: LinearCodec, path: str | Path) -> None:
         _check_u32(ratio.numerator, "ratio numerator"),
         _check_u32(ratio.denominator, "ratio denominator"),
     )
-    payload = (
-        codec.mean.astype("<f8").tobytes()
-        + np.ascontiguousarray(codec.basis.T).astype("<f8").tobytes()
-    )
-    atomic_write_bytes(path, header + payload)
+    basis = np.ascontiguousarray(codec.basis.T, dtype="<f8")
+    atomic_write_bytes(path, header, np.asarray(codec.mean, dtype="<f8"), basis)
 
 
 def read_codec(path: str | Path) -> LinearCodec:
     """Parse a codec container, validating extent, ratio, and orthonormality."""
-    data = Path(path).read_bytes()
-    if len(data) < _CODEC_HEADER.size:
-        raise CorruptedFileError(
-            f"{path}: truncated header, expected at least {_CODEC_HEADER.size} bytes, "
-            f"got {len(data)}"
-        )
-    magic, version, delay_bins, antennas, m, num, den = _CODEC_HEADER.unpack_from(data)
-    if magic != CODEC_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {magic!r} at offset 0, expected {CODEC_MAGIC!r}")
-    if version != CODEC_VERSION:
-        raise FileFormatError(
-            f"{path}: unsupported version {version} at offset 4, expected {CODEC_VERSION}"
-        )
-    if delay_bins < 1 or antennas < 1:
-        raise FileFormatError(f"{path}: dimensions ({delay_bins}, {antennas}) must be positive")
-    if den == 0 or num == 0:
-        raise FileFormatError(f"{path}: ratio {num}/{den} is not a positive rational")
-    dim = 2 * delay_bins * antennas
-    expected = _CODEC_HEADER.size + 8 * (dim + dim * m)
-    if len(data) != expected:
-        raise CorruptedFileError(
-            f"{path}: payload length mismatch, header implies {expected} bytes, "
-            f"file has {len(data)}"
-        )
+    with open(path, "rb") as fh:
+        delay_bins, antennas, m, num, den = _read_header(fh, path, CODEC_MAGIC)
+        if delay_bins < 1 or antennas < 1:
+            raise FileFormatError(f"{path}: dimensions ({delay_bins}, {antennas}) must be positive")
+        if den == 0 or num == 0:
+            raise FileFormatError(f"{path}: ratio {num}/{den} is not a positive rational")
+        dim = 2 * delay_bins * antennas
+        floats = _read_payload(fh, path, dim + dim * m, "<f8")
     ratio = Fraction(num, den)
     if m != component_count(ratio, dim):
         raise CorruptedFileError(
             f"{path}: component count {m} inconsistent with ratio {num}/{den} "
             f"(expected {component_count(ratio, dim)})"
         )
-    floats = np.frombuffer(data, dtype="<f8", offset=_CODEC_HEADER.size)
     mean = floats[:dim]
     basis = floats[dim:].reshape(m, dim).T
     try:

@@ -220,6 +220,11 @@ def test_counts_validated():
         generate_dataset(spec, -1)
     with pytest.raises(ValueError, match="count"):
         generate_angular_dataset(spec, -1, 8)
+    for count in (2.9, True, "3"):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            generate_dataset(spec, count)
+        with pytest.raises(ValueError, match="count must be an integer"):
+            generate_angular_dataset(spec, count, 8)
 
 
 @pytest.mark.parametrize(

@@ -198,6 +198,11 @@ def test_codec_requires_orthonormal_basis():
     bad_mean[0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         LinearCodec(2, 2, Fraction(1, 2), bad_mean, codec.basis)
+    # Dimensions are checked as integers, not truncated.
+    with pytest.raises(ValueError, match="delay_bins must be an integer"):
+        LinearCodec(2.7, 2, Fraction(1, 2), codec.mean, codec.basis)
+    with pytest.raises(ValueError, match="antennas must be an integer"):
+        LinearCodec(2, True, Fraction(1, 2), codec.mean, codec.basis)
 
 
 def test_mean_only_codec_from_orthogonal_basis():

@@ -215,3 +215,6 @@ def test_dft_plan_validation():
         DftPlan(64, 0, 16)
     with pytest.raises(ValueError):
         DftPlan(64, 8, 0)
+    for fields in ((16.7, 4, 2), (16, 4.2, 2), (16, 4, True), (16.7, 4.2, True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            DftPlan(*fields)

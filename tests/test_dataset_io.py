@@ -2,7 +2,9 @@
 
 import json
 import struct
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from csiaug.augment import augment_dataset
 from csiaug.channel import ScenarioSpec, generate_angular_dataset
+from csiaug import dataset_io
 from csiaug.codec import EvalReport, LinearCodec, fit_codec
 from csiaug.core import (
     AugmentationRecord,
@@ -386,6 +389,87 @@ def test_atomic_writes_leave_no_temp_files(tmp_path):
     write_codec(fitted_codec(), tmp_path / "clean.csic")
     leftovers = [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def oracle_dataset_bytes(ds):
+    """The container bytes as the whole-buffer writer built them."""
+    code = {Domain.SPATIAL_FREQUENCY: 0, Domain.ANGULAR_DELAY: 1}[ds.domain]
+    header = struct.pack("<4sHBBIII", b"CSIA", 1, code, 0, len(ds), *ds.sample_shape)
+    return header + ds.samples.astype("<c8").tobytes()
+
+
+def oracle_codec_bytes(codec):
+    r = codec.ratio
+    fields = (codec.delay_bins, codec.antennas, codec.components, r.numerator, r.denominator)
+    header = struct.pack("<4sHIIIII", b"CSIC", 1, *fields)
+    basis = np.ascontiguousarray(codec.basis.T).astype("<f8").tobytes()
+    return header + codec.mean.astype("<f8").tobytes() + basis
+
+
+def test_writers_match_whole_buffer_oracle(tmp_path):
+    g = np.random.default_rng(17)
+    path = tmp_path / "oracle.csia"
+    for trial in range(12):
+        count, rows, cols = (0 if trial < 2 else int(g.integers(1, 9)), *g.integers(1, 7, 2))
+        domain = (Domain.SPATIAL_FREQUENCY, Domain.ANGULAR_DELAY)[trial % 2]
+        raw = g.standard_normal((2, cols, rows, count)) * 10.0 ** g.integers(-3, 4)
+        # A transposed view keeps its non-C layout through Dataset's copy.
+        ds = Dataset((raw[0] + 1j * raw[1]).T, domain)
+        write_dataset(ds, path)
+        assert path.read_bytes() == oracle_dataset_bytes(ds)
+    path = tmp_path / "oracle.csic"
+    for ratio in ("1", "1/2", "1/3", "1/4", "1/6"):
+        codec = fitted_codec(ratio=ratio, rows=3, cols=2, count=16, seed=len(ratio))
+        write_codec(codec, path)
+        assert path.read_bytes() == oracle_codec_bytes(codec)
+
+
+def test_short_read_rejected(tmp_path, monkeypatch):
+    cases = [
+        (write_dataset, read_dataset, float32_dataset(), "short.csia"),
+        (write_codec, read_codec, fitted_codec(), "short.csic"),
+    ]
+    for writer, reader, value, name in cases:
+        path = tmp_path / name
+        writer(value, path)
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        # The file shrinks between the extent check and the read.
+        with monkeypatch.context() as m:
+            m.setattr(dataset_io.os, "fstat", lambda fd: SimpleNamespace(st_size=full))
+            with pytest.raises(CorruptedFileError, match="short read"):
+                reader(path)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes ``fn(*args)`` allocates above what was live before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def large_dataset():
+    g = np.random.default_rng(3)
+    raw = g.standard_normal((2, 200, 256, 32))
+    return Dataset(raw[0] + 1j * raw[1], Domain.SPATIAL_FREQUENCY)
+
+
+def test_read_dataset_memory_bound(tmp_path):
+    ds = large_dataset()
+    path = tmp_path / "big.csia"
+    write_dataset(ds, path)
+    # The float32 payload plus the dataset's complex128 copy: 1.5x.
+    assert traced_peak(read_dataset, path) <= 1.7 * ds.samples.nbytes
+
+
+def test_write_dataset_memory_bound(tmp_path):
+    ds = large_dataset()
+    # One float32 copy of the samples: 0.5x.
+    assert traced_peak(write_dataset, ds, tmp_path / "big.csia") <= 0.6 * ds.samples.nbytes
 
 
 def test_report_round_trip(tmp_path):
