@@ -14,6 +14,7 @@ the two on the shared test set.
 
 import argparse
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from csiaug import (
@@ -29,20 +30,9 @@ from csiaug import (
     load_scenario,
 )
 from csiaug.dataset_io import atomic_write_text
+from csiaug.rng import check_int
 
 PRESETS = Path(__file__).resolve().parent.parent / "scenarios"
-
-
-def build_params(args, trial_seed):
-    method = AugmentMethod(args.method)
-    if method is AugmentMethod.RANDOM_GENERATION:
-        return AugmentParams(method=method, block_size=args.block, seed=trial_seed)
-    return AugmentParams(
-        method=method,
-        shift=args.shift,
-        seed=trial_seed,
-        direction=ShiftDirection(args.direction),
-    )
 
 
 def main():
@@ -64,6 +54,12 @@ def main():
     ap.add_argument("--seed-base", type=int, default=20260823)
     ap.add_argument("--out", help="write the JSON summary here")
     args = ap.parse_args()
+    try:
+        check_int(args.seeds, "--seeds", 1)
+        params = AugmentParams(AugmentMethod(args.method), args.shift, args.block,
+                               direction=ShiftDirection(args.direction))
+    except ValueError as exc:
+        ap.error(str(exc))
 
     train_spec = load_scenario(args.train_scenario)
     test_spec = load_scenario(args.test_scenario)
@@ -80,8 +76,8 @@ def main():
             args.test_count, args.na,
         )
         base = evaluate(fit_codec(train, args.ratio), test, label="baseline")
-        params = build_params(args, derive_seed(args.seed_base, 100 + i))
-        augmented = augment_dataset(train, params, mode)
+        trial_params = replace(params, seed=derive_seed(args.seed_base, 100 + i))
+        augmented = augment_dataset(train, trial_params, mode)
         aug = evaluate(fit_codec(augmented, args.ratio), test, label=args.method)
         margin = base.nmse_db - aug.nmse_db
         trials.append(

@@ -28,6 +28,7 @@ from csiaug import (
     load_scenario,
 )
 from csiaug.dataset_io import atomic_write_text
+from csiaug.rng import check_int
 
 PRESETS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -49,13 +50,18 @@ def main():
     ap.add_argument("--seed-base", type=int, default=20260823)
     ap.add_argument("--out", help="write the JSON summary here")
     args = ap.parse_args()
+    method = AugmentMethod(args.method)
+    try:
+        check_int(args.seeds, "--seeds", 1)
+        values = [int(v) for v in args.values.split(",") if v.strip() != ""]
+        passes = {s: AugmentParams(method=method, shift=s) for s in values}
+    except ValueError as exc:
+        ap.error(str(exc))
 
     train_spec = load_scenario(args.train_scenario)
     lo, hi = train_spec.delay_range
     test_delay = (lo + args.gap_bins, hi + args.gap_bins)
-    values = [int(v) for v in args.values.split(",") if v.strip() != ""]
     mode = AugmentMode(args.mode)
-    method = AugmentMethod(args.method)
 
     trials = []
     for i in range(args.seeds):
@@ -69,9 +75,7 @@ def main():
         test = generate_angular_dataset(test_spec, args.test_count, args.na)
         row = {}
         for s in values:
-            params = AugmentParams(
-                method=method, shift=s, seed=derive_seed(args.seed_base, 100 + i)
-            )
+            params = replace(passes[s], seed=derive_seed(args.seed_base, 100 + i))
             augmented = augment_dataset(train, params, mode)
             row[s] = evaluate(fit_codec(augmented, args.ratio), test).nmse_db
         winner = min(row, key=row.get)

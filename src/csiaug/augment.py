@@ -36,38 +36,12 @@ from csiaug.core import (
     Dataset,
     Domain,
     ShiftDirection,
+    _check_amplitude,
+    _check_phase,
     combine_polar,
     polar_parts,
 )
 from csiaug.rng import RNG_SCHEME, check_int, make_generator
-
-
-def _real(values: np.ndarray, name: str) -> np.ndarray:
-    """``values`` unless complex, which a float cast would cut to its real part."""
-    if np.iscomplexobj(values):
-        raise ValueError(f"{name} must be real, got complex input")
-    return values
-
-
-def _check_amplitude(amplitude: np.ndarray, batched: bool = False) -> np.ndarray:
-    amp = np.array(_real(amplitude, "amplitude"), dtype=np.float64, copy=True)
-    bad_rank = amp.ndim < 2 or (amp.ndim > 2 and not batched)
-    if bad_rank or amp.shape[-2] < 1 or amp.shape[-1] < 1:
-        what = "a 2-D matrix or a batch of them" if batched else "a 2-D matrix"
-        raise ValueError(f"amplitude must be {what} with rows and cols, got shape {amp.shape}")
-    if not np.all(np.isfinite(amp)):
-        raise ValueError("amplitude entries must be finite")
-    # A batch may hold zero matrices, and np.min rejects empty arrays.
-    if amp.size and np.min(amp) < 0.0:
-        raise ValueError("amplitude entries must be non-negative")
-    return amp
-
-
-def _check_shift(shift: int) -> int:
-    shift = check_int(shift, "shift")
-    if shift < 0:
-        raise ValueError(f"shift must be non-negative, got {shift}")
-    return shift
 
 
 def _bubble_shift(amplitude: np.ndarray, shift: int, up: bool) -> np.ndarray:
@@ -80,7 +54,7 @@ def _bubble_shift(amplitude: np.ndarray, shift: int, up: bool) -> np.ndarray:
     kept in ``tests/test_augment.py``.
     """
     amp = _check_amplitude(amplitude, batched=True)
-    shift = _check_shift(shift)
+    shift = check_int(shift, "shift", 0)
     rows = amp.shape[-2]
     peak = np.argmax(amp, axis=-2)
     steps = np.minimum(shift, peak if up else rows - 1 - peak)
@@ -150,9 +124,7 @@ def random_generation(amplitude: np.ndarray, block_size: int, seed: int) -> np.n
 def _redraw_blocks(amp: np.ndarray, block_size: int, seed: int) -> np.ndarray:
     """:func:`random_generation` in place on every matrix of a contiguous
     (..., rows, cols) batch; matrix k draws from stream ``(seed, k)``."""
-    block_size = check_int(block_size, "block size")
-    if block_size < 1:
-        raise ValueError(f"block size must be positive, got {block_size}")
+    block_size = check_int(block_size, "block size", 1)
     before = (block_size - 1) // 2
     rows, cols = amp.shape[-2:]
     for k, matrix in enumerate(amp.reshape(-1, rows, cols)):
@@ -186,10 +158,8 @@ def md_baseline(
     ``(seed, k)``.
     """
     amp = _check_amplitude(amplitude, batched=True)
-    shift = _check_shift(shift)
-    phase = np.asarray(_real(phase, "phase"), dtype=np.float64)
-    if phase.shape != amp.shape:
-        raise ValueError(f"phase shape {phase.shape} must match amplitude shape {amp.shape}")
+    shift = check_int(shift, "shift", 0)
+    _check_phase(phase, amp)
     if not isinstance(direction, ShiftDirection):
         raise TypeError("direction must be a ShiftDirection")
     offset = -shift if direction is ShiftDirection.UP else shift

@@ -66,10 +66,7 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         for name in ("subcarriers", "antennas", "paths"):
-            value = check_int(getattr(self, name), name)
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
         d0, d1 = _coerce("delay_range", _pair, self.delay_range)
         if not (0.0 <= d0 <= d1 < self.subcarriers):
             raise ValueError(
@@ -133,11 +130,12 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
 
     Any malformed content raises ``ValueError`` naming the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"scenario file {path} must contain a JSON object")
     try:
+        # Decoding and JSON errors are ValueErrors too, so they name the file.
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("must contain a JSON object")
         return ScenarioSpec.from_dict(data)
     except ValueError as exc:
         raise ValueError(f"scenario file {path}: {exc}") from None
@@ -188,9 +186,7 @@ _CHUNK = 512  # samples per synthesis batch
 def _generate(spec: ScenarioSpec, count: int, rows: int, domain: Domain, step: Callable) -> Dataset:
     """``count`` samples synthesised ``_CHUNK`` at a time; ``step`` maps each
     (chunk, subcarriers, antennas) batch to its (chunk, rows, antennas) result."""
-    count = check_int(count, "count")
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+    count = check_int(count, "count", 0)
     out = np.empty((count, rows, spec.antennas), dtype=np.complex128)
     for start in range(0, count, _CHUNK):
         stop = min(start + _CHUNK, count)

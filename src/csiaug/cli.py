@@ -10,9 +10,11 @@ automates a parameter sweep of augment + fit + eval.
 Exit codes: 0 on success, 2 for usage errors (bad flags, flag
 combinations, or flag values out of range whatever the input holds),
 1 for runtime failures (missing or malformed files, invalid data, or
-flag values that conflict with the input).  All artifacts are written
-atomically and contain no timestamps, so reruns with the same inputs
-and seeds are byte-identical.
+flag values that conflict with the input).  ``AugmentParams`` judges the
+augmentation flags (one pass per sweep value) before any file is read,
+so a shift or block size it rejects is a usage error even where the
+method ignores it.  All artifacts are written atomically and contain no
+timestamps, so reruns with the same inputs and seeds are byte-identical.
 """
 
 from __future__ import annotations
@@ -38,17 +40,14 @@ from csiaug.dataset_io import (
     write_dataset,
     write_report,
 )
-from csiaug.rng import MASK64
+from csiaug.rng import MASK64, check_int
 from csiaug.transform import inverse_transform_dataset, transform_dataset
 
-_SHIFT_METHODS = ("bs-up", "bs-down", "md")
-
-# (flag, lowest, highest) for values that are invalid whatever the input holds.
+# (flag, lowest, highest) for values invalid whatever the input holds, which
+# no object can judge before a file is read.
 _FLAG_RANGES = (
     ("count", 0, None),
     ("seed", 0, MASK64),
-    ("shift", 0, None),
-    ("block", 1, None),
     ("na", 1, None),
     ("nc", 1, None),
 )
@@ -135,16 +134,16 @@ def _check_flag_ranges(args: argparse.Namespace) -> None:
         value = getattr(args, flag, None)
         if value is None:
             continue
-        if value < low:
-            raise UsageError(f"--{flag} must be at least {low}, got {value}")
+        _usage(check_int, value, f"--{flag}", low)
         if high is not None and value > high:
             raise UsageError(f"--{flag} must be at most {high}, got {value}")
 
 
-def _parse_exact_ratio(text: str) -> Fraction:
+def _usage(build: Callable[..., Any], *args: Any) -> Any:
+    """``build(*args)``, whose ValueError (a flag value it rejects) is a usage error."""
     try:
-        return parse_ratio(text)
-    except (ValueError, TypeError) as exc:
+        return build(*args)
+    except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
@@ -174,24 +173,13 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
-def _augment_params(
-    method: str, shift: int | None, block: int | None, seed: int, direction: str
-) -> AugmentParams:
-    if method in _SHIFT_METHODS and shift is None:
-        raise UsageError(f"method {method} requires --shift")
-    if method == "rg" and block is None:
-        raise UsageError("method rg requires --block")
-    return AugmentParams(
-        method=AugmentMethod(method),
-        shift=shift,
-        block_size=block,
-        seed=seed,
-        direction=ShiftDirection(direction),
-    )
+def _augment_params(args: argparse.Namespace, shift=None, block=None) -> AugmentParams:
+    method, direction = AugmentMethod(args.method), ShiftDirection(args.direction)
+    return _usage(AugmentParams, method, shift, block, args.seed, direction)
 
 
 def _cmd_augment(args: argparse.Namespace) -> int:
-    params = _augment_params(args.method, args.shift, args.block, args.seed, args.direction)
+    params = _augment_params(args, args.shift, args.block)
     dataset = read_dataset(args.input)
     out = augment_dataset(dataset, params, AugmentMode(args.mode))
     write_dataset(out, args.out)
@@ -200,7 +188,7 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    ratio = _parse_exact_ratio(args.ratio)
+    ratio = _usage(parse_ratio, args.ratio)
     train = read_dataset(args.train)
     codec = fit_codec(train, ratio)
     write_codec(codec, args.out)
@@ -269,28 +257,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.param == "shift" and args.method not in _SHIFT_METHODS:
-        raise UsageError("--param shift applies to bs-up, bs-down, and md only")
-    if args.param == "block" and args.method != "rg":
-        raise UsageError("--param block applies to rg only")
     try:
         values = [int(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError:
         raise UsageError(f"--values must be comma-separated integers, got {args.values!r}") from None
     if not values:
         raise UsageError("--values is empty")
-    low = 0 if args.param == "shift" else 1
-    if min(values) < low:
-        raise UsageError(f"--values for --param {args.param} must be at least {low}")
-    ratio = _parse_exact_ratio(args.ratio)
+    passes = [_augment_params(args, **{args.param: value}) for value in values]
+    ratio = _usage(parse_ratio, args.ratio)
     train = read_dataset(args.train)
     test = read_dataset(args.test)
     mode = AugmentMode(args.mode)
     results: list[dict[str, Any]] = []
-    for value in values:
-        shift = value if args.param == "shift" else None
-        block = value if args.param == "block" else None
-        params = _augment_params(args.method, shift, block, args.seed, args.direction)
+    for value, params in zip(values, passes):
         augmented = augment_dataset(train, params, mode)
         codec = fit_codec(augmented, ratio)
         report = evaluate(codec, test, label=f"{args.method} {args.param}={value}")

@@ -100,10 +100,7 @@ class LinearCodec:
 
     def __post_init__(self) -> None:
         for name in ("delay_bins", "antennas"):
-            value = check_int(getattr(self, name), name)
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
         ratio = parse_ratio(self.ratio)
         object.__setattr__(self, "ratio", ratio)
         dim = 2 * self.delay_bins * self.antennas
@@ -155,12 +152,9 @@ def component_count(ratio: Fraction, feature_dim: int) -> int:
 def _fix_signs(basis: np.ndarray) -> np.ndarray:
     # Eigenvectors are defined up to sign; pin each column so its first
     # nonzero coordinate is positive, making fits reproducible artifacts.
-    out = basis.copy()
-    for j in range(out.shape[1]):
-        nz = np.flatnonzero(out[:, j])
-        if nz.size and out[nz[0], j] < 0:
-            out[:, j] = -out[:, j]
-    return out
+    # A zero column's argmax lands on a zero, which is never below 0.
+    first = basis[np.argmax(basis != 0, axis=0), np.arange(basis.shape[1])]
+    return np.where(first < 0, -basis, basis)
 
 
 def fit_codec(train: Dataset, ratio: Fraction | str | int) -> LinearCodec:
@@ -187,8 +181,8 @@ def fit_codec(train: Dataset, ratio: Fraction | str | int) -> LinearCodec:
         raise ValueError(f"ratio {ratio} exceeds feature dim {dim} ({m} components)")
     x = features(train.samples)
     mean = x.mean(axis=0)
-    centred = x - mean
-    cov = (centred.T @ centred) / (n - 1)
+    x -= mean
+    cov = (x.T @ x) / (n - 1)
     _, vectors = np.linalg.eigh(cov)
     basis = _fix_signs(vectors[:, ::-1][:, :m])
     return LinearCodec(rows, cols, ratio, mean, basis)

@@ -86,7 +86,16 @@ class AngularDelayMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AngularDelayMatrix):
             return NotImplemented
-        return self.shape == other.shape and self.values.tobytes() == other.values.tobytes()
+        return _same_bits(self.values, other.values)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality of two complex128 arrays, through integer views of
+    their real and imaginary parts rather than copies (0.0 differs from -0.0)."""
+    return a.shape == b.shape and all(
+        np.array_equal(x.view(np.uint64), y.view(np.uint64))
+        for x, y in ((a.real, b.real), (a.imag, b.imag))
+    )
 
 
 def polar_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,6 +113,35 @@ def polar_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return amplitude, phase
 
 
+def _real(values: np.ndarray, name: str) -> np.ndarray:
+    """``values`` unless complex, which a float cast would cut to its real part."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real, got complex input")
+    return values
+
+
+def _check_amplitude(amplitude: np.ndarray, batched: bool = False) -> np.ndarray:
+    amp = np.array(_real(amplitude, "amplitude"), dtype=np.float64, copy=True)
+    bad_rank = amp.ndim < 2 or (amp.ndim > 2 and not batched)
+    if bad_rank or amp.shape[-2] < 1 or amp.shape[-1] < 1:
+        what = "a 2-D matrix or a batch of them" if batched else "a 2-D matrix"
+        raise ValueError(f"amplitude must be {what} with rows and cols, got shape {amp.shape}")
+    if not np.all(np.isfinite(amp)):
+        raise ValueError("amplitude entries must be finite")
+    # A batch may hold zero matrices, and np.min rejects empty arrays.
+    if amp.size and np.min(amp) < 0.0:
+        raise ValueError("amplitude entries must be non-negative")
+    return amp
+
+
+def _check_phase(phase: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """``phase`` as a real float64 array shaped like the checked amplitude ``amp``."""
+    phase = np.asarray(_real(phase, "phase"), dtype=np.float64)
+    if phase.shape != amp.shape:
+        raise ValueError(f"phase shape {phase.shape} must match amplitude shape {amp.shape}")
+    return phase
+
+
 def decompose(matrix: AngularDelayMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Split an angular-delay matrix into amplitude and phase arrays.
 
@@ -116,17 +154,11 @@ def decompose(matrix: AngularDelayMatrix) -> tuple[np.ndarray, np.ndarray]:
 def recompose(amplitude: np.ndarray, phase: np.ndarray) -> AngularDelayMatrix:
     """Rebuild a complex matrix as ``amplitude * (cos(phase) + j sin(phase))``.
 
-    Inverse of :func:`decompose` up to floating-point rounding.
+    Inverse of :func:`decompose` up to floating-point rounding.  Rejects
+    complex input, as the augmentation primitives do.
     """
-    amplitude = np.asarray(amplitude, dtype=np.float64)
-    phase = np.asarray(phase, dtype=np.float64)
-    if amplitude.shape != phase.shape:
-        raise ValueError(
-            f"amplitude shape {amplitude.shape} must match phase shape {phase.shape}"
-        )
-    if amplitude.size and np.min(amplitude) < 0.0:
-        raise ValueError("amplitude entries must be non-negative")
-    return AngularDelayMatrix(combine_polar(amplitude, phase))
+    amp = _check_amplitude(amplitude)
+    return AngularDelayMatrix(combine_polar(amp, _check_phase(phase, amp)))
 
 
 def combine_polar(amplitude: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -262,8 +294,7 @@ class Dataset:
             return NotImplemented
         return (
             self.domain is other.domain
-            and self.samples.shape == other.samples.shape
-            and self.samples.tobytes() == other.samples.tobytes()
+            and _same_bits(self.samples, other.samples)
             and self.meta == other.meta
         )
 
@@ -277,22 +308,17 @@ def empty_dataset(rows: int, cols: int, domain: Domain, meta: Provenance | None 
     )
 
 
-_SHIFT_METHODS = (
-    AugmentMethod.BUBBLE_SHIFT_UP,
-    AugmentMethod.BUBBLE_SHIFT_DOWN,
-    AugmentMethod.MODEL_DRIVEN,
-)
-
-
 @dataclass(frozen=True)
 class AugmentParams:
     """Parameters for one augmentation pass over a dataset.
 
     ``shift`` (delay bins) applies to the shift-based methods and is
     ignored by random generation; ``block_size`` (bins, edge length of
-    the redrawn square) applies to random generation only.  ``direction``
-    is consumed only by the model-driven baseline, whose cyclic shift has
-    no inherent direction; it defaults to DOWN.
+    the redrawn square) applies to random generation only.  Each field
+    that is given is checked (shift at least 0, block size at least 1)
+    whether or not the method uses it, and the one it uses is required.
+    ``direction`` is consumed only by the model-driven baseline, whose
+    cyclic shift has no inherent direction; it defaults to DOWN.
     """
 
     method: AugmentMethod
@@ -305,20 +331,13 @@ class AugmentParams:
         if not isinstance(self.method, AugmentMethod):
             raise TypeError(f"method must be an AugmentMethod, got {type(self.method).__name__}")
         check_seed(self.seed)
-        if self.method in _SHIFT_METHODS:
-            if self.shift is None:
-                raise ValueError(f"method {self.method.value} requires a shift")
-            shift = check_int(self.shift, "shift")
-            if shift < 0:
-                raise ValueError(f"shift must be non-negative, got {shift}")
-            object.__setattr__(self, "shift", shift)
-        else:
-            if self.block_size is None:
-                raise ValueError(f"method {self.method.value} requires a block size")
-            block_size = check_int(self.block_size, "block size")
-            if block_size < 1:
-                raise ValueError(f"block size must be positive, got {block_size}")
-            object.__setattr__(self, "block_size", block_size)
+        for name, low in (("shift", 0), ("block_size", 1)):
+            if getattr(self, name) is not None:
+                value = check_int(getattr(self, name), name.replace("_", " "), low)
+                object.__setattr__(self, name, value)
+        used = "block_size" if self.method is AugmentMethod.RANDOM_GENERATION else "shift"
+        if getattr(self, used) is None:
+            raise ValueError(f"method {self.method.value} requires a {used.replace('_', ' ')}")
         if not isinstance(self.direction, ShiftDirection):
             raise TypeError("direction must be a ShiftDirection")
 
@@ -337,10 +356,7 @@ class DftPlan:
 
     def __post_init__(self) -> None:
         for name in ("subcarriers", "antennas", "delay_bins"):
-            value = check_int(getattr(self, name), name)
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
         if self.delay_bins > self.subcarriers:
             raise ValueError(
                 f"delay_bins ({self.delay_bins}) cannot exceed subcarriers ({self.subcarriers})"

@@ -23,12 +23,16 @@ MASK64 = (1 << 64) - 1
 RNG_SCHEME = "philox4x64-10(seed,index)"
 
 
-def check_int(value: int, name: str) -> int:
+def check_int(value: int, name: str, low: int | None = None) -> int:
     """``value`` as a plain int; ``ValueError`` naming ``name`` unless it is
-    a Python or NumPy integer (``bool``, floats and strings are rejected)."""
+    a Python or NumPy integer (``bool``, floats and strings are rejected)
+    of at least ``low``, when given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
 
 
 def check_seed(seed: int, name: str = "seed") -> int:

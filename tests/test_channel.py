@@ -84,6 +84,11 @@ def test_scenario_file_round_trip(tmp_path):
     path.write_text(json.dumps([1, 2, 3]))
     with pytest.raises(ValueError, match="JSON object"):
         load_scenario(path)
+    # Truncated JSON and non-UTF-8 bytes name the file too.
+    for raw in (b'{"subcarriers": 32, ', b"\xff\xfe{}"):
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"scenario file {path}"):
+            load_scenario(path)
 
 
 @pytest.mark.parametrize(

@@ -194,6 +194,13 @@ RANGE_CASES = [
     pytest.param(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
                   "--param", "shift", "--values", "1,-1", "--ratio", "1/4", "--out", "y.json"],
                  2, id="sweep-shift-negative"),
+    # a field the method does not use is still judged
+    pytest.param(["augment", "--in", "x.csia", "--method", "rg", "--block", "4", "--shift", "-1",
+                  "--out", "y.csia"], 2, id="augment-rg-shift-negative"),
+    # flags are judged before any file is read: the training file does not exist
+    pytest.param(["sweep", "--train", "missing.csia", "--test", "x.csia", "--method", "bs-up",
+                  "--param", "shift", "--values", "1,-1", "--ratio", "1/4", "--out", "y.json"],
+                 2, id="sweep-values-before-missing-file"),
     # valid flag values that conflict with the input: runtime errors
     pytest.param(["transform", "--in", "f.csia", "--na", "2000", "--out", "y.csia"], 1,
                  id="transform-na-above-subcarriers"),
@@ -287,6 +294,18 @@ def test_gen_malformed_scenario_exits_1(workspace, tmp_path, capsys, field, valu
     assert cli.run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(bad) in err and field in err
+
+
+@pytest.mark.parametrize(
+    "raw", [b'{"subcarriers": 16, ', b"\xff\xfe{}"], ids=["truncated", "not-utf8"]
+)
+def test_gen_undecodable_scenario_exits_1(tmp_path, capsys, raw):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    argv = ["gen", "--scenario", str(bad), "--count", "2", "--out", str(tmp_path / "g.csia")]
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err
 
 
 def test_augment_rejects_frequency_domain(workspace, tmp_path, capsys):

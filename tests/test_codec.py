@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from csiaug.codec import (
     DB_FLOOR,
+    _fix_signs,
     EvalReport,
     LinearCodec,
     component_count,
@@ -158,6 +162,31 @@ def test_single_sample_round_trip_matches_batch():
     back = decode_batch(codec, code)
     assert back.shape == (1, 5, 3)
     assert np.allclose(back[0], reconstruct_batch(codec, ds.samples)[4], atol=1e-12)
+
+
+def fix_signs_reference(basis):
+    """Column loop: flip a column whose first nonzero entry is negative."""
+    out = basis.copy()
+    for j in range(out.shape[1]):
+        nz = np.flatnonzero(out[:, j])
+        if nz.size and out[nz[0], j] < 0:
+            out[:, j] = -out[:, j]
+    return out
+
+
+# Mostly zeros of both signs, so zero columns and leading zeros are common.
+sign_entries = st.sampled_from([0.0, -0.0, 0.0, -0.0, 0.5, -0.5]) | st.floats(-2, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(0, 8)), elements=sign_entries))
+# A zero column of mixed-sign zeros, and a leading +0.0 on a column that flips.
+@example(np.array([[0.0, -0.0, 0.0, 1.0], [-0.0, -0.0, -2.0, -1.0], [0.0, 0.0, 3.0, 0.0]]))
+def test_fix_signs_matches_column_loop(basis):
+    got = _fix_signs(basis)
+    want = fix_signs_reference(basis)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_codec_shape_checks():

@@ -116,6 +116,11 @@ def test_recompose_validation():
         recompose(np.zeros((2, 2)), np.zeros((2, 3)))
     with pytest.raises(ValueError, match="non-negative"):
         recompose(np.array([[-0.5]]), np.array([[0.0]]))
+    # Complex input is rejected with the primitives' messages, not cast to real.
+    with pytest.raises(ValueError, match="amplitude must be real"):
+        recompose([[1 + 5j]], [[0.0]])
+    with pytest.raises(ValueError, match="phase must be real"):
+        recompose([[1.0]], np.array([[0.5j]]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -159,6 +164,21 @@ def test_dataset_equality_covers_domain_and_meta():
     assert a != Dataset(samples, Domain.SPATIAL_FREQUENCY)
     tagged = Dataset(samples, Domain.ANGULAR_DELAY, Provenance(seed=9))
     assert a != tagged
+    # Bitwise: a -0.0 in either part differs from 0.0; another shape differs too.
+    zeros = np.zeros((2, 3, 2), dtype=complex)
+    for part in ("real", "imag"):
+        signed = zeros.copy()
+        getattr(signed, part)[1, 2, 0] = -0.0
+        assert Dataset(zeros, Domain.ANGULAR_DELAY) != Dataset(signed, Domain.ANGULAR_DELAY)
+        assert AngularDelayMatrix(zeros[1]) != AngularDelayMatrix(signed[1])
+        assert AngularDelayMatrix(signed[1]) == AngularDelayMatrix(signed[1].copy())
+    assert Dataset(zeros, Domain.ANGULAR_DELAY) != Dataset(
+        zeros.reshape(2, 2, 3), Domain.ANGULAR_DELAY
+    )
+    fortran = np.asfortranarray(np.arange(12.0).reshape(2, 3, 2) + 1j)
+    assert Dataset(fortran, Domain.ANGULAR_DELAY) == Dataset(
+        np.ascontiguousarray(fortran), Domain.ANGULAR_DELAY
+    )
 
 
 def test_empty_dataset_keeps_shape():
@@ -197,6 +217,13 @@ def test_augment_params_validation():
         AugmentParams(AugmentMethod.BUBBLE_SHIFT_UP, shift=1.5)
     with pytest.raises(ValueError, match="block size must be an integer"):
         AugmentParams(AugmentMethod.RANDOM_GENERATION, block_size=True)
+    # A field the method does not use is still judged when it is given.
+    with pytest.raises(ValueError, match="shift must be at least 0, got -1"):
+        AugmentParams(AugmentMethod.RANDOM_GENERATION, block_size=4, shift=-1)
+    with pytest.raises(ValueError, match="block size must be at least 1, got 0"):
+        AugmentParams(AugmentMethod.BUBBLE_SHIFT_UP, shift=1, block_size=0)
+    both = AugmentParams(AugmentMethod.MODEL_DRIVEN, shift=2, block_size=3)
+    assert (both.shift, both.block_size) == (2, 3)
 
 
 def test_enum_tokens_match_cli_surface():

@@ -472,6 +472,14 @@ def test_write_dataset_memory_bound(tmp_path):
     assert traced_peak(write_dataset, ds, tmp_path / "big.csia") <= 0.6 * ds.samples.nbytes
 
 
+def test_dataset_equality_memory_bound():
+    ds = large_dataset()
+    twin = Dataset(ds.samples, ds.domain)
+    # Integer views of the real and imaginary parts, never a byte copy.
+    assert traced_peak(ds.__eq__, twin) <= 0.25 * ds.samples.nbytes
+    assert ds == twin
+
+
 def test_report_round_trip(tmp_path):
     report = EvalReport(
         label="baseline",

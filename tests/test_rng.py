@@ -45,3 +45,13 @@ def test_check_int_takes_integers_and_names_the_field():
             check_int(value, "count")
     with pytest.raises(ValueError, match="seed must be an integer"):
         check_seed(3001.7)
+    # An optional lower bound, judged after the type.
+    assert check_int(0, "shift", 0) == 0
+    assert check_int(np.int64(3), "block size", 1) == 3
+    assert check_int(-7, "offset") == -7  # no bound unless one is given
+    for value, low in ((-1, 0), (0, 1), (np.int8(-2), 0), (np.uint64(4), 5)):
+        with pytest.raises(ValueError, match=f"n must be at least {low}, got {int(value)}"):
+            check_int(value, "n", low)
+    # The type is judged before the bound.
+    with pytest.raises(ValueError, match="n must be an integer"):
+        check_int(-1.5, "n", 0)

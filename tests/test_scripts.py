@@ -43,3 +43,29 @@ def test_script_runs_and_writes_summary(tmp_path, script, extra, keys):
     summary = json.loads(out.read_text())
     assert set(summary) == keys
     assert len(summary["trials"]) == 1
+
+
+@pytest.mark.parametrize(
+    "script,extra,message",
+    [
+        ("run_domain_gap.py", ["--seeds", "0"], "--seeds must be at least 1"),
+        ("run_shift_sweep.py", ["--values", "0,-1"], "shift must be at least 0"),
+        ("run_domain_gap.py", ["--method", "rg", "--shift", "-1"], "shift must be at least 0"),
+    ],
+)
+def test_script_rejects_bad_flags_before_drawing(tmp_path, script, extra, message):
+    out = tmp_path / "summary.json"
+    # The scenario file does not exist, so only a script that judges its
+    # flags before it loads a scenario and draws channels exits 2 here.
+    argv = [*SMALL, "--train-scenario", str(tmp_path / "missing.json"), *extra,
+            "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
