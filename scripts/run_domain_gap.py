@@ -21,6 +21,7 @@ from csiaug import (
     AugmentMethod,
     AugmentMode,
     AugmentParams,
+    DftPlan,
     ShiftDirection,
     augment_dataset,
     derive_seed,
@@ -28,7 +29,9 @@ from csiaug import (
     fit_codec,
     generate_angular_dataset,
     load_scenario,
+    parse_ratio,
 )
+from csiaug.codec import check_components
 from csiaug.dataset_io import atomic_write_text
 from csiaug.rng import check_int
 
@@ -56,6 +59,8 @@ def main():
     args = ap.parse_args()
     try:
         check_int(args.seeds, "--seeds", 1)
+        ratio = parse_ratio(args.ratio)
+        check_int(args.na, "--na", 1)
         params = AugmentParams(AugmentMethod(args.method), args.shift, args.block,
                                direction=ShiftDirection(args.direction))
     except ValueError as exc:
@@ -63,6 +68,12 @@ def main():
 
     train_spec = load_scenario(args.train_scenario)
     test_spec = load_scenario(args.test_scenario)
+    try:
+        for spec in (train_spec, test_spec):
+            DftPlan(spec.subcarriers, spec.antennas, args.na)
+        check_components(ratio, 2 * args.na * train_spec.antennas)
+    except ValueError as exc:
+        ap.error(str(exc))
     mode = AugmentMode(args.mode)
 
     trials = []
@@ -75,10 +86,10 @@ def main():
             test_spec.with_seed(derive_seed(args.seed_base, 2 * i + 1)),
             args.test_count, args.na,
         )
-        base = evaluate(fit_codec(train, args.ratio), test, label="baseline")
+        base = evaluate(fit_codec(train, ratio), test, label="baseline")
         trial_params = replace(params, seed=derive_seed(args.seed_base, 100 + i))
         augmented = augment_dataset(train, trial_params, mode)
-        aug = evaluate(fit_codec(augmented, args.ratio), test, label=args.method)
+        aug = evaluate(fit_codec(augmented, ratio), test, label=args.method)
         margin = base.nmse_db - aug.nmse_db
         trials.append(
             {"trial": i, "baseline_db": base.nmse_db, "augmented_db": aug.nmse_db,

@@ -20,13 +20,16 @@ from csiaug import (
     AugmentMethod,
     AugmentMode,
     AugmentParams,
+    DftPlan,
     augment_dataset,
     derive_seed,
     evaluate,
     fit_codec,
     generate_angular_dataset,
     load_scenario,
+    parse_ratio,
 )
+from csiaug.codec import check_components
 from csiaug.dataset_io import atomic_write_text
 from csiaug.rng import check_int
 
@@ -53,6 +56,8 @@ def main():
     method = AugmentMethod(args.method)
     try:
         check_int(args.seeds, "--seeds", 1)
+        ratio = parse_ratio(args.ratio)
+        check_int(args.na, "--na", 1)
         values = [int(v) for v in args.values.split(",") if v.strip() != ""]
         passes = {s: AugmentParams(method=method, shift=s) for s in values}
     except ValueError as exc:
@@ -61,6 +66,12 @@ def main():
     train_spec = load_scenario(args.train_scenario)
     lo, hi = train_spec.delay_range
     test_delay = (lo + args.gap_bins, hi + args.gap_bins)
+    try:
+        test_base = replace(train_spec, delay_range=test_delay)
+        DftPlan(train_spec.subcarriers, train_spec.antennas, args.na)
+        check_components(ratio, 2 * args.na * train_spec.antennas)
+    except ValueError as exc:
+        ap.error(str(exc))
     mode = AugmentMode(args.mode)
 
     trials = []
@@ -69,15 +80,15 @@ def main():
             train_spec.with_seed(derive_seed(args.seed_base, 2 * i)),
             args.train_count, args.na,
         )
-        test_spec = replace(
-            train_spec, delay_range=test_delay, seed=derive_seed(args.seed_base, 2 * i + 1)
+        test = generate_angular_dataset(
+            test_base.with_seed(derive_seed(args.seed_base, 2 * i + 1)),
+            args.test_count, args.na,
         )
-        test = generate_angular_dataset(test_spec, args.test_count, args.na)
         row = {}
         for s in values:
             params = replace(passes[s], seed=derive_seed(args.seed_base, 100 + i))
             augmented = augment_dataset(train, params, mode)
-            row[s] = evaluate(fit_codec(augmented, args.ratio), test).nmse_db
+            row[s] = evaluate(fit_codec(augmented, ratio), test).nmse_db
         winner = min(row, key=row.get)
         trials.append({"trial": i, "nmse_db": row, "best_shift": winner})
         cells = "  ".join(f"S={s}: {row[s]:7.2f}" for s in values)

@@ -36,8 +36,10 @@ from csiaug.channel import (
 from csiaug.codec import (
     EvalReport,
     LinearCodec,
+    Spectrum,
     evaluate,
     fit_codec,
+    fit_spectrum,
     nmse,
     parse_ratio,
 )
@@ -86,6 +88,7 @@ __all__ = [
     "Provenance",
     "ScenarioSpec",
     "ShiftDirection",
+    "Spectrum",
     "augment_dataset",
     "bubble_shift_down",
     "bubble_shift_up",
@@ -93,6 +96,7 @@ __all__ = [
     "derive_seed",
     "evaluate",
     "fit_codec",
+    "fit_spectrum",
     "generate_angular_dataset",
     "generate_dataset",
     "inverse_transform_dataset",

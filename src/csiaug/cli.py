@@ -29,7 +29,7 @@ from typing import Any, Callable, Sequence
 
 from csiaug.augment import augment_dataset
 from csiaug.channel import generate_dataset, load_scenario
-from csiaug.codec import EvalReport, evaluate, fit_codec, parse_ratio
+from csiaug.codec import EvalReport, evaluate, fit_codec, fit_spectrum, parse_ratio
 from csiaug.core import AugmentMethod, AugmentMode, AugmentParams, DftPlan, ShiftDirection
 from csiaug.dataset_io import (
     atomic_write_text,
@@ -192,7 +192,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     train = read_dataset(args.train)
     codec = fit_codec(train, ratio)
     write_codec(codec, args.out)
-    print(f"fit codec with {codec.components}/{codec.feature_dim} components to {args.out}")
+    # The spectrum fit_codec just computed for this dataset is reused.
+    share = fit_spectrum(train).energy_share(codec.components)
+    print(f"fit codec with {codec.components}/{codec.feature_dim} components "
+          f"({share:.4%} of training energy) to {args.out}")
     return 0
 
 

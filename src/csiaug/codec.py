@@ -9,6 +9,14 @@ comparable to theirs, but the question the toolkit asks (does a
 training-set augmentation close a train/test distribution gap?) only
 needs a compressor whose quality depends on its training distribution.
 
+The fit is one eigendecomposition of the training scatter matrix, kept
+as a :class:`Spectrum`; the basis at any ratio is a prefix of its
+columns, so one eigendecomposition serves every ratio of a training set.
+:func:`fit_spectrum` remembers the spectrum of the last ``Dataset``
+object it fitted, so repeat fits of the *same* object (``fit_codec`` at
+several ratios, say) reuse it.  At most one spectrum is held, and it is
+released when that dataset is collected.
+
 Reconstruction quality is the usual normalized mean square error,
 ``mean ||X - X_hat||^2_F / ||X||^2_F`` over samples, reported both
 linear and in dB (floored at -300 dB so perfect reconstructions stay
@@ -18,6 +26,7 @@ finite).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
@@ -149,43 +158,119 @@ def component_count(ratio: Fraction, feature_dim: int) -> int:
     return round(ratio * feature_dim)
 
 
-def _fix_signs(basis: np.ndarray) -> np.ndarray:
+def check_components(ratio: Fraction, feature_dim: int) -> int:
+    """component_count, rejecting a ratio that keeps none or more than all."""
+    m = component_count(ratio, feature_dim)
+    if m < 1:
+        raise ValueError(f"ratio {ratio} retains no components at feature dim {feature_dim}")
+    if m > feature_dim:
+        raise ValueError(f"ratio {ratio} exceeds feature dim {feature_dim} ({m} components)")
+    return m
+
+
+def _fix_signs(basis: np.ndarray) -> None:
     # Eigenvectors are defined up to sign; pin each column so its first
     # nonzero coordinate is positive, making fits reproducible artifacts.
     # A zero column's argmax lands on a zero, which is never below 0.
+    # Flipping in place allocates no second copy of the basis.
     first = basis[np.argmax(basis != 0, axis=0), np.arange(basis.shape[1])]
-    return np.where(first < 0, -basis, basis)
+    basis[:, first < 0] *= -1
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Training mean plus the full eigendecomposition of the covariance.
+
+    ``values`` holds all ``feature_dim`` eigenvalues in descending order
+    and column j of ``vectors`` is the sign-fixed eigenvector of
+    ``values[j]``, so the codec at any ratio keeps a leading prefix of
+    the columns.  The arrays are read-only.
+    """
+
+    rows: int
+    cols: int
+    mean: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+
+    def codec(self, ratio: Fraction | str | int) -> LinearCodec:
+        """The codec keeping the top ``round(ratio * feature_dim)`` directions."""
+        ratio = parse_ratio(ratio)
+        m = check_components(ratio, 2 * self.rows * self.cols)
+        return LinearCodec(self.rows, self.cols, ratio, self.mean, self.vectors[:, :m])
+
+    def energy_share(self, components: int) -> float:
+        """Share of the training energy (eigenvalue sum) the top components hold.
+
+        A training set without spread has no energy to lose, so its share is 1.
+        """
+        total = float(self.values.sum())
+        return float(self.values[:components].sum()) / total if total > 0 else 1.0
+
+
+# The last fitted (weak reference to the dataset, its spectrum), or None.
+# Sound because a Dataset is frozen and its samples are read-only; the
+# weak reference's callback empties the slot when the dataset is
+# collected, so a recycled id() never hits and no dataset is kept alive.
+# The slot is written as one tuple, so a reader never pairs a dataset
+# with another dataset's spectrum.
+_last_fit: tuple[weakref.ref, Spectrum] | None = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    global _last_fit
+    if _last_fit is not None and _last_fit[0] is ref:
+        _last_fit = None
+
+
+def fit_spectrum(train: Dataset) -> Spectrum:
+    """Mean and full sign-fixed eigendecomposition of a training set.
+
+    The full eigendecomposition always yields a complete orthonormal set,
+    so ratio 1 gives a lossless codec even when the training set has
+    fewer samples than features.  A repeat call on the same ``Dataset``
+    object returns the spectrum of the previous call.
+    """
+    global _last_fit
+    if train.domain is not Domain.ANGULAR_DELAY:
+        raise ValueError(f"codec training expects angular-delay samples, got {train.domain.value}")
+    n = len(train)
+    if n < 2:
+        raise ValueError(f"codec training needs at least 2 samples, got {n}")
+    last = _last_fit
+    if last is not None and last[0]() is train:
+        return last[1]
+    # Drop the held spectrum before computing, so two are never alive.
+    _last_fit = last = None
+    rows, cols = train.sample_shape
+    x = features(train.samples)
+    mean = x.mean(axis=0)
+    x -= mean
+    cov = (x.T @ x) / (n - 1)
+    del x
+    values, vectors = np.linalg.eigh(cov)
+    del cov
+    values, vectors = values[::-1], vectors[:, ::-1]
+    _fix_signs(vectors)
+    for array in (mean, values, vectors):
+        array.flags.writeable = False
+    spectrum = Spectrum(rows, cols, mean, values, vectors)
+    _last_fit = (weakref.ref(train, _forget), spectrum)
+    return spectrum
 
 
 def fit_codec(train: Dataset, ratio: Fraction | str | int) -> LinearCodec:
     """Fit mean and principal directions on an angular-delay dataset.
 
     The basis holds the top ``round(ratio * feature_dim)`` eigenvectors
-    of the sample covariance, in descending eigenvalue order.  The full
-    eigendecomposition always yields a complete orthonormal set, so
-    ratio 1 gives a lossless codec even when the training set has fewer
-    samples than features.
+    of the sample covariance, in descending eigenvalue order: the
+    leading columns of :func:`fit_spectrum`'s vectors.
     """
     ratio = parse_ratio(ratio)
-    if train.domain is not Domain.ANGULAR_DELAY:
-        raise ValueError(f"codec training expects angular-delay samples, got {train.domain.value}")
-    n = len(train)
-    if n < 2:
-        raise ValueError(f"codec training needs at least 2 samples, got {n}")
     rows, cols = train.sample_shape
-    dim = 2 * rows * cols
-    m = component_count(ratio, dim)
-    if m < 1:
-        raise ValueError(f"ratio {ratio} retains no components at feature dim {dim}")
-    if m > dim:
-        raise ValueError(f"ratio {ratio} exceeds feature dim {dim} ({m} components)")
-    x = features(train.samples)
-    mean = x.mean(axis=0)
-    x -= mean
-    cov = (x.T @ x) / (n - 1)
-    _, vectors = np.linalg.eigh(cov)
-    basis = _fix_signs(vectors[:, ::-1][:, :m])
-    return LinearCodec(rows, cols, ratio, mean, basis)
+    # Judge the ratio before a miss pays for the eigensolve.
+    check_components(ratio, 2 * rows * cols)
+    return fit_spectrum(train).codec(ratio)
 
 
 def encode_batch(codec: LinearCodec, samples: np.ndarray) -> np.ndarray:

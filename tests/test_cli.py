@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line pipeline (in-process via cli.run)."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 
 from csiaug import cli
 from csiaug.channel import ScenarioSpec, save_scenario
-from csiaug.codec import EvalReport
+from csiaug.codec import EvalReport, features
 from csiaug.core import Dataset, Domain, Provenance
 from csiaug.dataset_io import read_dataset, read_report, write_dataset, write_report
 
@@ -356,3 +357,20 @@ def test_eval_summary_line_format(workspace, tmp_path, capsys):
     line = capsys.readouterr().out.strip()
     assert line.startswith("check ratio 1/4: NMSE ")
     assert line.endswith(str(tmp_path / "check.json"))
+
+
+def test_fit_prints_kept_training_energy(workspace, tmp_path, capsys):
+    out = tmp_path / "base.csic"
+    argv = ["fit", "--train", str(workspace / "train_ang.csia"), "--ratio", "1/4",
+            "--out", str(out)]
+    assert cli.run(argv) == 0
+    line = capsys.readouterr().out.strip()
+    match = re.fullmatch(
+        r"fit codec with 16/64 components \((\d+\.\d{4})% of training energy\) to (.+)", line)
+    assert match and match.group(2) == str(out)
+    x = features(read_dataset(workspace / "train_ang.csia").samples)
+    values = np.sort(np.linalg.eigvalsh(np.cov(x, rowvar=False)))[::-1]
+    assert float(match.group(1)) == pytest.approx(100 * values[:16].sum() / values.sum(),
+                                                  abs=1e-4)
+    # The diagnostic goes to stdout only; the codec file is unchanged.
+    assert out.read_bytes() == (workspace / "base.csic").read_bytes()

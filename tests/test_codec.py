@@ -1,5 +1,8 @@
 """Tests for the linear subspace codec and the NMSE harness."""
 
+import gc
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from csiaug import codec as codec_module
 from csiaug.codec import (
     DB_FLOOR,
     _fix_signs,
@@ -19,6 +23,7 @@ from csiaug.codec import (
     evaluate,
     features,
     fit_codec,
+    fit_spectrum,
     nmse,
     parse_ratio,
     reconstruct_batch,
@@ -183,7 +188,8 @@ sign_entries = st.sampled_from([0.0, -0.0, 0.0, -0.0, 0.5, -0.5]) | st.floats(-2
 # A zero column of mixed-sign zeros, and a leading +0.0 on a column that flips.
 @example(np.array([[0.0, -0.0, 0.0, 1.0], [-0.0, -0.0, -2.0, -1.0], [0.0, 0.0, 3.0, 0.0]]))
 def test_fix_signs_matches_column_loop(basis):
-    got = _fix_signs(basis)
+    got = basis.copy()
+    _fix_signs(got)
     want = fix_signs_reference(basis)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -213,6 +219,146 @@ def test_fit_codec_validation():
         fit_codec(ds, "1/1000")
     with pytest.raises(ValueError, match="exceeds"):
         fit_codec(ds, 2)
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """Start and end with no remembered spectrum."""
+    monkeypatch.setattr(codec_module, "_last_fit", None)
+
+
+def codec_bytes(codec):
+    return codec.mean.tobytes(), codec.basis.tobytes()
+
+
+def test_ratio_bases_are_prefixes_of_the_full_basis(empty_memo):
+    ds = random_dataset(40, 4, 4, seed=21)
+    full = fit_codec(ds, 1)
+    for ratio in ("1/16", "1/8", "1/4"):
+        codec = fit_codec(ds, ratio)
+        m = codec.components
+        assert m == component_count(parse_ratio(ratio), full.feature_dim)
+        assert codec.basis.tobytes() == full.basis[:, :m].tobytes()
+        assert codec.mean.tobytes() == full.mean.tobytes()
+
+
+def test_spectrum_is_descending_and_read_only(empty_memo):
+    ds = random_dataset(12, 3, 2, seed=22)
+    spectrum = fit_spectrum(ds)
+    assert (spectrum.rows, spectrum.cols) == (3, 2)
+    assert spectrum.values.shape == (12,) and spectrum.vectors.shape == (12, 12)
+    assert np.all(np.diff(spectrum.values) <= 0)
+    for array in (spectrum.mean, spectrum.values, spectrum.vectors):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    assert spectrum.energy_share(12) == pytest.approx(1.0)
+    shares = [spectrum.energy_share(m) for m in range(1, 13)]
+    assert shares == sorted(shares)
+    flat = angular_dataset(np.ones((3, 2, 2)))
+    assert fit_spectrum(flat).energy_share(1) == 1.0
+
+
+def test_memo_hit_gives_the_bytes_of_a_miss(empty_memo):
+    ds = random_dataset(30, 4, 3, seed=23)
+    first = fit_codec(ds, "1/4")
+    assert fit_spectrum(ds) is fit_spectrum(ds)
+    hit = fit_codec(ds, "1/4")
+    codec_module._last_fit = None
+    miss = fit_codec(ds, "1/4")
+    assert codec_bytes(hit) == codec_bytes(first) == codec_bytes(miss)
+
+
+def test_second_dataset_evicts_the_first(empty_memo):
+    one = random_dataset(20, 3, 3, seed=24)
+    two = random_dataset(20, 3, 3, seed=25)
+    spectrum_one = fit_spectrum(one)
+    fit_spectrum(two)
+    assert codec_module._last_fit[0]() is two
+    again = fit_spectrum(one)
+    assert again is not spectrum_one
+    assert again.vectors.tobytes() == spectrum_one.vectors.tobytes()
+    assert codec_module._last_fit[0]() is one
+
+
+def test_memo_does_not_keep_a_dataset_alive(empty_memo):
+    ds = random_dataset(20, 3, 3, seed=26)
+    fit_codec(ds, "1/2")
+    ref = weakref.ref(ds)
+    del ds
+    gc.collect()
+    assert ref() is None
+    assert codec_module._last_fit is None
+
+
+def test_slot_is_empty_when_a_miss_reaches_the_eigensolve(empty_memo, monkeypatch):
+    one = random_dataset(20, 3, 3, seed=27)
+    two = random_dataset(20, 3, 3, seed=28)
+    held = weakref.ref(fit_spectrum(one))
+    eigh = np.linalg.eigh
+    calls = []
+
+    def checked_eigh(matrix):
+        # Neither the slot nor anything else still holds the old spectrum.
+        assert codec_module._last_fit is None
+        assert held() is None
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", checked_eigh)
+    for ratio in ("1/4", "1/8", "1/16"):
+        fit_codec(two, ratio)
+    assert calls == [(18, 18)]
+
+
+def test_a_hit_still_judges_its_inputs(empty_memo):
+    ds = random_dataset(10, 4, 3, seed=29)
+    fit_codec(ds, "1/4")
+    with pytest.raises(ValueError, match="positive"):
+        fit_codec(ds, "0")
+    with pytest.raises(ValueError, match="exceeds"):
+        fit_codec(ds, 2)
+    with pytest.raises(ValueError, match="exceeds"):
+        fit_spectrum(ds).codec("3/2")
+    # A frozen Dataset can still be forced through object.__setattr__;
+    # the domain and size rules hold for the remembered object too.
+    samples = ds.samples
+    object.__setattr__(ds, "domain", Domain.SPATIAL_FREQUENCY)
+    with pytest.raises(ValueError, match="angular-delay"):
+        fit_codec(ds, "1/4")
+    object.__setattr__(ds, "domain", Domain.ANGULAR_DELAY)
+    object.__setattr__(ds, "samples", samples[:1])
+    with pytest.raises(ValueError, match="at least 2"):
+        fit_codec(ds, "1/4")
+
+
+# tracemalloc peaks of the fit when every ratio ran its own
+# eigendecomposition (NumPy 2.4, 600 x 16 x 16 set): the one full-basis
+# fit must stay at or below them.
+PER_RATIO_FIT_PEAK = {"1/4": 8_111_542, "1": 15_061_180}
+
+
+def traced_fit_peak(ratio):
+    ds = random_dataset(600, 16, 16, seed=0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fit_codec(ds, ratio)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("ratio", sorted(PER_RATIO_FIT_PEAK))
+def test_fit_peak_memory_does_not_grow(empty_memo, ratio):
+    assert traced_fit_peak(ratio) <= PER_RATIO_FIT_PEAK[ratio]
+
+
+def test_fit_holds_at_most_features_and_scatter_at_once(empty_memo):
+    # Features and scatter matrix coexist only for the scatter product:
+    # the features go before the eigensolve and the scatter matrix before
+    # the sign flip, which works in place.
+    dim = 2 * 16 * 16
+    assert traced_fit_peak("1/4") <= 1.01 * 8 * (600 * dim + dim * dim)
 
 
 def test_codec_requires_orthonormal_basis():

@@ -19,6 +19,7 @@ PUBLIC_NAMES = {
     "Provenance",
     "ScenarioSpec",
     "ShiftDirection",
+    "Spectrum",
     "augment_dataset",
     "bubble_shift_down",
     "bubble_shift_up",
@@ -26,6 +27,7 @@ PUBLIC_NAMES = {
     "derive_seed",
     "evaluate",
     "fit_codec",
+    "fit_spectrum",
     "generate_angular_dataset",
     "generate_dataset",
     "inverse_transform_dataset",

@@ -51,6 +51,10 @@ def test_script_runs_and_writes_summary(tmp_path, script, extra, keys):
         ("run_domain_gap.py", ["--seeds", "0"], "--seeds must be at least 1"),
         ("run_shift_sweep.py", ["--values", "0,-1"], "shift must be at least 0"),
         ("run_domain_gap.py", ["--method", "rg", "--shift", "-1"], "shift must be at least 0"),
+        ("run_domain_gap.py", ["--ratio", "0"], "ratio must be positive"),
+        ("run_shift_sweep.py", ["--ratio", "0"], "ratio must be positive"),
+        ("run_domain_gap.py", ["--na", "0"], "--na must be at least 1"),
+        ("run_shift_sweep.py", ["--na", "0"], "--na must be at least 1"),
     ],
 )
 def test_script_rejects_bad_flags_before_drawing(tmp_path, script, extra, message):
@@ -61,6 +65,30 @@ def test_script_rejects_bad_flags_before_drawing(tmp_path, script, extra, messag
             "--out", str(out)]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "script,extra,message",
+    [
+        ("run_shift_sweep.py", ["--gap-bins", "2000"], "delay_range must satisfy"),
+        ("run_domain_gap.py", ["--na", "2000"], "cannot exceed subcarriers"),
+        ("run_shift_sweep.py", ["--ratio", "1/10000"], "retains no components"),
+        ("run_domain_gap.py", ["--ratio", "2"], "exceeds feature dim"),
+    ],
+)
+def test_script_rejects_flags_that_conflict_with_the_scenario(tmp_path, script, extra, message):
+    out = tmp_path / "summary.json"
+    # The shipped presets load; the flags only fail against their shape.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *SMALL, *extra, "--out", str(out)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
