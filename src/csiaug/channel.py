@@ -27,12 +27,12 @@ import math
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from csiaug.core import Dataset, DftPlan, Domain, Provenance
-from csiaug.rng import RNG_SCHEME, check_int, check_seed, make_generator
+from csiaug.rng import RNG_SCHEME, check_int, check_real, check_seed, make_generator
 from csiaug.transform import transform_values
 
 _SCENARIO_FIELDS = (
@@ -67,16 +67,16 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         for name in ("subcarriers", "antennas", "paths"):
             object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
-        d0, d1 = _coerce("delay_range", _pair, self.delay_range)
+        d0, d1 = _pair(self.delay_range, "delay_range")
         if not (0.0 <= d0 <= d1 < self.subcarriers):
             raise ValueError(
                 f"delay_range must satisfy 0 <= lo <= hi < subcarriers, got ({d0}, {d1})"
             )
-        a0, a1 = _coerce("angle_range", _pair, self.angle_range)
+        a0, a1 = _pair(self.angle_range, "angle_range")
         half_pi = math.pi / 2
         if not (-half_pi <= a0 <= a1 <= half_pi):
             raise ValueError(f"angle_range must lie within [-pi/2, pi/2], got ({a0}, {a1})")
-        gd = _coerce("gain_decay", float, self.gain_decay)
+        gd = check_real(self.gain_decay, "gain_decay")
         if not (math.isfinite(gd) and gd >= 0.0):
             raise ValueError(f"gain_decay must be finite and non-negative, got {self.gain_decay}")
         object.__setattr__(self, "delay_range", (d0, d1))
@@ -112,17 +112,11 @@ class ScenarioSpec:
         return cls(**{name: data[name] for name in _SCENARIO_FIELDS})
 
 
-def _coerce(name: str, convert: Callable[[Any], Any], value: Any) -> Any:
-    """``convert(value)`` for scenario field ``name``; failures name the field."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"scenario field {name}: {exc}") from None
-
-
-def _pair(value: Any) -> tuple[float, float]:
-    lo, hi = (float(v) for v in value)
-    return lo, hi
+def _pair(value: Any, name: str) -> tuple[float, float]:
+    """Scenario field ``name`` as two floats; it must be a 2-item sequence of numbers."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Sequence) or len(value) != 2:
+        raise ValueError(f"{name} must be a pair of numbers, got {value!r}")
+    return check_real(value[0], name), check_real(value[1], name)
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:

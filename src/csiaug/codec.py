@@ -34,7 +34,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from csiaug.core import Dataset, Domain
-from csiaug.rng import check_int
+from csiaug.rng import check_int, check_real
 
 DB_FLOOR = -300.0
 ORTHONORMALITY_TOL = 1e-8
@@ -340,6 +340,8 @@ class EvalReport:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sample_count", check_int(self.sample_count, "sample_count"))
+        for name in ("nmse_linear", "nmse_db", "db_floor"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         object.__setattr__(self, "codec_info", dict(self.codec_info))
         if self.test_provenance is not None:
             object.__setattr__(self, "test_provenance", dict(self.test_provenance))
@@ -363,12 +365,12 @@ class EvalReport:
         return cls(
             label=str(data["label"]),
             ratio=str(data["ratio"]),
-            nmse_linear=float(data["nmse_linear"]),
-            nmse_db=float(data["nmse_db"]),
+            nmse_linear=data["nmse_linear"],
+            nmse_db=data["nmse_db"],
             sample_count=data["sample_count"],
             codec_info=dict(data["codec_info"]),
             test_provenance=data.get("test_provenance"),
-            db_floor=float(data.get("db_floor", DB_FLOOR)),
+            db_floor=data.get("db_floor", DB_FLOOR),
         )
 
 

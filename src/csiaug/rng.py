@@ -10,10 +10,13 @@ give independent streams without hashing the key (Salmon et al.,
 platform-independent: the same key yields the same stream everywhere.
 Stream ``(s, 0)`` is the stream of ``Philox(key=s)``, so a one-matrix
 call draws what a plain 64-bit key would.  :func:`check_int` is the
-integer check that seeds and every other integer field share.
+integer check that seeds and every other integer field share;
+:func:`check_real` is its counterpart for real-valued fields.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -33,6 +36,15 @@ def check_int(value: int, name: str, low: int | None = None) -> int:
     if low is not None and value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
     return value
+
+
+def check_real(value: float, name: str) -> float:
+    """``value`` as a plain float; ``ValueError`` naming ``name`` unless it is
+    a Python or NumPy real number (``bool``, strings and other types are
+    rejected)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def check_seed(seed: int, name: str = "seed") -> int:

@@ -100,6 +100,10 @@ def test_scenario_file_round_trip(tmp_path):
         ("subcarriers", 1024.9),
         ("paths", True),
         ("seed", 3001.7),
+        ("gain_decay", True),
+        ("gain_decay", "0.5"),
+        ("delay_range", "08"),
+        ("angle_range", [-0.1, "0.1"]),
     ],
 )
 def test_malformed_scenario_field_names_file_and_field(tmp_path, field, value):

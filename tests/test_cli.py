@@ -285,6 +285,10 @@ def test_runtime_errors_exit_1(workspace, tmp_path, capsys):
         ("subcarriers", 1024.9),
         ("paths", True),
         ("seed", 3001.7),
+        ("gain_decay", True),
+        ("gain_decay", "0.5"),
+        ("delay_range", "08"),
+        ("angle_range", [-0.1, "0.1"]),
     ],
 )
 def test_gen_malformed_scenario_exits_1(workspace, tmp_path, capsys, field, value):

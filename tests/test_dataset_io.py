@@ -502,6 +502,10 @@ def test_report_round_trip(tmp_path):
     path.write_text(json.dumps({**report.to_dict(), "sample_count": 500.5}))
     with pytest.raises(FileFormatError, match="sample_count must be an integer"):
         read_report(path)
+    for field, value in [("nmse_db", "-3"), ("nmse_linear", True), ("db_floor", None)]:
+        path.write_text(json.dumps({**report.to_dict(), field: value}))
+        with pytest.raises(FileFormatError, match=f"{field} must be a number"):
+            read_report(path)
     write_report(report, path)
     path.write_text(path.read_text()[:-10])
     with pytest.raises(FileFormatError, match="not UTF-8 JSON"):
