@@ -4,11 +4,10 @@ Trial ``i`` draws its training set under seed ``derive_seed(seed_base, 2i)``
 and its test set under ``derive_seed(seed_base, 2i + 1)``, augments with
 seed ``derive_seed(seed_base, 100 + i)``, and fits and evaluates one codec
 per pass on that shared test set.  Flags are judged before any scenario
-loads and again against the scenarios' shape: a bad one exits 2 with a
-usage message, before any channel is drawn.
+loads, then the scenario files and the flags against their shape: a bad
+one exits 2 with a usage message, before any channel is drawn.
 """
 
-import json
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +23,7 @@ from csiaug import (
     parse_ratio,
 )
 from csiaug.codec import check_components
-from csiaug.dataset_io import atomic_write_text
+from csiaug.dataset_io import write_record
 from csiaug.rng import check_int, check_seed
 
 PRESETS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -45,10 +44,10 @@ def add_flags(ap, ratio):
 
 @contextmanager
 def judged(ap):
-    """Turn a ``ValueError`` raised in the block into a usage error (exit 2)."""
+    """Turn a ``ValueError`` or ``OSError`` raised in the block into a usage error (exit 2)."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         ap.error(str(exc))
 
 
@@ -63,6 +62,8 @@ def parse(ap):
         check_int(args.train_count, "--train-count", 2)
         check_int(args.test_count, "--test-count", 1)
         check_seed(args.seed_base, "--seed-base")
+        if args.out and not Path(args.out).parent.is_dir():
+            raise ValueError(f"--out directory {Path(args.out).parent} does not exist")
     return args, ratio
 
 
@@ -71,10 +72,13 @@ def run(ap, args, ratio, train_spec, test_spec, passes):
 
     A pass is the ``AugmentParams`` its training set is augmented with
     (their seed is replaced by the trial's), or ``None`` for the plain
-    training set.  ``--na`` and the ratio are judged against both
-    scenarios before the first draw.
+    training set.  The scenarios' antenna counts, ``--na`` and the ratio
+    are judged before the first draw.
     """
     with judged(ap):
+        if test_spec.antennas != train_spec.antennas:
+            raise ValueError(f"test scenario has {test_spec.antennas} antennas, "
+                             f"training scenario {train_spec.antennas}")
         for spec in (train_spec, test_spec):
             DftPlan(spec.subcarriers, spec.antennas, args.na)
         check_components(ratio, 2 * args.na * train_spec.antennas)
@@ -96,5 +100,5 @@ def run(ap, args, ratio, train_spec, test_spec, passes):
 def write(args, summary):
     """Write ``summary`` to ``--out``, when given, as sorted, indented JSON."""
     if args.out:
-        atomic_write_text(args.out, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        write_record(args.out, summary)
         print(f"wrote {args.out}")

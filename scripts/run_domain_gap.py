@@ -34,9 +34,8 @@ def main():
     with _trials.judged(ap):
         params = AugmentParams(AugmentMethod(args.method), args.shift, args.block,
                                direction=ShiftDirection(args.direction))
-
-    train_spec = load_scenario(args.train_scenario)
-    test_spec = load_scenario(args.test_scenario)
+        train_spec = load_scenario(args.train_scenario)
+        test_spec = load_scenario(args.test_scenario)
     trials = []
     for i, (base, aug) in _trials.run(ap, args, ratio, train_spec, test_spec, [None, params]):
         margin = base - aug

@@ -33,11 +33,9 @@ def main():
         if not values or len(set(values)) != len(values):
             raise ValueError(f"--values must name distinct shift steps, got {args.values!r}")
         passes = [AugmentParams(AugmentMethod(args.method), shift=s) for s in values]
-
-    train_spec = load_scenario(args.train_scenario)
-    lo, hi = train_spec.delay_range
-    test_delay = (lo + args.gap_bins, hi + args.gap_bins)
-    with _trials.judged(ap):
+        train_spec = load_scenario(args.train_scenario)
+        lo, hi = train_spec.delay_range
+        test_delay = (lo + args.gap_bins, hi + args.gap_bins)
         test_spec = replace(train_spec, delay_range=test_delay)
     trials = []
     for i, nmse_db in _trials.run(ap, args, ratio, train_spec, test_spec, passes):

@@ -22,9 +22,8 @@ format instead.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -32,18 +31,9 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from csiaug.core import Dataset, DftPlan, Domain, Provenance
+from csiaug.dataset_io import read_record, write_record
 from csiaug.rng import RNG_SCHEME, check_int, check_real, check_seed, make_generator
 from csiaug.transform import transform_values
-
-_SCENARIO_FIELDS = (
-    "subcarriers",
-    "antennas",
-    "paths",
-    "delay_range",
-    "angle_range",
-    "gain_decay",
-    "seed",
-)
 
 
 @dataclass(frozen=True)
@@ -91,25 +81,19 @@ class ScenarioSpec:
         return np.exp(-self.gain_decay * np.arange(self.paths, dtype=np.float64))
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "subcarriers": self.subcarriers,
-            "antennas": self.antennas,
-            "paths": self.paths,
-            "delay_range": list(self.delay_range),
-            "angle_range": list(self.angle_range),
-            "gain_decay": self.gain_decay,
-            "seed": self.seed,
-        }
+        ranges = {"delay_range": list(self.delay_range), "angle_range": list(self.angle_range)}
+        return {**asdict(self), **ranges}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        unknown = sorted(set(data) - set(_SCENARIO_FIELDS))
+        names = {f.name for f in fields(cls)}
+        unknown = sorted(set(data) - names)
         if unknown:
             raise ValueError(f"unknown scenario fields: {', '.join(unknown)}")
-        missing = sorted(set(_SCENARIO_FIELDS) - set(data))
+        missing = sorted(names - set(data))
         if missing:
             raise ValueError(f"missing scenario fields: {', '.join(missing)}")
-        return cls(**{name: data[name] for name in _SCENARIO_FIELDS})
+        return cls(**data)
 
 
 def _pair(value: Any, name: str) -> tuple[float, float]:
@@ -122,23 +106,13 @@ def _pair(value: Any, name: str) -> tuple[float, float]:
 def load_scenario(path: str | Path) -> ScenarioSpec:
     """Read a ScenarioSpec from a JSON file (unknown fields rejected).
 
-    Any malformed content raises ``ValueError`` naming the file.
+    Any malformed content raises ``FileFormatError`` naming the file.
     """
-    try:
-        # Decoding and JSON errors are ValueErrors too, so they name the file.
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("must contain a JSON object")
-        return ScenarioSpec.from_dict(data)
-    except ValueError as exc:
-        raise ValueError(f"scenario file {path}: {exc}") from None
+    return read_record(path, "scenario file", ScenarioSpec.from_dict)
 
 
 def save_scenario(spec: ScenarioSpec, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_record(path, spec.to_dict())
 
 
 def _draw_paths(spec: ScenarioSpec, rng: np.random.Generator) -> tuple[np.ndarray, ...]:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Sequence
@@ -38,6 +37,7 @@ from csiaug.dataset_io import (
     read_report,
     write_codec,
     write_dataset,
+    write_record,
     write_report,
 )
 from csiaug.rng import MASK64, check_int
@@ -293,7 +293,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "results": results,
         "best_value": best["value"],
     }
-    atomic_write_text(args.out, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_record(args.out, summary)
     print(f"best {args.param}={best['value']} ({best['nmse_db']:.3f} dB) -> {args.out}")
     return 0
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -119,9 +119,11 @@ class LinearCodec:
             raise ValueError(f"mean must have shape ({dim},), got {mean.shape}")
         if basis.ndim != 2 or basis.shape[0] != dim:
             raise ValueError(f"basis must have shape ({dim}, m), got {basis.shape}")
-        m = basis.shape[1]
-        if not 1 <= m <= dim:
-            raise ValueError(f"component count must lie in [1, {dim}], got {m}")
+        m = check_components(ratio, dim)
+        if basis.shape[1] != m:
+            raise ValueError(
+                f"component count {basis.shape[1]} inconsistent with ratio {ratio} (expected {m})"
+            )
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(basis))):
             raise ValueError("codec entries must be finite")
         residual = np.abs(basis.T @ basis - np.eye(m)).max()
@@ -347,18 +349,7 @@ class EvalReport:
             object.__setattr__(self, "test_provenance", dict(self.test_provenance))
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "label": self.label,
-            "ratio": self.ratio,
-            "nmse_linear": self.nmse_linear,
-            "nmse_db": self.nmse_db,
-            "sample_count": self.sample_count,
-            "codec_info": dict(self.codec_info),
-            "test_provenance": dict(self.test_provenance)
-            if self.test_provenance is not None
-            else None,
-            "db_floor": self.db_floor,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EvalReport":

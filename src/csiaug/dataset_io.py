@@ -1,4 +1,4 @@
-"""Binary file formats for datasets and codecs, plus JSON sidecars.
+"""Binary file formats for datasets and codecs, plus the JSON record grammar.
 
 Dataset container (.csia): a 20-byte header
 
@@ -28,6 +28,11 @@ holds the float32 payload plus the dataset's own complex128 copy, and a
 dataset write holds one float32 copy of the samples.
 All writes go through a temp file plus rename, so a crashed run never
 leaves a half-written artifact at the target path.
+
+Every JSON artifact (provenance sidecars, eval reports, scenario files,
+sweep and study summaries) is one object written by :func:`write_record`
+with sorted keys, 2-space indent and a final newline, and read back by
+:func:`read_record`.
 """
 
 from __future__ import annotations
@@ -39,11 +44,11 @@ import tempfile
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, BinaryIO
+from typing import Any, BinaryIO, Callable
 
 import numpy as np
 
-from csiaug.codec import EvalReport, LinearCodec, component_count
+from csiaug.codec import EvalReport, LinearCodec
 from csiaug.core import Dataset, Domain, Provenance
 
 DATASET_MAGIC = b"CSIA"
@@ -63,7 +68,7 @@ _CODE_TO_DOMAIN = {code: dom for dom, code in _DOMAIN_TO_CODE.items()}
 
 
 class FileFormatError(ValueError):
-    """The file does not follow the container grammar (magic, version, fields)."""
+    """The file does not follow its grammar (container magic, version, fields; JSON record)."""
 
 
 class CorruptedFileError(ValueError):
@@ -89,6 +94,33 @@ def atomic_write_bytes(path: str | Path, *chunks: Any) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_record(path: str | Path, obj: dict[str, Any]) -> None:
+    """Write JSON object ``obj`` atomically: sorted keys, 2-space indent, final newline."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def read_record(path: str | Path, what: str, parse: Callable[[dict[str, Any]], Any]) -> Any:
+    """``parse`` of the JSON object in UTF-8 file ``path``, a ``what``.
+
+    Undecodable content, a non-object and any ``KeyError``, ``TypeError``
+    or ``ValueError`` from ``parse`` raise ``FileFormatError`` naming
+    ``what`` and the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise FileFormatError(f"malformed {what} {path}: not UTF-8 JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise FileFormatError(
+            f"malformed {what} {path}: must contain a JSON object, got {type(data).__name__}"
+        )
+    try:
+        return parse(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"malformed {what} {path}: {exc}") from exc
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -150,8 +182,7 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
         _check_u32(cols, "col count"),
     )
     atomic_write_bytes(path, header, np.ascontiguousarray(dataset.samples, dtype="<c8"))
-    sidecar = json.dumps(dataset.meta.to_dict(), indent=2, sort_keys=True) + "\n"
-    atomic_write_text(sidecar_path(path), sidecar)
+    write_record(sidecar_path(path), dataset.meta.to_dict())
 
 
 def read_dataset(path: str | Path) -> Dataset:
@@ -182,14 +213,7 @@ def _read_sidecar(path: str | Path) -> Provenance:
     if not side.exists():
         warnings.warn(f"metadata sidecar {side} not found; provenance will be empty")
         return Provenance()
-    try:
-        with open(side, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
-        return Provenance.from_dict(data)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"{side}: malformed metadata sidecar: {exc}") from exc
+    return read_record(side, "metadata sidecar", Provenance.from_dict)
 
 
 def write_codec(codec: LinearCodec, path: str | Path) -> None:
@@ -218,33 +242,16 @@ def read_codec(path: str | Path) -> LinearCodec:
             raise FileFormatError(f"{path}: ratio {num}/{den} is not a positive rational")
         dim = 2 * delay_bins * antennas
         floats = _read_payload(fh, path, dim + dim * m, "<f8")
-    ratio = Fraction(num, den)
-    if m != component_count(ratio, dim):
-        raise CorruptedFileError(
-            f"{path}: component count {m} inconsistent with ratio {num}/{den} "
-            f"(expected {component_count(ratio, dim)})"
-        )
-    mean = floats[:dim]
     basis = floats[dim:].reshape(m, dim).T
     try:
-        return LinearCodec(delay_bins, antennas, ratio, mean, basis)
+        return LinearCodec(delay_bins, antennas, Fraction(num, den), floats[:dim], basis)
     except ValueError as exc:
         raise CorruptedFileError(f"{path}: codec payload invalid: {exc}") from exc
 
 
 def write_report(report: EvalReport, path: str | Path) -> None:
-    atomic_write_text(path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_record(path, report.to_dict())
 
 
 def read_report(path: str | Path) -> EvalReport:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FileFormatError(f"{path}: report is not UTF-8 JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise FileFormatError(f"{path}: report must be a JSON object")
-    try:
-        return EvalReport.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: malformed report: {exc}") from exc
+    return read_record(path, "report", EvalReport.from_dict)

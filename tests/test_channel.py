@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,31 @@ def test_shipped_presets_load(name):
     assert spec.subcarriers == 1024
     assert spec.antennas == 32
     assert spec.delay_range[1] <= 16.0
+
+
+@pytest.mark.parametrize(
+    "name", ["motion-range-train", "motion-range-test", "motion-mode-train", "motion-mode-test"]
+)
+def test_shipped_presets_rewrite_byte_for_byte(tmp_path, name):
+    preset = PRESET_DIR / f"{name}.json"
+    copy = tmp_path / "copy.json"
+    save_scenario(load_scenario(preset), copy)
+    assert copy.read_bytes() == preset.read_bytes()
+
+
+def test_save_scenario_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "scenario.json"
+    save_scenario(small_spec(), path)
+    before = path.read_bytes()
+
+    def crash(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="rename failed"):
+        save_scenario(small_spec(seed=7), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
 
 def test_shipped_preset_pairs_shift_delay_profile():

@@ -380,6 +380,16 @@ def test_codec_requires_orthonormal_basis():
         LinearCodec(2, True, Fraction(1, 2), codec.mean, codec.basis)
 
 
+def test_codec_components_must_match_ratio():
+    # Ratio 1/4 of feature dim 8 keeps 2 components, so a 1-column basis is
+    # a codec write_codec could write and read_codec would reject.
+    message = r"component count 1 inconsistent with ratio 1/4 \(expected 2\)"
+    with pytest.raises(ValueError, match=message):
+        LinearCodec(2, 2, Fraction(1, 4), np.zeros(8), np.eye(8)[:, :1])
+    with pytest.raises(ValueError, match="retains no components"):
+        LinearCodec(2, 2, Fraction(1, 100), np.zeros(8), np.eye(8)[:, :1])
+
+
 def test_mean_only_codec_from_orthogonal_basis():
     # a basis orthogonal to every centred sample reconstructs the mean
     ds = angular_dataset(np.array([[[1.0 + 0j, 0.0]], [[3.0 + 0j, 0.0]]]))

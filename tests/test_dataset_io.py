@@ -1,6 +1,7 @@
 """Tests for the binary dataset/codec containers and JSON artifacts."""
 
 import json
+import re
 import struct
 import tracemalloc
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from csiaug.augment import augment_dataset
-from csiaug.channel import ScenarioSpec, generate_angular_dataset
+from csiaug.channel import ScenarioSpec, generate_angular_dataset, load_scenario
 from csiaug import dataset_io
 from csiaug.codec import EvalReport, LinearCodec, fit_codec
 from csiaug.core import (
@@ -29,10 +30,12 @@ from csiaug.dataset_io import (
     FileFormatError,
     read_codec,
     read_dataset,
+    read_record,
     read_report,
     sidecar_path,
     write_codec,
     write_dataset,
+    write_record,
     write_report,
 )
 from csiaug.rng import RNG_SCHEME
@@ -513,6 +516,38 @@ def test_report_round_trip(tmp_path):
     path.write_bytes(b'{"label": "\xff"}')
     with pytest.raises(FileFormatError, match="not UTF-8 JSON"):
         read_report(path)
+
+
+def test_record_grammar(tmp_path):
+    path = tmp_path / "record.json"
+    write_record(path, {"b": [1, 2.5], "a": None})
+    assert path.read_bytes() == b'{\n  "a": null,\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+    assert read_record(path, "thing", dict) == {"a": None, "b": [1, 2.5]}
+    with pytest.raises(FileFormatError, match=re.escape(f"malformed thing {path}: 'c'")):
+        read_record(path, "thing", lambda data: data["c"])
+
+
+@pytest.mark.parametrize(
+    "raw,reason",
+    [
+        (b'{"seed": ', "not UTF-8 JSON: "),
+        (b'{"seed": "\xff"}', "not UTF-8 JSON: "),
+        (b"[]", "must contain a JSON object, got list"),
+    ],
+    ids=["truncated", "not-utf8", "list"],
+)
+def test_json_records_name_their_kind_and_path(tmp_path, raw, reason):
+    data = tmp_path / "data.csia"
+    write_dataset(float32_dataset(), data)
+    report, scenario = tmp_path / "report.json", tmp_path / "scenario.json"
+    for what, path, read in [
+        ("metadata sidecar", sidecar_path(data), lambda: read_dataset(data)),
+        ("report", report, lambda: read_report(report)),
+        ("scenario file", scenario, lambda: load_scenario(scenario)),
+    ]:
+        path.write_bytes(raw)
+        with pytest.raises(FileFormatError, match=re.escape(f"malformed {what} {path}: {reason}")):
+            read()
 
 
 # Fuzzing: up to three truncations, bit flips or forged header fields

@@ -116,6 +116,8 @@ def test_summary_pins_the_trial_protocol(tmp_path, script, extra):
          "--seed-base must fit in 64 unsigned bits"),
         ("run_shift_sweep.py", ["--values", ","], "--values must name distinct shift steps"),
         ("run_shift_sweep.py", ["--values", "1,1"], "--values must name distinct shift steps"),
+        ("run_domain_gap.py", ["--out", "{tmp}/missing/summary.json"], "--out directory"),
+        ("run_shift_sweep.py", ["--out", "{tmp}/missing/summary.json"], "--out directory"),
     ],
 )
 def test_script_rejects_bad_flags_before_drawing(tmp_path, script, extra, message):
@@ -123,7 +125,7 @@ def test_script_rejects_bad_flags_before_drawing(tmp_path, script, extra, messag
     # The scenario file does not exist, so only a script that judges its
     # flags before it loads a scenario and draws channels exits 2 here.
     proc = run_script(script, *SMALL, "--train-scenario", str(tmp_path / "missing.json"),
-                      *extra, "--out", str(out))
+                      "--out", str(out), *[arg.format(tmp=tmp_path) for arg in extra])
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr and "Traceback" not in proc.stderr
     assert not out.exists()
@@ -136,12 +138,27 @@ def test_script_rejects_bad_flags_before_drawing(tmp_path, script, extra, messag
         ("run_domain_gap.py", ["--na", "2000"], "cannot exceed subcarriers"),
         ("run_shift_sweep.py", ["--ratio", "1/10000"], "retains no components"),
         ("run_domain_gap.py", ["--ratio", "2"], "exceeds feature dim"),
+        ("run_domain_gap.py", ["--test-scenario", "{tmp}/missing.json"],
+         "No such file or directory"),
+        ("run_shift_sweep.py", ["--train-scenario", "{tmp}/missing.json"],
+         "No such file or directory"),
+        ("run_domain_gap.py", ["--train-scenario", "{tmp}/list.json"],
+         "must contain a JSON object, got list"),
+        ("run_shift_sweep.py", ["--train-scenario", "{tmp}/list.json"],
+         "must contain a JSON object, got list"),
+        ("run_domain_gap.py", ["--test-scenario", "{tmp}/wide.json"],
+         "test scenario has 16 antennas, training scenario 32"),
     ],
 )
 def test_script_rejects_flags_that_conflict_with_the_scenario(tmp_path, script, extra, message):
     out = tmp_path / "summary.json"
-    # The shipped presets load; the flags only fail against their shape.
-    proc = run_script(script, *SMALL, *extra, "--out", str(out))
+    # The shipped presets load unless a case names one of these files; the
+    # flags only fail against their shape.
+    (tmp_path / "list.json").write_text("[1, 2]")
+    wide = json.loads((ROOT / "scenarios" / "motion-range-test.json").read_text())
+    (tmp_path / "wide.json").write_text(json.dumps({**wide, "antennas": 16}))
+    proc = run_script(script, *SMALL, *[arg.format(tmp=tmp_path) for arg in extra],
+                      "--out", str(out))
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr and "Traceback" not in proc.stderr
     assert not out.exists()
