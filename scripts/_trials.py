@@ -3,9 +3,10 @@
 Trial ``i`` draws its training set under seed ``derive_seed(seed_base, 2i)``
 and its test set under ``derive_seed(seed_base, 2i + 1)``, augments with
 seed ``derive_seed(seed_base, 100 + i)``, and fits and evaluates one codec
-per pass on that shared test set.  Flags are judged before any scenario
-loads, then the scenario files and the flags against their shape: a bad
-one exits 2 with a usage message, before any channel is drawn.
+per pass on that shared test set; at most 50 trials keep those seeds
+apart.  Flags are judged before any scenario loads, then the scenario
+files and the flags against their shape: a bad one exits 2 with a usage
+message, before any channel is drawn.
 """
 
 from contextlib import contextmanager
@@ -23,7 +24,7 @@ from csiaug import (
     parse_ratio,
 )
 from csiaug.codec import check_components
-from csiaug.dataset_io import write_record
+from csiaug.dataset_io import check_out, write_record
 from csiaug.rng import check_int, check_seed
 
 PRESETS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -55,15 +56,15 @@ def parse(ap):
     """Parse ``ap``'s flags and judge the shared ones; returns them with the exact ratio."""
     args = ap.parse_args()
     with judged(ap):
-        check_int(args.seeds, "--seeds", 1)
+        check_int(args.seeds, "--seeds", 1, 50)
         ratio = parse_ratio(args.ratio)
         check_int(args.na, "--na", 1)
         # fit_codec needs two training samples, evaluate one test sample.
         check_int(args.train_count, "--train-count", 2)
         check_int(args.test_count, "--test-count", 1)
         check_seed(args.seed_base, "--seed-base")
-        if args.out and not Path(args.out).parent.is_dir():
-            raise ValueError(f"--out directory {Path(args.out).parent} does not exist")
+        if args.out:
+            check_out(args.out)
     return args, ratio
 
 

@@ -23,14 +23,14 @@ format instead.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from csiaug.core import Dataset, DftPlan, Domain, Provenance
+from csiaug.core import Dataset, DftPlan, Domain, Provenance, from_record, to_record
 from csiaug.dataset_io import read_record, write_record
 from csiaug.rng import RNG_SCHEME, check_int, check_real, check_seed, make_generator
 from csiaug.transform import transform_values
@@ -81,19 +81,11 @@ class ScenarioSpec:
         return np.exp(-self.gain_decay * np.arange(self.paths, dtype=np.float64))
 
     def to_dict(self) -> dict[str, Any]:
-        ranges = {"delay_range": list(self.delay_range), "angle_range": list(self.angle_range)}
-        return {**asdict(self), **ranges}
+        return to_record(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        names = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - names)
-        if unknown:
-            raise ValueError(f"unknown scenario fields: {', '.join(unknown)}")
-        missing = sorted(names - set(data))
-        if missing:
-            raise ValueError(f"missing scenario fields: {', '.join(missing)}")
-        return cls(**data)
+        return from_record(cls, data)
 
 
 def _pair(value: Any, name: str) -> tuple[float, float]:

@@ -8,7 +8,8 @@ lays multiple evaluations out as a methods-by-ratios grid, and ``sweep``
 automates a parameter sweep of augment + fit + eval.
 
 Exit codes: 0 on success, 2 for usage errors (bad flags, flag
-combinations, or flag values out of range whatever the input holds),
+combinations, flag values out of range whatever the input holds, or an
+``--out`` that is a directory or lies in a missing one),
 1 for runtime failures (missing or malformed files, invalid data, or
 flag values that conflict with the input).  ``AugmentParams`` judges the
 augmentation flags (one pass per sweep value) before any file is read,
@@ -31,7 +32,8 @@ from csiaug.channel import generate_dataset, load_scenario
 from csiaug.codec import EvalReport, evaluate, fit_codec, fit_spectrum, parse_ratio
 from csiaug.core import AugmentMethod, AugmentMode, AugmentParams, DftPlan, ShiftDirection
 from csiaug.dataset_io import (
-    atomic_write_text,
+    atomic_write_bytes,
+    check_out,
     read_codec,
     read_dataset,
     read_report,
@@ -129,14 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_flag_ranges(args: argparse.Namespace) -> None:
+def _check_flags(args: argparse.Namespace) -> None:
     for flag, low, high in _FLAG_RANGES:
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        _usage(check_int, value, f"--{flag}", low)
-        if high is not None and value > high:
-            raise UsageError(f"--{flag} must be at most {high}, got {value}")
+        if getattr(args, flag, None) is not None:
+            _usage(check_int, getattr(args, flag), f"--{flag}", low, high)
+    if args.out is not None:
+        _usage(check_out, args.out)
 
 
 def _usage(build: Callable[..., Any], *args: Any) -> Any:
@@ -252,7 +252,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     reports = [read_report(path) for path in args.inputs]
     text = render_report_grid(reports, args.format)
     if args.out:
-        atomic_write_text(args.out, text)
+        atomic_write_bytes(args.out, text.encode("utf-8"))
         print(f"wrote {args.format} grid to {args.out}")
     else:
         sys.stdout.write(text)
@@ -318,7 +318,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return 0 if code in (0, None) else int(code)
     try:
-        _check_flag_ranges(args)
+        _check_flags(args)
         return _DISPATCH[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

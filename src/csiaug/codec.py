@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
 
 import numpy as np
 
-from csiaug.core import Dataset, Domain
-from csiaug.rng import check_int, check_real
+from csiaug.core import Dataset, Domain, check_object, from_record, to_record
+from csiaug.rng import check_int, check_real, check_str
 
 DB_FLOOR = -300.0
 ORTHONORMALITY_TOL = 1e-8
@@ -341,28 +341,22 @@ class EvalReport:
     db_floor: float = DB_FLOOR
 
     def __post_init__(self) -> None:
+        for name in ("label", "ratio"):
+            check_str(getattr(self, name), name)
         object.__setattr__(self, "sample_count", check_int(self.sample_count, "sample_count"))
         for name in ("nmse_linear", "nmse_db", "db_floor"):
             object.__setattr__(self, name, check_real(getattr(self, name), name))
-        object.__setattr__(self, "codec_info", dict(self.codec_info))
+        object.__setattr__(self, "codec_info", check_object(self.codec_info, "codec_info"))
         if self.test_provenance is not None:
-            object.__setattr__(self, "test_provenance", dict(self.test_provenance))
+            provenance = check_object(self.test_provenance, "test_provenance")
+            object.__setattr__(self, "test_provenance", provenance)
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        return to_record(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EvalReport":
-        return cls(
-            label=str(data["label"]),
-            ratio=str(data["ratio"]),
-            nmse_linear=data["nmse_linear"],
-            nmse_db=data["nmse_db"],
-            sample_count=data["sample_count"],
-            codec_info=dict(data["codec_info"]),
-            test_provenance=data.get("test_provenance"),
-            db_floor=data.get("db_floor", DB_FLOOR),
-        )
+        return from_record(cls, data)
 
 
 def evaluate(codec: LinearCodec, test: Dataset, label: str = "unlabeled") -> EvalReport:

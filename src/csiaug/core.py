@@ -9,12 +9,12 @@ read-only NumPy arrays, so instances can be shared freely.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from csiaug.rng import check_int, check_seed
+from csiaug.rng import check_int, check_seed, check_str
 
 
 class Domain(enum.Enum):
@@ -166,20 +166,34 @@ def combine_polar(amplitude: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return amplitude * (np.cos(phase) + 1j * np.sin(phase))
 
 
-def _rng_scheme(data: Mapping[str, Any]) -> str | None:
-    """The ``rng`` key of a provenance dict; absent in records older than the key."""
-    scheme = data.get("rng")
-    if scheme is not None and not isinstance(scheme, str):
-        raise TypeError(f"rng scheme must be a string, got {type(scheme).__name__}")
-    return scheme
+# Keys a record gained after files without them were written: left out when
+# None, so those files read and write back byte for byte.
+ADDED_LATER = {"rng"}
 
 
-def _with_rng(out: dict[str, Any], rng: str | None) -> dict[str, Any]:
-    # Legacy records carry no scheme; leaving the key out keeps their
-    # sidecars byte-identical through read -> write.
-    if rng is not None:
-        out["rng"] = rng
-    return out
+def to_record(obj: Any) -> dict[str, Any]:
+    """The JSON object of dataclass record ``obj``: its fields as keys, tuples as lists."""
+    return asdict(obj, dict_factory=lambda pairs: {
+        k: list(v) if isinstance(v, tuple) else v
+        for k, v in pairs if not (k in ADDED_LATER and v is None)})
+
+
+def from_record(cls: type, data: Mapping[str, Any]) -> Any:
+    """``cls(**data)`` once every key names a field and every field without a default is given."""
+    unknown = sorted(set(check_object(data, cls.__name__)) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown fields: {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in data and f.default is MISSING]
+    if missing:
+        raise ValueError(f"missing fields: {', '.join(missing)}")
+    return cls(**data)
+
+
+def check_object(value: Mapping[str, Any], name: str) -> dict[str, Any]:
+    """A copy of ``value``; ``ValueError`` naming ``name`` unless it is a JSON object."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    return dict(value)
 
 
 @dataclass(frozen=True)
@@ -194,21 +208,18 @@ class AugmentationRecord:
     rng: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parameters", dict(self.parameters))
+        check_str(self.method, "method")
+        object.__setattr__(self, "parameters", check_object(self.parameters, "parameters"))
         object.__setattr__(self, "seed", check_int(self.seed, "seed"))
+        if self.rng is not None:
+            check_str(self.rng, "rng scheme")
 
     def to_dict(self) -> dict[str, Any]:
-        out = {"method": self.method, "parameters": dict(self.parameters), "seed": self.seed}
-        return _with_rng(out, self.rng)
+        return to_record(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AugmentationRecord":
-        return cls(
-            method=str(data["method"]),
-            parameters=dict(data["parameters"]),
-            seed=data["seed"],
-            rng=_rng_scheme(data),
-        )
+        return from_record(cls, data)
 
 
 @dataclass(frozen=True)
@@ -224,32 +235,23 @@ class Provenance:
 
     def __post_init__(self) -> None:
         if self.scenario is not None:
-            object.__setattr__(self, "scenario", dict(self.scenario))
+            object.__setattr__(self, "scenario", check_object(self.scenario, "scenario"))
         object.__setattr__(self, "augmentations", tuple(self.augmentations))
         if self.seed is not None:
             object.__setattr__(self, "seed", check_int(self.seed, "seed"))
+        if self.rng is not None:
+            check_str(self.rng, "rng scheme")
 
     def with_augmentation(self, record: AugmentationRecord) -> "Provenance":
         return replace(self, augmentations=self.augmentations + (record,))
 
     def to_dict(self) -> dict[str, Any]:
-        out = {
-            "scenario": dict(self.scenario) if self.scenario is not None else None,
-            "seed": self.seed,
-            "augmentations": [rec.to_dict() for rec in self.augmentations],
-        }
-        return _with_rng(out, self.rng)
+        return to_record(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Provenance":
-        return cls(
-            scenario=data.get("scenario"),
-            seed=data.get("seed"),
-            augmentations=tuple(
-                AugmentationRecord.from_dict(rec) for rec in data.get("augmentations", [])
-            ),
-            rng=_rng_scheme(data),
-        )
+        records = [AugmentationRecord.from_dict(rec) for rec in data.get("augmentations", ())]
+        return from_record(cls, {**data, "augmentations": records})
 
 
 @dataclass(frozen=True, eq=False)

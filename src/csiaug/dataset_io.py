@@ -92,13 +92,9 @@ def atomic_write_bytes(path: str | Path, *chunks: Any) -> None:
         raise
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def write_record(path: str | Path, obj: dict[str, Any]) -> None:
     """Write JSON object ``obj`` atomically: sorted keys, 2-space indent, final newline."""
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    atomic_write_bytes(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def read_record(path: str | Path, what: str, parse: Callable[[dict[str, Any]], Any]) -> Any:
@@ -121,6 +117,15 @@ def read_record(path: str | Path, what: str, parse: Callable[[dict[str, Any]], A
         return parse(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed {what} {path}: {exc}") from exc
+
+
+def check_out(path: str | Path) -> None:
+    """``ValueError`` unless output ``path`` is no directory and lies in one that exists."""
+    path = Path(path)
+    if path.is_dir():
+        raise ValueError(f"--out {path} is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"--out directory {path.parent} does not exist")
 
 
 def sidecar_path(path: str | Path) -> Path:

@@ -11,7 +11,7 @@ platform-independent: the same key yields the same stream everywhere.
 Stream ``(s, 0)`` is the stream of ``Philox(key=s)``, so a one-matrix
 call draws what a plain 64-bit key would.  :func:`check_int` is the
 integer check that seeds and every other integer field share;
-:func:`check_real` is its counterpart for real-valued fields.
+:func:`check_real` and :func:`check_str` do the same for reals and strings.
 """
 
 from __future__ import annotations
@@ -26,15 +26,17 @@ MASK64 = (1 << 64) - 1
 RNG_SCHEME = "philox4x64-10(seed,index)"
 
 
-def check_int(value: int, name: str, low: int | None = None) -> int:
+def check_int(value: int, name: str, low: int | None = None, high: int | None = None) -> int:
     """``value`` as a plain int; ``ValueError`` naming ``name`` unless it is
     a Python or NumPy integer (``bool``, floats and strings are rejected)
-    of at least ``low``, when given."""
+    of at least ``low`` and at most ``high``, when given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if low is not None and value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value}")
     return value
 
 
@@ -45,6 +47,13 @@ def check_real(value: float, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def check_str(value: str, name: str) -> str:
+    """``value``; ``ValueError`` naming ``name`` unless it is a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def check_seed(seed: int, name: str = "seed") -> int:

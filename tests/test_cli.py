@@ -202,6 +202,17 @@ RANGE_CASES = [
     pytest.param(["sweep", "--train", "missing.csia", "--test", "x.csia", "--method", "bs-up",
                   "--param", "shift", "--values", "1,-1", "--ratio", "1/4", "--out", "y.json"],
                  2, id="sweep-values-before-missing-file"),
+    # --out is judged before any work: "." is a directory, "missing/" does not exist
+    pytest.param(["gen", "--scenario", "s.json", "--count", "4", "--out", "."], 2,
+                 id="gen-out-directory"),
+    pytest.param(["gen", "--scenario", "s.json", "--count", "4", "--out", "missing/y.csia"], 2,
+                 id="gen-out-in-missing-directory"),
+    pytest.param(["transform", "--in", "f.csia", "--na", "4", "--out", "."], 2,
+                 id="transform-out-directory"),
+    pytest.param(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
+                  "--param", "shift", "--values", "1", "--ratio", "1/4", "--out", "."],
+                 2, id="sweep-out-directory"),
+    pytest.param(["report", "--in", "y.json", "--out", "."], 2, id="report-out-directory"),
     # valid flag values that conflict with the input: runtime errors
     pytest.param(["transform", "--in", "f.csia", "--na", "2000", "--out", "y.csia"], 1,
                  id="transform-na-above-subcarriers"),

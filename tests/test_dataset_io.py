@@ -615,3 +615,117 @@ def test_codec_reader_fuzz(tmp_path, mutations):
     write_codec(fitted_codec(), path)
     path.write_bytes(mutate(path.read_bytes(), mutations))
     parses_or_rejects(read_codec, path)
+
+
+# Records: the keys of every JSON record are its dataclass fields.
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+JSON_OBJECTS = st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=4)
+SCHEMES = st.none() | st.text(max_size=12)
+AUGMENTATION_RECORDS = st.builds(
+    AugmentationRecord, st.text(max_size=6), JSON_OBJECTS, st.integers(), SCHEMES
+)
+PROVENANCES = st.builds(
+    Provenance,
+    st.none() | JSON_OBJECTS,
+    st.none() | st.integers(),
+    st.lists(AUGMENTATION_RECORDS, max_size=3).map(tuple),
+    SCHEMES,
+)
+REALS = st.floats(allow_nan=False, allow_infinity=False)
+REPORTS = st.builds(
+    EvalReport,
+    st.text(max_size=6),
+    st.text(max_size=6),
+    REALS,
+    REALS,
+    st.integers(),
+    JSON_OBJECTS,
+    st.none() | PROVENANCES.map(Provenance.to_dict),
+    REALS,
+)
+RECORDS = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@RECORDS
+@given(st.one_of(PROVENANCES, REPORTS))
+def test_records_round_trip_byte_for_byte(tmp_path, record):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    write_record(first, record.to_dict())
+    back = read_record(first, "record", type(record).from_dict)
+    assert back == record
+    assert type(record).from_dict(record.to_dict()) == record
+    write_record(second, back.to_dict())
+    assert second.read_bytes() == first.read_bytes()
+    # A key added later is left out, not written as null, when it is None.
+    if isinstance(record, Provenance):
+        assert ("rng" in record.to_dict()) == (record.rng is not None)
+        for rec, out in zip(record.augmentations, record.to_dict()["augmentations"]):
+            assert ("rng" in out) == (rec.rng is not None)
+
+
+def record_files(tmp_path):
+    """(kind, path, read, valid JSON object) of a sidecar, a report and a scenario file."""
+    data = tmp_path / "data.csia"
+    spec = ScenarioSpec(8, 2, 2, (0.0, 3.0), (-0.5, 0.5), 0.3, seed=6)
+    params = AugmentParams(method=AugmentMethod.BUBBLE_SHIFT_UP, shift=1, seed=4)
+    write_dataset(augment_dataset(generate_angular_dataset(spec, 2, 4), params), data)
+    side = json.loads(sidecar_path(data).read_text())
+    report = EvalReport("none", "1/4", 0.5, -3.0, 2, {"components": 4}, side)
+    report_path, scenario = tmp_path / "report.json", tmp_path / "scenario.json"
+    return [
+        ("metadata sidecar", sidecar_path(data), lambda: read_dataset(data), side),
+        ("report", report_path, lambda: read_report(report_path), report.to_dict()),
+        ("scenario file", scenario, lambda: load_scenario(scenario), spec.to_dict()),
+    ]
+
+
+def test_records_reject_unknown_and_missing_fields(tmp_path):
+    for what, path, read, valid in record_files(tmp_path):
+        path.write_text(json.dumps({**valid, "extra": 1}))
+        unknown = re.escape(f"{what} {path}: unknown fields: extra")
+        with pytest.raises(FileFormatError, match=unknown):
+            read()
+        if what == "metadata sidecar":
+            # Every provenance field has a default; an augmentation record's seed has none.
+            record = {k: v for k, v in valid["augmentations"][0].items() if k != "seed"}
+            broken, field = {**valid, "augmentations": [record]}, "seed"
+        else:
+            field = "label" if what == "report" else "gain_decay"
+            broken = {k: v for k, v in valid.items() if k != field}
+        path.write_text(json.dumps(broken))
+        missing = re.escape(f"{what} {path}: missing fields: {field}")
+        with pytest.raises(FileFormatError, match=missing):
+            read()
+
+
+@pytest.mark.parametrize(
+    "what,field,value,message",
+    [
+        ("report", "label", None, "label must be a string"),
+        ("report", "ratio", 0.25, "ratio must be a string"),
+        ("report", "codec_info", [["components", 4]], "codec_info must be a JSON object"),
+        ("report", "test_provenance", [["seed", 6]], "test_provenance must be a JSON object"),
+        ("metadata sidecar", "scenario", [["subcarriers", 8]], "scenario must be a JSON object"),
+        ("metadata sidecar", "parameters", [["shift", 1]], "parameters must be a JSON object"),
+        ("metadata sidecar", "method", 5, "method must be a string"),
+        ("metadata sidecar", "augmentations", ["rg"], "AugmentationRecord must be a JSON object"),
+    ],
+)
+def test_records_check_fields_instead_of_converting_them(tmp_path, what, field, value, message):
+    path, read, valid = next((p, r, v) for kind, p, r, v in record_files(tmp_path) if kind == what)
+    if field in valid:
+        broken = {**valid, field: value}
+    else:
+        broken = {**valid, "augmentations": [{**valid["augmentations"][0], field: value}]}
+    path.write_text(json.dumps(broken))
+    with pytest.raises(FileFormatError, match=re.escape(f"{what} {path}: {message}")):
+        read()

@@ -1,9 +1,11 @@
 """Tests for the (seed, index)-keyed random streams."""
 
+import re
+
 import numpy as np
 import pytest
 
-from csiaug.rng import check_int, check_seed, derive_seed, make_generator
+from csiaug.rng import check_int, check_seed, check_str, derive_seed, make_generator
 
 
 def test_swapped_seed_and_index_name_different_streams():
@@ -55,3 +57,18 @@ def test_check_int_takes_integers_and_names_the_field():
     # The type is judged before the bound.
     with pytest.raises(ValueError, match="n must be an integer"):
         check_int(-1.5, "n", 0)
+
+
+def test_check_int_upper_bound_and_check_str():
+    assert check_int(50, "--seeds", 1, 50) == 50
+    assert check_int(2**70, "n", None, None) == 2**70
+    with pytest.raises(ValueError, match="--seeds must be at most 50, got 51"):
+        check_int(51, "--seeds", 1, 50)
+    with pytest.raises(ValueError, match="n must be at most 3, got 4"):
+        check_int(np.uint8(4), "n", high=3)
+    assert check_str("rg", "method") == "rg"
+    assert check_str("", "label") == ""
+    # Strings are checked, never converted from other JSON values.
+    for value in (None, 0.25, 5, True, ["rg"], {"a": 1}, b"rg"):
+        with pytest.raises(ValueError, match=re.escape(f"label must be a string, got {value!r}")):
+            check_str(value, "label")
