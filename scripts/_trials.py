@@ -3,7 +3,8 @@
 Trial ``i`` draws its training set under seed ``derive_seed(seed_base, 2i)``
 and its test set under ``derive_seed(seed_base, 2i + 1)``, augments with
 seed ``derive_seed(seed_base, 100 + i)``, and fits and evaluates one codec
-per pass on that shared test set; at most 50 trials keep those seeds
+per pass on that shared test set through ``csiaug.codec.evaluate_passes``,
+the loop ``csiaug sweep`` runs too; at most 50 trials keep those seeds
 apart.  Flags are judged before any scenario loads, then the scenario
 files and the flags against their shape: a bad one exits 2 with a usage
 message, before any channel is drawn.
@@ -13,17 +14,8 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from csiaug import (
-    AugmentMode,
-    DftPlan,
-    augment_dataset,
-    derive_seed,
-    evaluate,
-    fit_codec,
-    generate_angular_dataset,
-    parse_ratio,
-)
-from csiaug.codec import check_components
+from csiaug import AugmentMode, DftPlan, derive_seed, generate_angular_dataset, parse_ratio
+from csiaug.codec import check_components, evaluate_passes
 from csiaug.dataset_io import check_out, write_record
 from csiaug.rng import check_int, check_seed
 
@@ -90,12 +82,8 @@ def run(ap, args, ratio, train_spec, test_spec, passes):
         test = generate_angular_dataset(
             test_spec.with_seed(derive_seed(args.seed_base, 2 * i + 1)), args.test_count, args.na)
         seed = derive_seed(args.seed_base, 100 + i)
-        nmse_db = []
-        for params in passes:
-            fitted = train if params is None else augment_dataset(
-                train, replace(params, seed=seed), mode)
-            nmse_db.append(evaluate(fit_codec(fitted, ratio), test).nmse_db)
-        yield i, nmse_db
+        seeded = [None if p is None else replace(p, seed=seed) for p in passes]
+        yield i, [r.nmse_db for r in evaluate_passes(train, test, seeded, ratio, mode)]
 
 
 def write(args, summary):

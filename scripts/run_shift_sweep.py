@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import _trials
 from csiaug import AugmentMethod, AugmentParams, load_scenario
+from csiaug.rng import check_ints
 
 
 def main():
@@ -29,9 +30,7 @@ def main():
                     choices=["bs-up", "bs-down"])
     args, ratio = _trials.parse(ap)
     with _trials.judged(ap):
-        values = [int(v) for v in args.values.split(",") if v.strip() != ""]
-        if not values or len(set(values)) != len(values):
-            raise ValueError(f"--values must name distinct shift steps, got {args.values!r}")
+        values = check_ints(args.values, "--values", "shift steps")
         passes = [AugmentParams(AugmentMethod(args.method), shift=s) for s in values]
         train_spec = load_scenario(args.train_scenario)
         lo, hi = train_spec.delay_range

@@ -12,9 +12,10 @@ combinations, flag values out of range whatever the input holds, or an
 ``--out`` that is a directory or lies in a missing one),
 1 for runtime failures (missing or malformed files, invalid data, or
 flag values that conflict with the input).  ``AugmentParams`` judges the
-augmentation flags (one pass per sweep value) before any file is read,
-so a shift or block size it rejects is a usage error even where the
-method ignores it.  All artifacts are written atomically and contain no
+augmentation flags (one pass per distinct sweep value) before any file is
+read, so a shift or block size it rejects is a usage error even where the
+method ignores it; ``sweep`` judges its test file against its training
+file before the first pass.  Artifacts are written atomically without
 timestamps, so reruns with the same inputs and seeds are byte-identical.
 """
 
@@ -29,7 +30,7 @@ from typing import Any, Callable, Sequence
 
 from csiaug.augment import augment_dataset
 from csiaug.channel import generate_dataset, load_scenario
-from csiaug.codec import EvalReport, evaluate, fit_codec, fit_spectrum, parse_ratio
+from csiaug.codec import EvalReport, evaluate, evaluate_passes, fit_codec, fit_spectrum, parse_ratio
 from csiaug.core import AugmentMethod, AugmentMode, AugmentParams, DftPlan, ShiftDirection
 from csiaug.dataset_io import (
     atomic_write_bytes,
@@ -42,7 +43,7 @@ from csiaug.dataset_io import (
     write_record,
     write_report,
 )
-from csiaug.rng import MASK64, check_int
+from csiaug.rng import MASK64, check_int, check_ints
 from csiaug.transform import inverse_transform_dataset, transform_dataset
 
 # (flag, lowest, highest) for values invalid whatever the input holds, which
@@ -260,22 +261,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        values = [int(v) for v in args.values.split(",") if v.strip() != ""]
-    except ValueError:
-        raise UsageError(f"--values must be comma-separated integers, got {args.values!r}") from None
-    if not values:
-        raise UsageError("--values is empty")
+    values = _usage(check_ints, args.values, "--values", f"{args.param} values")
     passes = [_augment_params(args, **{args.param: value}) for value in values]
     ratio = _usage(parse_ratio, args.ratio)
     train = read_dataset(args.train)
     test = read_dataset(args.test)
     mode = AugmentMode(args.mode)
     results: list[dict[str, Any]] = []
-    for value, params in zip(values, passes):
-        augmented = augment_dataset(train, params, mode)
-        codec = fit_codec(augmented, ratio)
-        report = evaluate(codec, test, label=f"{args.method} {args.param}={value}")
+    for value, report in zip(values, evaluate_passes(train, test, passes, ratio, mode)):
         results.append(
             {"value": value, "nmse_linear": report.nmse_linear, "nmse_db": report.nmse_db}
         )

@@ -29,11 +29,14 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from csiaug.core import Dataset, Domain, check_object, from_record, to_record
+from csiaug.augment import augment_dataset
+from csiaug.core import (
+    AugmentMode, AugmentParams, Dataset, Domain, check_object, from_record, to_record,
+)
 from csiaug.rng import check_int, check_real, check_str
 
 DB_FLOOR = -300.0
@@ -359,12 +362,18 @@ class EvalReport:
         return from_record(cls, data)
 
 
-def evaluate(codec: LinearCodec, test: Dataset, label: str = "unlabeled") -> EvalReport:
-    """Encode and decode every test sample, returning the NMSE report."""
+def _check_test(test: Dataset, shape: tuple[int, int]) -> None:
     if test.domain is not Domain.ANGULAR_DELAY:
         raise ValueError(f"evaluation expects angular-delay samples, got {test.domain.value}")
     if len(test) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    if test.sample_shape != shape:
+        raise ValueError(f"sample shape {test.sample_shape} does not match codec {shape}")
+
+
+def evaluate(codec: LinearCodec, test: Dataset, label: str = "unlabeled") -> EvalReport:
+    """Encode and decode every test sample, returning the NMSE report."""
+    _check_test(test, (codec.delay_bins, codec.antennas))
     recon = reconstruct_batch(codec, test.samples)
     linear, db = _nmse_arrays(test.samples, recon)
     return EvalReport(
@@ -376,3 +385,16 @@ def evaluate(codec: LinearCodec, test: Dataset, label: str = "unlabeled") -> Eva
         codec_info=codec.info(),
         test_provenance=test.meta.to_dict(),
     )
+
+
+def evaluate_passes(
+    train: Dataset, test: Dataset, passes: Iterable[AugmentParams | None],
+    ratio: Fraction | str | int, mode: AugmentMode = AugmentMode.APPEND,
+) -> Iterator[EvalReport]:
+    """Yield one report per pass: a codec fitted at ``ratio`` on ``train``
+    augmented by the pass in ``mode`` (``None``: ``train`` itself), evaluated
+    on ``test``.  ``test`` is judged against ``train`` before the first pass."""
+    _check_test(test, train.sample_shape)
+    for params in passes:
+        fitted = train if params is None else augment_dataset(train, params, mode)
+        yield evaluate(fit_codec(fitted, ratio), test)

@@ -10,7 +10,8 @@ give independent streams without hashing the key (Salmon et al.,
 platform-independent: the same key yields the same stream everywhere.
 Stream ``(s, 0)`` is the stream of ``Philox(key=s)``, so a one-matrix
 call draws what a plain 64-bit key would.  :func:`check_int` is the
-integer check that seeds and every other integer field share;
+integer check that seeds and every other integer field share, and
+:func:`check_ints` reads a comma-separated list of them;
 :func:`check_real` and :func:`check_str` do the same for reals and strings.
 """
 
@@ -38,6 +39,18 @@ def check_int(value: int, name: str, low: int | None = None, high: int | None = 
     if high is not None and value > high:
         raise ValueError(f"{name} must be at most {high}, got {value}")
     return value
+
+
+def check_ints(text: str, name: str, what: str) -> list[int]:
+    """The integers of comma-separated ``text`` (blank entries skipped);
+    ``ValueError`` naming ``name`` unless there is at least one and none repeats."""
+    try:
+        values = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"{name} must be comma-separated integers, got {text!r}") from None
+    if not values or len(set(values)) != len(values):
+        raise ValueError(f"{name} must name distinct {what}, got {text!r}")
+    return values
 
 
 def check_real(value: float, name: str) -> float:

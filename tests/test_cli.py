@@ -195,6 +195,9 @@ RANGE_CASES = [
     pytest.param(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
                   "--param", "shift", "--values", "1,-1", "--ratio", "1/4", "--out", "y.json"],
                  2, id="sweep-shift-negative"),
+    pytest.param(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
+                  "--param", "shift", "--values", "1,1", "--ratio", "1/4", "--out", "y.json"],
+                 2, id="sweep-values-duplicate"),
     # a field the method does not use is still judged
     pytest.param(["augment", "--in", "x.csia", "--method", "rg", "--block", "4", "--shift", "-1",
                   "--out", "y.csia"], 2, id="augment-rg-shift-negative"),
@@ -252,6 +255,26 @@ def test_sweep_param_method_mismatch(workspace, capsys):
     assert cli.run(base + ["--method", "bs-up", "--param", "shift", "--values", "a,b"]) == 2
     assert cli.run(base + ["--method", "bs-up", "--param", "shift", "--values", ","]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("na", [4, None], ids=["fewer-delay-rows", "spatial-frequency"])
+def test_sweep_judges_the_test_file_before_any_fit(workspace, tmp_path, monkeypatch, capsys, na):
+    test = workspace / "test.csia"  # spatial-frequency, 16 subcarriers
+    if na is not None:  # angular-delay with 4 delay rows, the training file has 8
+        test = tmp_path / "narrow.csia"
+        assert cli.run(["transform", "--in", str(workspace / "test.csia"), "--na", str(na),
+                        "--out", str(test)]) == 0
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    out = tmp_path / "sweep.json"
+    assert cli.run(["sweep", "--train", str(workspace / "train_ang.csia"), "--test", str(test),
+                    "--method", "bs-down", "--param", "shift", "--values", "0,1",
+                    "--ratio", "1/4", "--out", str(out)]) == 1
+    assert calls == []
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "error:" in err and ("does not match codec" if na else "angular-delay") in err
 
 
 def test_bad_ratio_is_usage_error(workspace, capsys):

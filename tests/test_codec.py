@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from csiaug import codec as codec_module
+from csiaug.augment import augment_dataset
+from csiaug.channel import ScenarioSpec, generate_angular_dataset
 from csiaug.codec import (
     DB_FLOOR,
     _fix_signs,
@@ -21,6 +23,7 @@ from csiaug.codec import (
     decode_batch,
     encode_batch,
     evaluate,
+    evaluate_passes,
     features,
     fit_codec,
     fit_spectrum,
@@ -30,7 +33,7 @@ from csiaug.codec import (
     to_db,
     unfeatures,
 )
-from csiaug.core import Dataset, Domain, Provenance
+from csiaug.core import AugmentMethod, AugmentMode, AugmentParams, Dataset, Domain, Provenance
 
 
 def angular_dataset(samples, seed=0):
@@ -444,6 +447,54 @@ def test_evaluate_produces_full_report():
         evaluate(codec, Dataset(test.samples, Domain.SPATIAL_FREQUENCY))
     with pytest.raises(ValueError, match="empty"):
         evaluate(codec, angular_dataset(np.zeros((0, 4, 4))))
+
+
+def count_eigh(monkeypatch):
+    """Patch ``np.linalg.eigh`` to record each call; returns the call list."""
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", list(AugmentMode))
+def test_evaluate_passes_matches_the_hand_loop(empty_memo, monkeypatch, mode):
+    spec = ScenarioSpec(subcarriers=16, antennas=4, paths=2, delay_range=(0.0, 5.0),
+                        angle_range=(-0.5, 0.5), gain_decay=0.4, seed=77)
+    train = generate_angular_dataset(spec, 30, 8)
+    test = generate_angular_dataset(spec.with_seed(78), 10, 8)
+    passes = [None, AugmentParams(AugmentMethod.BUBBLE_SHIFT_DOWN, shift=1),
+              AugmentParams(AugmentMethod.RANDOM_GENERATION, block_size=3, seed=7)]
+    calls = count_eigh(monkeypatch)
+    reports, counts = [], []
+    for report in evaluate_passes(train, test, passes, "1/4", mode):
+        reports.append(report)
+        counts.append(len(calls))
+    assert counts == [1, 2, 3]  # one eigendecomposition per pass
+    for params, report in zip(passes, reports):
+        fitted = train if params is None else augment_dataset(train, params, mode)
+        want = evaluate(fit_codec(fitted, "1/4"), test)
+        assert report == want
+        assert report.nmse_linear.hex() == want.nmse_linear.hex()
+
+
+def test_evaluate_passes_judges_the_test_set_before_the_first_pass(empty_memo, monkeypatch):
+    train = random_dataset(20, 4, 3, seed=30)
+    passes = [AugmentParams(AugmentMethod.BUBBLE_SHIFT_DOWN, shift=1)]
+    calls = count_eigh(monkeypatch)
+    for test, message in [
+        (random_dataset(5, 2, 3, seed=31), r"sample shape \(2, 3\) does not match codec \(4, 3\)"),
+        (Dataset(train.samples[:5], Domain.SPATIAL_FREQUENCY), "expects angular-delay"),
+        (angular_dataset(np.zeros((0, 4, 3))), "empty"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            next(evaluate_passes(train, test, passes, "1/4"))
+    assert calls == []
 
 
 def test_eval_report_dict_round_trip():

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from csiaug.rng import check_int, check_seed, check_str, derive_seed, make_generator
+from csiaug.rng import check_int, check_ints, check_seed, check_str, derive_seed, make_generator
 
 
 def test_swapped_seed_and_index_name_different_streams():
@@ -72,3 +72,16 @@ def test_check_int_upper_bound_and_check_str():
     for value in (None, 0.25, 5, True, ["rg"], {"a": 1}, b"rg"):
         with pytest.raises(ValueError, match=re.escape(f"label must be a string, got {value!r}")):
             check_str(value, "label")
+
+
+def test_check_ints_reads_distinct_comma_separated_integers():
+    assert check_ints("0,1,2,3", "--values", "shift steps") == [0, 1, 2, 3]
+    assert check_ints(" 2, -1,,", "--values", "shift steps") == [2, -1]
+    for text in ("a,b", "1.5", "1;2"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"--values must be comma-separated integers, got {text!r}")):
+            check_ints(text, "--values", "shift steps")
+    for text in ("", ",", " , ", "1,1", "3,2,3"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"--values must name distinct block values, got {text!r}")):
+            check_ints(text, "--values", "block values")

@@ -122,6 +122,7 @@ def test_summary_pins_the_trial_protocol(tmp_path, script, extra):
         ("run_shift_sweep.py", ["--out", "{tmp}"], "is a directory"),
         ("run_domain_gap.py", ["--seeds", "51"], "--seeds must be at most 50"),
         ("run_shift_sweep.py", ["--seeds", "51"], "--seeds must be at most 50"),
+        ("run_shift_sweep.py", ["--values", "a,b"], "--values must be comma-separated integers"),
     ],
 )
 def test_script_rejects_bad_flags_before_drawing(tmp_path, script, extra, message):
