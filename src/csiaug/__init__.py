@@ -1,20 +1,27 @@
 """CSI toolkit: angular-delay transforms, amplitude-domain augmentation,
 synthetic multipath generation, and a linear compression/NMSE harness.
 
-Typical pipeline::
+Typical pipeline (the README's library quick tour)::
 
     from csiaug import (
-        load_scenario, generate_dataset, transform_dataset, DftPlan,
-        AugmentParams, AugmentMethod, augment_dataset, fit_codec, evaluate,
+        AugmentMethod, AugmentParams, AugmentMode,
+        augment_dataset, evaluate, fit_codec,
+        generate_angular_dataset, load_scenario,
     )
 
-    spec = load_scenario("scenarios/motion-range-train.json")
-    freq = generate_dataset(spec, 2000)
-    plan = DftPlan(spec.subcarriers, spec.antennas, delay_bins=32)
-    train = transform_dataset(freq, plan)
-    aug = augment_dataset(train, AugmentParams(AugmentMethod.BUBBLE_SHIFT_DOWN, shift=1))
-    codec = fit_codec(aug, "1/4")
-    print(evaluate(codec, test_set, label="bs-down").nmse_db)
+    train_spec = load_scenario("scenarios/motion-range-train.json")
+    test_spec = load_scenario("scenarios/motion-range-test.json")
+
+    train = generate_angular_dataset(train_spec, 2000, delay_bins=32)
+    test = generate_angular_dataset(test_spec, 500, delay_bins=32)
+
+    baseline = evaluate(fit_codec(train, "1/4"), test, label="baseline")
+
+    params = AugmentParams(AugmentMethod.BUBBLE_SHIFT_DOWN, shift=1, seed=7)
+    augmented = augment_dataset(train, params, AugmentMode.APPEND)
+    shifted = evaluate(fit_codec(augmented, "1/4"), test, label="bs-down")
+
+    print(baseline.nmse_db, shifted.nmse_db)   # the second should be lower
 
 The same steps are available as ``csiaug`` CLI subcommands.
 """

@@ -26,18 +26,18 @@ import math
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from csiaug.core import Dataset, DftPlan, Domain, Provenance, from_record, to_record
+from csiaug.core import Dataset, DftPlan, Domain, Provenance, Record
 from csiaug.dataset_io import read_record, write_record
 from csiaug.rng import RNG_SCHEME, check_int, check_real, check_seed, make_generator
 from csiaug.transform import transform_values
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     """Parameters of one propagation scenario.
 
     ``delay_range`` is in delay bins (fractional values allowed, giving
@@ -79,13 +79,6 @@ class ScenarioSpec:
 
     def path_gains(self) -> np.ndarray:
         return np.exp(-self.gain_decay * np.arange(self.paths, dtype=np.float64))
-
-    def to_dict(self) -> dict[str, Any]:
-        return to_record(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        return from_record(cls, data)
 
 
 def _pair(value: Any, name: str) -> tuple[float, float]:

@@ -35,7 +35,7 @@ import numpy as np
 
 from csiaug.augment import augment_dataset
 from csiaug.core import (
-    AugmentMode, AugmentParams, Dataset, Domain, check_object, from_record, to_record,
+    AugmentMode, AugmentParams, Dataset, Domain, Record, check_object,
 )
 from csiaug.rng import check_int, check_real, check_str
 
@@ -326,7 +326,7 @@ def nmse(ref: Dataset, rec: Dataset) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class EvalReport:
+class EvalReport(Record):
     """One evaluation run: a codec applied to one test set.
 
     ``label`` names the training condition being measured (e.g. which
@@ -353,13 +353,6 @@ class EvalReport:
         if self.test_provenance is not None:
             provenance = check_object(self.test_provenance, "test_provenance")
             object.__setattr__(self, "test_provenance", provenance)
-
-    def to_dict(self) -> dict[str, Any]:
-        return to_record(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EvalReport":
-        return from_record(cls, data)
 
 
 def _check_test(test: Dataset, shape: tuple[int, int]) -> None:

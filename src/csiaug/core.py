@@ -171,22 +171,25 @@ def combine_polar(amplitude: np.ndarray, phase: np.ndarray) -> np.ndarray:
 ADDED_LATER = {"rng"}
 
 
-def to_record(obj: Any) -> dict[str, Any]:
-    """The JSON object of dataclass record ``obj``: its fields as keys, tuples as lists."""
-    return asdict(obj, dict_factory=lambda pairs: {
-        k: list(v) if isinstance(v, tuple) else v
-        for k, v in pairs if not (k in ADDED_LATER and v is None)})
+class Record:
+    """Base of the dataclass records kept as JSON objects: fields are keys."""
 
+    def to_dict(self) -> dict[str, Any]:
+        """The JSON object of this record: its fields as keys, tuples as lists."""
+        return asdict(self, dict_factory=lambda pairs: {
+            k: list(v) if isinstance(v, tuple) else v
+            for k, v in pairs if not (k in ADDED_LATER and v is None)})
 
-def from_record(cls: type, data: Mapping[str, Any]) -> Any:
-    """``cls(**data)`` once every key names a field and every field without a default is given."""
-    unknown = sorted(set(check_object(data, cls.__name__)) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown fields: {', '.join(unknown)}")
-    missing = [f.name for f in fields(cls) if f.name not in data and f.default is MISSING]
-    if missing:
-        raise ValueError(f"missing fields: {', '.join(missing)}")
-    return cls(**data)
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> Any:
+        """``cls(**data)`` once every key names a field and every field without a default is given."""
+        unknown = sorted(set(check_object(data, cls.__name__)) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown fields: {', '.join(unknown)}")
+        missing = [f.name for f in fields(cls) if f.name not in data and f.default is MISSING]
+        if missing:
+            raise ValueError(f"missing fields: {', '.join(missing)}")
+        return cls(**data)
 
 
 def check_object(value: Mapping[str, Any], name: str) -> dict[str, Any]:
@@ -197,7 +200,7 @@ def check_object(value: Mapping[str, Any], name: str) -> dict[str, Any]:
 
 
 @dataclass(frozen=True)
-class AugmentationRecord:
+class AugmentationRecord(Record):
     """One applied augmentation step: method token, parameters, base seed,
     and the name of the random-stream scheme the seed was used with
     (``None`` for records written before schemes were recorded)."""
@@ -214,16 +217,9 @@ class AugmentationRecord:
         if self.rng is not None:
             check_str(self.rng, "rng scheme")
 
-    def to_dict(self) -> dict[str, Any]:
-        return to_record(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AugmentationRecord":
-        return from_record(cls, data)
-
 
 @dataclass(frozen=True)
-class Provenance:
+class Provenance(Record):
     """How a dataset came to be: generation scenario, base seed and its
     random-stream scheme, and the append-only chain of augmentations
     applied since generation."""
@@ -245,13 +241,14 @@ class Provenance:
     def with_augmentation(self, record: AugmentationRecord) -> "Provenance":
         return replace(self, augmentations=self.augmentations + (record,))
 
-    def to_dict(self) -> dict[str, Any]:
-        return to_record(self)
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Provenance":
-        records = [AugmentationRecord.from_dict(rec) for rec in data.get("augmentations", ())]
-        return from_record(cls, {**data, "augmentations": records})
+        data = check_object(data, cls.__name__)
+        records = data.get("augmentations", ())
+        if not isinstance(records, (list, tuple)):
+            raise ValueError(f"augmentations must be a JSON array, got {records!r}")
+        decoded = [AugmentationRecord.from_dict(rec) for rec in records]
+        return super().from_dict({**data, "augmentations": decoded})
 
 
 @dataclass(frozen=True, eq=False)

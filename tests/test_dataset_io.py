@@ -718,6 +718,9 @@ def test_records_reject_unknown_and_missing_fields(tmp_path):
         ("metadata sidecar", "parameters", [["shift", 1]], "parameters must be a JSON object"),
         ("metadata sidecar", "method", 5, "method must be a string"),
         ("metadata sidecar", "augmentations", ["rg"], "AugmentationRecord must be a JSON object"),
+        ("metadata sidecar", "augmentations", 5, "augmentations must be a JSON array, got 5"),
+        ("metadata sidecar", "augmentations", None, "augmentations must be a JSON array, got None"),
+        ("metadata sidecar", "augmentations", "ab", "augmentations must be a JSON array, got 'ab'"),
     ],
 )
 def test_records_check_fields_instead_of_converting_them(tmp_path, what, field, value, message):
@@ -729,3 +732,9 @@ def test_records_check_fields_instead_of_converting_them(tmp_path, what, field, 
     path.write_text(json.dumps(broken))
     with pytest.raises(FileFormatError, match=re.escape(f"{what} {path}: {message}")):
         read()
+
+
+@pytest.mark.parametrize("cls", [AugmentationRecord, Provenance, EvalReport, ScenarioSpec])
+def test_records_reject_a_non_object(cls):
+    with pytest.raises(ValueError, match=re.escape(f"{cls.__name__} must be a JSON object, got []")):
+        cls.from_dict([])
