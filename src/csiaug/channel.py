@@ -24,16 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from csiaug.core import Dataset, DftPlan, Domain, Provenance, Record
 from csiaug.dataset_io import read_record, write_record
 from csiaug.rng import RNG_SCHEME, check_int, check_real, check_seed, make_generator
-from csiaug.transform import transform_values
 
 
 @dataclass(frozen=True)
@@ -136,14 +134,37 @@ def _batch_draws(spec: ScenarioSpec, start: int, stop: int) -> tuple[np.ndarray,
 _CHUNK = 512  # samples per synthesis batch
 
 
-def _generate(spec: ScenarioSpec, count: int, rows: int, domain: Domain, step: Callable) -> Dataset:
-    """``count`` samples synthesised ``_CHUNK`` at a time; ``step`` maps each
-    (chunk, subcarriers, antennas) batch to its (chunk, rows, antennas) result."""
+def _synthesize_angular(
+    spec: ScenarioSpec, rows: int, tau: np.ndarray, theta: np.ndarray, phi: np.ndarray
+) -> np.ndarray:
+    """:func:`_synthesize` transformed and cut to ``rows`` delay rows, in closed form.
+
+    The Dirichlet kernel's d is reduced mod 1 (r) and mod Nc (e): that keeps
+    sin(pi e/Nc) accurate as tau nears Nc and cancels the kernel's signs.
+    """
+    nc = spec.subcarriers
+    d = np.arange(rows, dtype=np.float64)[:, None] - tau[..., None, :]
+    r, e = d - np.round(d), d - nc * np.round(d / nc)
+    kernel = np.full(d.shape, math.sqrt(nc))
+    np.divide(np.sin(np.pi * r), math.sqrt(nc) * np.sin(np.pi / nc * e), out=kernel, where=d != 0)
+    coef = spec.path_gains() * np.exp(1j * phi)
+    delay = kernel * np.exp(1j * np.pi * (r - e / nc)) * coef[..., None, :]
+    steer = np.exp(-1j * np.pi * np.sin(theta)[..., :, None] * np.arange(spec.antennas))
+    return delay @ np.fft.ifft(steer, axis=-1, norm="ortho")
+
+
+def _generate(spec: ScenarioSpec, count: int, rows: int, domain: Domain) -> Dataset:
+    """``count`` samples synthesised ``_CHUNK`` at a time: all subcarriers, or
+    the leading ``rows`` delay rows of the angular-delay domain."""
     count = check_int(count, "count", 0)
     out = np.empty((count, rows, spec.antennas), dtype=np.complex128)
     for start in range(0, count, _CHUNK):
         stop = min(start + _CHUNK, count)
-        out[start:stop] = step(_synthesize(spec, *_batch_draws(spec, start, stop)))
+        draws = _batch_draws(spec, start, stop)
+        if domain is Domain.ANGULAR_DELAY:
+            out[start:stop] = _synthesize_angular(spec, rows, *draws)
+        else:
+            out[start:stop] = _synthesize(spec, *draws)
     return Dataset(out, domain, Provenance(scenario=spec.to_dict(), seed=spec.seed, rng=RNG_SCHEME))
 
 
@@ -154,17 +175,15 @@ def generate_dataset(spec: ScenarioSpec, count: int) -> Dataset:
     :mod:`csiaug.rng`), so any sample can be regenerated in isolation
     and the dataset is independent of batching.
     """
-    return _generate(spec, count, spec.subcarriers, Domain.SPATIAL_FREQUENCY, lambda h: h)
+    return _generate(spec, count, spec.subcarriers, Domain.SPATIAL_FREQUENCY)
 
 
 def generate_angular_dataset(spec: ScenarioSpec, count: int, delay_bins: int) -> Dataset:
-    """Generate and transform in one pass, keeping only ``delay_bins`` rows.
+    """Generate in the angular-delay domain, keeping only ``delay_bins`` rows.
 
-    Equivalent to ``transform_dataset(generate_dataset(spec, count),
-    plan)`` but never holds the full frequency-domain batch in memory;
-    at the default 1024x32 shape the untruncated batch is 32x larger
-    than the result.
+    Equal to roundoff to ``transform_dataset(generate_dataset(spec, count), plan)``,
+    without the frequency batch or its FFT: a path of delay tau puts the Dirichlet kernel
+    exp(j pi d (Nc-1)/Nc) sin(pi d) / (sqrt(Nc) sin(pi d/Nc)), d = k - tau, on delay row k.
     """
     plan = DftPlan(spec.subcarriers, spec.antennas, delay_bins)
-    step = partial(transform_values, plan=plan)
-    return _generate(spec, count, plan.delay_bins, Domain.ANGULAR_DELAY, step)
+    return _generate(spec, count, plan.delay_bins, Domain.ANGULAR_DELAY)

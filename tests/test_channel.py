@@ -1,8 +1,11 @@
 """Tests for the synthetic multipath channel generator."""
 
+import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,9 @@ from csiaug.core import DftPlan, Domain
 from csiaug.rng import make_generator
 from csiaug.transform import transform_dataset
 
-PRESET_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+PRESET_DIR = ROOT / "scenarios"
+PRESETS = ["motion-range-train", "motion-range-test", "motion-mode-train", "motion-mode-test"]
 
 
 def small_spec(**overrides):
@@ -172,17 +177,24 @@ def test_generation_provenance_embeds_scenario():
     assert ScenarioSpec.from_dict(ds.meta.scenario) == spec
 
 
-def test_generate_angular_matches_transform_of_generated():
-    spec = small_spec()
-    fused = generate_angular_dataset(spec, 20, 12)
-    staged = transform_dataset(generate_dataset(spec, 20), DftPlan(32, 8, 12))
+def fft_oracle(spec, count, delay_bins):
+    """The staged path: all subcarriers, then the truncated FFT."""
+    plan = DftPlan(spec.subcarriers, spec.antennas, delay_bins)
+    return transform_dataset(generate_dataset(spec, count), plan)
+
+
+def assert_matches_fft_oracle(spec, count, delay_bins):
+    # The closed form moves bytes by roundoff only: 1e-12 of the largest entry.
+    fused = generate_angular_dataset(spec, count, delay_bins)
+    staged = fft_oracle(spec, count, delay_bins)
     assert fused.domain is Domain.ANGULAR_DELAY
-    assert np.array_equal(fused.samples, staged.samples)
     assert fused.meta == staged.meta
+    error = np.abs(fused.samples - staged.samples).max()
+    assert error <= 1e-12 * np.abs(staged.samples).max()
 
 
-def test_generate_angular_matches_across_chunk_boundary():
-    spec = ScenarioSpec(
+def chunk_spec():
+    return ScenarioSpec(
         subcarriers=16,
         antennas=4,
         paths=2,
@@ -191,9 +203,91 @@ def test_generate_angular_matches_across_chunk_boundary():
         gain_decay=0.3,
         seed=9,
     )
-    fused = generate_angular_dataset(spec, 520, 8)
-    staged = transform_dataset(generate_dataset(spec, 520), DftPlan(16, 4, 8))
-    assert np.array_equal(fused.samples, staged.samples)
+
+
+def test_generate_angular_matches_transform_of_generated():
+    assert_matches_fft_oracle(small_spec(), 20, 12)
+
+
+def test_generate_angular_matches_across_chunk_boundary():
+    assert_matches_fft_oracle(chunk_spec(), 520, 8)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_generate_angular_matches_fft_oracle_on_presets(name):
+    assert_matches_fft_oracle(load_scenario(PRESET_DIR / f"{name}.json"), 64, 32)
+
+
+@pytest.mark.parametrize("subcarriers", [32, 1024])
+@pytest.mark.parametrize("tau", ["Nc-1e-12", 5 - 1e-12, 5 + 1e-12, 5.0])
+def test_generate_angular_matches_fft_oracle_at_delay_edges(subcarriers, tau):
+    # A delay just below Nc aliases onto row 0 (d = k - tau near -Nc); delays
+    # a hair off an integer put d near 0 on one row and near integers on the rest.
+    if tau == "Nc-1e-12":
+        tau = subcarriers - 1e-12
+    assert_matches_fft_oracle(small_spec(subcarriers=subcarriers, delay_range=(tau, tau)), 4, 32)
+
+
+def unreduced_kernel(d, nc):
+    """The delay kernel with sin(pi d / Nc) taken directly, not reduced mod Nc."""
+    m = np.round(d)
+    numerator = (-1.0) ** m * np.sin(np.pi * (d - m))
+    phase = np.exp(1j * np.pi * d * (nc - 1) / nc)
+    return phase * numerator / (math.sqrt(nc) * np.sin(np.pi * d / nc))
+
+
+def test_unreduced_denominator_misses_the_oracle_near_nc():
+    # With tau = Nc - 1e-12, sin(pi d / Nc) sits at -pi + 1e-13, where the
+    # rounding of pi alone is a 1e-3 relative error: the tolerance above
+    # rejects that form, so the delay-edge case pins the reduction mod Nc.
+    tau = 32 - 1e-12
+    spec = small_spec(antennas=1, paths=1, delay_range=(tau, tau), angle_range=(0.0, 0.0))
+    staged = fft_oracle(spec, 1, 32).samples[0, :, 0]
+    rng = make_generator(spec.seed, 0)
+    rng.uniform(*spec.delay_range, 1)
+    rng.uniform(*spec.angle_range, 1)
+    phi = rng.uniform(-np.pi, np.pi, 1)
+    unreduced = unreduced_kernel(np.arange(32) - tau, 32) * np.exp(1j * phi)
+    tolerance = 1e-12 * np.abs(staged).max()
+    # The same kernel, off by far more than roundoff but far less than a wrong formula.
+    assert tolerance < np.abs(unreduced - staged).max() < 1e-2 * np.abs(staged).max()
+    fused = generate_angular_dataset(spec, 1, 32).samples[0, :, 0]
+    assert np.abs(fused - staged).max() <= tolerance
+
+
+def test_generate_angular_is_batch_independent():
+    # Sample 512 is alone in its chunk of the 513-sample call and one of
+    # eight in the 520-sample call: its bytes must not notice.
+    long = generate_angular_dataset(chunk_spec(), 520, 8).samples
+    short = generate_angular_dataset(chunk_spec(), 513, 8).samples
+    assert long[:513].tobytes() == short.tobytes()
+
+
+def test_generate_angular_bytes_do_not_depend_on_blas_threads():
+    code = (
+        "import hashlib, sys\n"
+        "from csiaug.channel import generate_angular_dataset, load_scenario\n"
+        "spec = load_scenario(sys.argv[1])\n"
+        "samples = generate_angular_dataset(spec, 600, 32).samples\n"
+        "print(hashlib.sha256(samples.tobytes()).hexdigest())"
+    )
+    preset = PRESET_DIR / "motion-range-test.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    digests = set()
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        child = subprocess.run(
+            [sys.executable, "-c", code, str(preset)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        digests.add(child.stdout.strip())
+    here = generate_angular_dataset(load_scenario(preset), 600, 32).samples
+    digests.add(hashlib.sha256(here.tobytes()).hexdigest())
+    assert len(digests) == 1
 
 
 def test_single_integer_delay_concentrates_energy():
@@ -237,9 +331,7 @@ def test_counts_validated():
             generate_angular_dataset(spec, count, 8)
 
 
-@pytest.mark.parametrize(
-    "name", ["motion-range-train", "motion-range-test", "motion-mode-train", "motion-mode-test"]
-)
+@pytest.mark.parametrize("name", PRESETS)
 def test_shipped_presets_load(name):
     spec = load_scenario(PRESET_DIR / f"{name}.json")
     assert spec.subcarriers == 1024
@@ -247,9 +339,7 @@ def test_shipped_presets_load(name):
     assert spec.delay_range[1] <= 16.0
 
 
-@pytest.mark.parametrize(
-    "name", ["motion-range-train", "motion-range-test", "motion-mode-train", "motion-mode-test"]
-)
+@pytest.mark.parametrize("name", PRESETS)
 def test_shipped_presets_rewrite_byte_for_byte(tmp_path, name):
     preset = PRESET_DIR / f"{name}.json"
     copy = tmp_path / "copy.json"
