@@ -53,7 +53,7 @@ def _bubble_shift(amplitude: np.ndarray, shift: int, up: bool) -> np.ndarray:
     at its first failed compare.  Must match, bitwise, the list kernels
     kept in ``tests/test_augment.py``.
     """
-    amp = _check_amplitude(amplitude, batched=True)
+    amp = _check_amplitude(amplitude)
     shift = check_int(shift, "shift", 0)
     rows = amp.shape[-2]
     peak = np.argmax(amp, axis=-2)
@@ -115,15 +115,11 @@ def random_generation(amplitude: np.ndarray, block_size: int, seed: int) -> np.n
     block is clipped at the matrix edges, never wrapped.  Redrawn
     entries are i.i.d. uniform between the matrix's global min and max
     (computed before any redraw); everything outside the clipped block
-    is left bit-identical.  The centre column and then the block are
-    drawn from stream ``(seed, 0)``.
+    is left bit-identical.  ``amplitude`` is one (rows, cols) matrix or
+    a (..., rows, cols) batch; matrix k of the flattened batch draws its
+    centre column and then its block from stream ``(seed, k)``.
     """
-    return _redraw_blocks(_check_amplitude(amplitude), block_size, seed)
-
-
-def _redraw_blocks(amp: np.ndarray, block_size: int, seed: int) -> np.ndarray:
-    """:func:`random_generation` in place on every matrix of a contiguous
-    (..., rows, cols) batch; matrix k draws from stream ``(seed, k)``."""
+    amp = _check_amplitude(amplitude)
     block_size = check_int(block_size, "block size", 1)
     before = (block_size - 1) // 2
     rows, cols = amp.shape[-2:]
@@ -157,7 +153,7 @@ def md_baseline(
     matrix k of the flattened batch draws its phase from stream
     ``(seed, k)``.
     """
-    amp = _check_amplitude(amplitude, batched=True)
+    amp = _check_amplitude(amplitude)
     shift = check_int(shift, "shift", 0)
     _check_phase(phase, amp)
     if not isinstance(direction, ShiftDirection):
@@ -184,8 +180,7 @@ def _augment_samples(samples: np.ndarray, params: AugmentParams) -> np.ndarray:
     elif params.method is AugmentMethod.BUBBLE_SHIFT_DOWN:
         amplitude = bubble_shift_down(amplitude, params.shift)
     elif params.method is AugmentMethod.RANDOM_GENERATION:
-        # polar_parts returns a fresh contiguous, finite, non-negative array.
-        amplitude = _redraw_blocks(amplitude, params.block_size, params.seed)
+        amplitude = random_generation(amplitude, params.block_size, params.seed)
     elif params.method is AugmentMethod.MODEL_DRIVEN:
         amplitude, phase = md_baseline(
             amplitude, phase, params.shift, params.direction, params.seed

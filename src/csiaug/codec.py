@@ -346,6 +346,8 @@ class EvalReport(Record):
     def __post_init__(self) -> None:
         for name in ("label", "ratio"):
             check_str(getattr(self, name), name)
+        if str(parse_ratio(self.ratio)) != self.ratio:
+            raise ValueError(f"ratio must be in lowest terms, like '1/4', got {self.ratio!r}")
         object.__setattr__(self, "sample_count", check_int(self.sample_count, "sample_count"))
         for name in ("nmse_linear", "nmse_db", "db_floor"):
             object.__setattr__(self, name, check_real(getattr(self, name), name))

@@ -108,8 +108,8 @@ def polar_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     amplitude = np.abs(values)
     phase = np.angle(values)
     # np.angle returns (-pi, pi]; fold the +pi endpoint and pin zeros.
-    phase = np.where(phase == np.pi, -np.pi, phase)
-    phase = np.where(amplitude == 0.0, 0.0, phase)
+    phase[phase == np.pi] = -np.pi
+    phase[amplitude == 0.0] = 0.0
     return amplitude, phase
 
 
@@ -120,12 +120,11 @@ def _real(values: np.ndarray, name: str) -> np.ndarray:
     return values
 
 
-def _check_amplitude(amplitude: np.ndarray, batched: bool = False) -> np.ndarray:
-    amp = np.array(_real(amplitude, "amplitude"), dtype=np.float64, copy=True)
-    bad_rank = amp.ndim < 2 or (amp.ndim > 2 and not batched)
-    if bad_rank or amp.shape[-2] < 1 or amp.shape[-1] < 1:
-        what = "a 2-D matrix or a batch of them" if batched else "a 2-D matrix"
-        raise ValueError(f"amplitude must be {what} with rows and cols, got shape {amp.shape}")
+def _check_amplitude(amplitude: np.ndarray) -> np.ndarray:
+    # A C-ordered copy, so reshape(-1, rows, cols) is a view to write through.
+    amp = np.array(_real(amplitude, "amplitude"), dtype=np.float64, order="C", copy=True)
+    if amp.ndim < 2 or amp.shape[-2] < 1 or amp.shape[-1] < 1:
+        raise ValueError(f"amplitude must be a 2-D matrix or a batch of them, got {amp.shape}")
     if not np.all(np.isfinite(amp)):
         raise ValueError("amplitude entries must be finite")
     # A batch may hold zero matrices, and np.min rejects empty arrays.

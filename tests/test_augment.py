@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from csiaug.augment import (
-    _redraw_blocks,
     augment_dataset,
     bubble_shift_down,
     bubble_shift_up,
@@ -210,8 +209,6 @@ def test_shift_input_not_mutated():
 def test_amplitude_validation():
     with pytest.raises(ValueError, match="2-D"):
         bubble_shift_up(np.ones(4), 1)
-    with pytest.raises(ValueError, match="2-D"):
-        random_generation(np.ones((2, 4, 4)), 2, seed=0)
     with pytest.raises(ValueError, match="finite"):
         bubble_shift_up(np.array([[np.nan], [1.0]]), 1)
     with pytest.raises(ValueError, match="non-negative"):
@@ -362,10 +359,39 @@ def batch_primitive(samples, params):
     elif params.method is AugmentMethod.BUBBLE_SHIFT_DOWN:
         amp = bubble_shift_down(amp, params.shift)
     elif params.method is AugmentMethod.RANDOM_GENERATION:
-        amp = _redraw_blocks(amp, params.block_size, params.seed)
+        amp = random_generation(amp, params.block_size, params.seed)
     else:
         amp, phase = md_baseline(amp, phase, params.shift, params.direction, params.seed)
     return combine_polar(amp, phase)
+
+
+def layouts(amp):
+    """``amp`` in C order, in Fortran order, and as a view with swapped leading axes."""
+    swapped = np.ascontiguousarray(np.swapaxes(amp, 0, 1)).swapaxes(0, 1)
+    return [amp, np.asfortranarray(amp), swapped]
+
+
+def test_random_generation_takes_batches_matrix_k_on_stream_k():
+    # Matrix k of a flattened (2, 3, rows, cols) batch draws from stream
+    # (seed, k), whatever the memory layout of the batch.
+    amp = np.random.default_rng(9).uniform(0, 1, (2, 3, 7, 5))
+    want = np.array([rg_reference(a, 3, 41, k) for k, a in enumerate(amp.reshape(-1, 7, 5))])
+    want = want.reshape(amp.shape)
+    for batch in layouts(amp):
+        got = random_generation(batch, 3, seed=41)
+        assert got.shape == amp.shape and got.tobytes() == want.tobytes()
+        assert np.array_equal(batch, amp)
+    assert random_generation(amp[0, 0], 3, seed=41).tobytes() == want[0, 0].tobytes()
+
+
+def test_md_baseline_batch_layout_does_not_matter():
+    amp = np.random.default_rng(10).uniform(0, 1, (2, 3, 8, 4))
+    want = md_baseline(amp, amp, 1, ShiftDirection.UP, seed=12)
+    for batch in layouts(amp)[1:]:
+        assert not batch.flags.c_contiguous
+        got = md_baseline(batch, batch, 1, ShiftDirection.UP, seed=12)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        assert got[1].min() >= -np.pi and got[1].max() < np.pi
 
 
 def one_sample(values):

@@ -116,6 +116,9 @@ def test_recompose_validation():
         recompose(np.zeros((2, 2)), np.zeros((2, 3)))
     with pytest.raises(ValueError, match="non-negative"):
         recompose(np.array([[-0.5]]), np.array([[0.0]]))
+    # The primitives take batches; a recomposed matrix stays 2-D.
+    with pytest.raises(ValueError, match="2-D"):
+        recompose(np.ones((2, 2, 2)), np.zeros((2, 2, 2)))
     # Complex input is rejected with the primitives' messages, not cast to real.
     with pytest.raises(ValueError, match="amplitude must be real"):
         recompose([[1 + 5j]], [[0.0]])

@@ -642,7 +642,7 @@ REALS = st.floats(allow_nan=False, allow_infinity=False)
 REPORTS = st.builds(
     EvalReport,
     st.text(max_size=6),
-    st.text(max_size=6),
+    st.fractions(min_value=Fraction(1, 64), max_denominator=64).map(str),
     REALS,
     REALS,
     st.integers(),
@@ -712,6 +712,9 @@ def test_records_reject_unknown_and_missing_fields(tmp_path):
     [
         ("report", "label", None, "label must be a string"),
         ("report", "ratio", 0.25, "ratio must be a string"),
+        ("report", "ratio", "abc", "cannot parse ratio 'abc'"),
+        ("report", "ratio", "2/8", "ratio must be in lowest terms, like '1/4', got '2/8'"),
+        ("report", "ratio", "0.25", "ratio must be in lowest terms, like '1/4', got '0.25'"),
         ("report", "codec_info", [["components", 4]], "codec_info must be a JSON object"),
         ("report", "test_provenance", [["seed", 6]], "test_provenance must be a JSON object"),
         ("metadata sidecar", "scenario", [["subcarriers", 8]], "scenario must be a JSON object"),
