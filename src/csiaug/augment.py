@@ -37,7 +37,7 @@ from csiaug.core import (
     Domain,
     ShiftDirection,
     _check_amplitude,
-    _check_phase,
+    _param_field,
     combine_polar,
     polar_parts,
 )
@@ -138,24 +138,18 @@ def random_generation(amplitude: np.ndarray, block_size: int, seed: int) -> np.n
 
 
 def md_baseline(
-    amplitude: np.ndarray,
-    phase: np.ndarray,
-    shift: int,
-    direction: ShiftDirection,
-    seed: int,
+    amplitude: np.ndarray, shift: int, direction: ShiftDirection, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic-shift baseline: rigid column shift, phase fully redrawn.
 
     The amplitude columns are circularly shifted ``shift`` rows in the
-    given direction with no repair pass; the phase matrix is replaced
-    elementwise by i.i.d. uniform draws on [-pi, pi).  ``amplitude`` and
-    ``phase`` are one (rows, cols) matrix or a (..., rows, cols) batch;
-    matrix k of the flattened batch draws its phase from stream
-    ``(seed, k)``.
+    given direction with no repair pass; the new phase is i.i.d. uniform
+    on [-pi, pi), so the input phase plays no part.  ``amplitude`` is one
+    (rows, cols) matrix or a (..., rows, cols) batch; matrix k of the
+    flattened batch draws its phase from stream ``(seed, k)``.
     """
     amp = _check_amplitude(amplitude)
     shift = check_int(shift, "shift", 0)
-    _check_phase(phase, amp)
     if not isinstance(direction, ShiftDirection):
         raise TypeError("direction must be a ShiftDirection")
     offset = -shift if direction is ShiftDirection.UP else shift
@@ -182,22 +176,17 @@ def _augment_samples(samples: np.ndarray, params: AugmentParams) -> np.ndarray:
     elif params.method is AugmentMethod.RANDOM_GENERATION:
         amplitude = random_generation(amplitude, params.block_size, params.seed)
     elif params.method is AugmentMethod.MODEL_DRIVEN:
-        amplitude, phase = md_baseline(
-            amplitude, phase, params.shift, params.direction, params.seed
-        )
+        amplitude, phase = md_baseline(amplitude, params.shift, params.direction, params.seed)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown method {params.method!r}")
     return combine_polar(amplitude, phase)
 
 
 def _record(params: AugmentParams, mode: AugmentMode) -> AugmentationRecord:
-    parameters: dict[str, object] = {"mode": mode.value}
-    if params.method is AugmentMethod.RANDOM_GENERATION:
-        parameters["block_size"] = params.block_size
-    else:
-        parameters["shift"] = params.shift
-        if params.method is AugmentMethod.MODEL_DRIVEN:
-            parameters["direction"] = params.direction.value
+    used = _param_field(params.method)
+    parameters: dict[str, object] = {"mode": mode.value, used: getattr(params, used)}
+    if params.method is AugmentMethod.MODEL_DRIVEN:
+        parameters["direction"] = params.direction.value
     return AugmentationRecord(
         method=params.method.value, parameters=parameters, seed=params.seed, rng=RNG_SCHEME
     )

@@ -2,10 +2,11 @@
 
 Subcommands chain into the full experiment: ``gen`` draws channels from
 a scenario JSON, ``transform`` moves them to the truncated angular-delay
-domain, ``augment`` applies one amplitude-domain augmentation, ``fit``
-trains the linear codec, ``eval`` measures NMSE on a test set, ``report``
-lays multiple evaluations out as a methods-by-ratios grid, and ``sweep``
-automates a parameter sweep of augment + fit + eval.
+domain (and an angular-delay input back), ``augment`` applies one
+amplitude-domain augmentation, ``fit`` trains the linear codec, ``eval``
+measures NMSE on a test set, ``report`` lays multiple evaluations out as
+a methods-by-ratios grid, and ``sweep`` automates a sweep of the
+method's one parameter through augment + fit + eval.
 
 Exit codes: 0 on success, 2 for usage errors (bad flags, flag
 combinations, flag values out of range whatever the input holds, or an
@@ -31,7 +32,9 @@ from typing import Any, Callable, Sequence
 from csiaug.augment import augment_dataset
 from csiaug.channel import generate_dataset, load_scenario
 from csiaug.codec import EvalReport, evaluate, evaluate_passes, fit_codec, fit_spectrum, parse_ratio
-from csiaug.core import AugmentMethod, AugmentMode, AugmentParams, DftPlan, ShiftDirection
+from csiaug.core import (
+    AugmentMethod, AugmentMode, AugmentParams, DftPlan, Domain, ShiftDirection, _param_field,
+)
 from csiaug.dataset_io import (
     atomic_write_bytes,
     check_out,
@@ -73,11 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, help="override the scenario seed")
     gen.add_argument("--out", required=True, help="output dataset (.csia)")
 
-    tr = sub.add_parser("transform", help="move a dataset between domains")
+    tr = sub.add_parser("transform", help="move a dataset to the other domain")
     tr.add_argument("--in", dest="input", required=True, help="input dataset (.csia)")
-    tr.add_argument("--na", type=int, help="delay rows to keep (forward direction)")
-    tr.add_argument("--inverse", action="store_true", help="go back to spatial-frequency")
-    tr.add_argument("--nc", type=int, help="subcarrier count to restore (inverse direction)")
+    tr.add_argument("--na", type=int, help="delay rows to keep (spatial-frequency input)")
+    tr.add_argument("--nc", type=int, help="subcarrier count to restore (angular-delay input)")
     tr.add_argument("--out", required=True, help="output dataset (.csia)")
 
     aug = sub.add_parser("augment", help="apply one amplitude-domain augmentation")
@@ -117,12 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--format", choices=["md", "csv"], default="md")
     rep.add_argument("--out", help="write the table here instead of stdout")
 
-    sw = sub.add_parser("sweep", help="sweep one augmentation parameter end to end")
+    sw = sub.add_parser("sweep", help="sweep the method's shift or block size end to end")
     sw.add_argument("--train", required=True, help="angular-delay training dataset (.csia)")
     sw.add_argument("--test", required=True, help="angular-delay test dataset (.csia)")
     sw.add_argument("--method", required=True, choices=[m.value for m in AugmentMethod])
-    sw.add_argument("--param", required=True, choices=["shift", "block"])
-    sw.add_argument("--values", required=True, help="comma-separated integers, e.g. 0,1,2,3")
+    sw.add_argument("--values", required=True, help="block sizes (rg) or shifts, e.g. 0,1,2,3")
     sw.add_argument("--ratio", required=True, help="compression ratio, e.g. 1/4")
     sw.add_argument("--seed", type=int, default=0, help="augmentation pass seed")
     sw.add_argument("--direction", choices=[d.value for d in ShiftDirection], default="down")
@@ -161,13 +162,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_transform(args: argparse.Namespace) -> int:
     dataset = read_dataset(args.input)
     rows, cols = dataset.sample_shape
-    if args.inverse:
+    # The input's domain picks the direction.
+    if dataset.domain is Domain.ANGULAR_DELAY:
         if args.nc is None:
-            raise UsageError("--inverse requires --nc (the subcarrier count to restore)")
+            raise UsageError("an angular-delay input requires --nc (subcarriers to restore)")
         out = inverse_transform_dataset(dataset, DftPlan(args.nc, cols, rows))
     else:
         if args.na is None:
-            raise UsageError("transform requires --na (delay rows to keep)")
+            raise UsageError("a spatial-frequency input requires --na (delay rows to keep)")
         out = transform_dataset(dataset, DftPlan(rows, cols, args.na))
     write_dataset(out, args.out)
     print(f"wrote {len(out)} samples ({out.domain.value}) to {args.out}")
@@ -261,8 +263,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    values = _usage(check_ints, args.values, "--values", f"{args.param} values")
-    passes = [_augment_params(args, **{args.param: value}) for value in values]
+    # The augment flag of the field the method reads: shift or block.
+    param = _param_field(AugmentMethod(args.method)).removesuffix("_size")
+    values = _usage(check_ints, args.values, "--values", f"{param} values")
+    passes = [_augment_params(args, **{param: value}) for value in values]
     ratio = _usage(parse_ratio, args.ratio)
     train = read_dataset(args.train)
     test = read_dataset(args.test)
@@ -272,11 +276,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         results.append(
             {"value": value, "nmse_linear": report.nmse_linear, "nmse_db": report.nmse_db}
         )
-        print(f"{args.param}={value}: NMSE {report.nmse_db:.3f} dB")
+        print(f"{param}={value}: NMSE {report.nmse_db:.3f} dB")
     best = min(results, key=lambda r: r["nmse_db"])
     summary = {
         "method": args.method,
-        "param": args.param,
+        "param": param,
         "ratio": str(ratio),
         "mode": mode.value,
         "seed": args.seed,
@@ -287,7 +291,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "best_value": best["value"],
     }
     write_record(args.out, summary)
-    print(f"best {args.param}={best['value']} ({best['nmse_db']:.3f} dB) -> {args.out}")
+    print(f"best {param}={best['value']} ({best['nmse_db']:.3f} dB) -> {args.out}")
     return 0
 
 

@@ -129,7 +129,8 @@ class LinearCodec:
             )
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(basis))):
             raise ValueError("codec entries must be finite")
-        residual = np.abs(basis.T @ basis - np.eye(m)).max()
+        with np.errstate(over="ignore"):  # huge entries give an inf residual, rejected below
+            residual = np.abs(basis.T @ basis - np.eye(m)).max()
         if residual > ORTHONORMALITY_TOL:
             raise ValueError(
                 f"basis columns are not orthonormal (residual {residual:.3e} > "
@@ -158,14 +159,10 @@ class LinearCodec:
         }
 
 
-def component_count(ratio: Fraction, feature_dim: int) -> int:
-    """round(ratio * feature_dim), computed exactly on rationals."""
-    return round(ratio * feature_dim)
-
-
 def check_components(ratio: Fraction, feature_dim: int) -> int:
-    """component_count, rejecting a ratio that keeps none or more than all."""
-    m = component_count(ratio, feature_dim)
+    """round(ratio * feature_dim), computed exactly on rationals, rejecting
+    a ratio that keeps none or more than all."""
+    m = round(ratio * feature_dim)
     if m < 1:
         raise ValueError(f"ratio {ratio} retains no components at feature dim {feature_dim}")
     if m > feature_dim:

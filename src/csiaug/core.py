@@ -297,13 +297,9 @@ class Dataset:
         )
 
 
-def empty_dataset(rows: int, cols: int, domain: Domain, meta: Provenance | None = None) -> Dataset:
-    """Dataset with zero samples but a definite sample shape."""
-    return Dataset(
-        np.zeros((0, rows, cols), dtype=np.complex128),
-        domain,
-        meta if meta is not None else Provenance(),
-    )
+def _param_field(method: AugmentMethod) -> str:
+    """The one ``AugmentParams`` field ``method`` reads: rg its block size, the rest a shift."""
+    return "block_size" if method is AugmentMethod.RANDOM_GENERATION else "shift"
 
 
 @dataclass(frozen=True)
@@ -314,7 +310,8 @@ class AugmentParams:
     ignored by random generation; ``block_size`` (bins, edge length of
     the redrawn square) applies to random generation only.  Each field
     that is given is checked (shift at least 0, block size at least 1)
-    whether or not the method uses it, and the one it uses is required.
+    whether or not the method uses it, and the one it uses
+    (:func:`_param_field`) is required.
     ``direction`` is consumed only by the model-driven baseline, whose
     cyclic shift has no inherent direction; it defaults to DOWN.
     """
@@ -333,7 +330,7 @@ class AugmentParams:
             if getattr(self, name) is not None:
                 value = check_int(getattr(self, name), name.replace("_", " "), low)
                 object.__setattr__(self, name, value)
-        used = "block_size" if self.method is AugmentMethod.RANDOM_GENERATION else "shift"
+        used = _param_field(self.method)
         if getattr(self, used) is None:
             raise ValueError(f"method {self.method.value} requires a {used.replace('_', ' ')}")
         if not isinstance(self.direction, ShiftDirection):

@@ -174,7 +174,8 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write the binary container and its provenance sidecar.
 
     Identical datasets produce byte-identical files: the writer embeds
-    no timestamps or environment details.
+    no timestamps or environment details.  An entry too large for a
+    32-bit float is a ``ValueError`` before either file is written.
     """
     count, (rows, cols) = len(dataset), dataset.sample_shape
     header = _DATASET_HEADER.pack(
@@ -186,7 +187,12 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
         _check_u32(rows, "row count"),
         _check_u32(cols, "col count"),
     )
-    atomic_write_bytes(path, header, np.ascontiguousarray(dataset.samples, dtype="<c8"))
+    try:
+        with np.errstate(over="raise"):
+            payload = np.ascontiguousarray(dataset.samples, dtype="<c8")
+    except FloatingPointError:
+        raise ValueError(f"{path}: dataset samples overflow 32-bit floats") from None
+    atomic_write_bytes(path, header, payload)
     write_record(sidecar_path(path), dataset.meta.to_dict())
 
 
@@ -207,8 +213,10 @@ def read_dataset(path: str | Path) -> Dataset:
         flat = _read_payload(fh, path, count * rows * cols, "<c8")
     meta = _read_sidecar(path)
     try:
-        # Dataset's own complex128 copy is the one upcast.
-        return Dataset(flat.reshape(count, rows, cols), _CODE_TO_DOMAIN[domain_code], meta)
+        # Dataset's own complex128 copy is the one upcast; a signalling NaN
+        # raises the invalid flag there before Dataset rejects it as not finite.
+        with np.errstate(invalid="ignore"):
+            return Dataset(flat.reshape(count, rows, cols), _CODE_TO_DOMAIN[domain_code], meta)
     except ValueError as exc:
         raise CorruptedFileError(f"{path}: dataset payload invalid: {exc}") from exc
 

@@ -221,12 +221,10 @@ def test_amplitude_validation():
         lambda: bubble_shift_up(complex_amp, 1),
         lambda: bubble_shift_down(complex_amp.tolist(), 1),
         lambda: random_generation(complex_amp, 2, seed=0),
-        lambda: md_baseline(complex_amp, np.zeros((2, 2)), 1, ShiftDirection.UP, seed=0),
+        lambda: md_baseline(complex_amp, 1, ShiftDirection.UP, seed=0),
     ):
         with pytest.raises(ValueError, match="amplitude must be real"):
             call()
-    with pytest.raises(ValueError, match="phase must be real"):
-        md_baseline(np.ones((2, 2)), np.ones((2, 2)) * 1j, 1, ShiftDirection.UP, seed=0)
     # Shift and block size must be integers, not truncated floats or bools.
     for bad in (1.5, True, "1"):
         with pytest.raises(ValueError, match="shift must be an integer"):
@@ -287,24 +285,21 @@ def test_md_baseline_shifts_and_randomizes_phase():
     rng = np.random.default_rng(6)
     amp = rng.uniform(0, 1, (8, 4))
     phase = rng.uniform(-np.pi, np.pi, (8, 4))
-    up_amp, up_phase = md_baseline(amp, phase, 2, ShiftDirection.UP, seed=11)
-    down_amp, down_phase = md_baseline(amp, phase, 2, ShiftDirection.DOWN, seed=11)
+    up_amp, up_phase = md_baseline(amp, 2, ShiftDirection.UP, seed=11)
+    down_amp, down_phase = md_baseline(amp, 2, ShiftDirection.DOWN, seed=11)
     assert np.array_equal(up_amp, np.roll(amp, -2, axis=0))
     assert np.array_equal(down_amp, np.roll(amp, 2, axis=0))
     # same seed, same redrawn phase; unrelated to the input phase
     assert np.array_equal(up_phase, down_phase)
     assert not np.array_equal(up_phase, phase)
     assert up_phase.min() >= -np.pi and up_phase.max() < np.pi
-    again = md_baseline(amp, phase, 2, ShiftDirection.UP, seed=11)
+    again = md_baseline(amp, 2, ShiftDirection.UP, seed=11)
     assert np.array_equal(again[1], up_phase)
 
 
 def test_md_baseline_validation():
-    amp = np.ones((4, 2))
-    with pytest.raises(ValueError, match="phase shape"):
-        md_baseline(amp, np.ones((4, 3)), 1, ShiftDirection.UP, seed=0)
     with pytest.raises(TypeError, match="direction"):
-        md_baseline(amp, np.ones((4, 2)), 1, "up", seed=0)
+        md_baseline(np.ones((4, 2)), 1, "up", seed=0)
 
 
 complex_samples = st.integers(0, 2**32 - 1).map(
@@ -361,7 +356,7 @@ def batch_primitive(samples, params):
     elif params.method is AugmentMethod.RANDOM_GENERATION:
         amp = random_generation(amp, params.block_size, params.seed)
     else:
-        amp, phase = md_baseline(amp, phase, params.shift, params.direction, params.seed)
+        amp, phase = md_baseline(amp, params.shift, params.direction, params.seed)
     return combine_polar(amp, phase)
 
 
@@ -384,12 +379,27 @@ def test_random_generation_takes_batches_matrix_k_on_stream_k():
     assert random_generation(amp[0, 0], 3, seed=41).tobytes() == want[0, 0].tobytes()
 
 
+def test_md_baseline_takes_batches_matrix_k_on_stream_k():
+    # Matrix k of a flattened (2, 3, rows, cols) batch is rolled on its own
+    # and draws its new phase from stream (seed, k); no input phase is read.
+    amp = np.random.default_rng(11).uniform(0, 1, (2, 3, 8, 4))
+    shifted, phase = md_baseline(amp, 3, ShiftDirection.DOWN, seed=13)
+    assert shifted.shape == phase.shape == amp.shape
+    for k, a in enumerate(amp.reshape(-1, 8, 4)):
+        want = md_reference(a, 3, ShiftDirection.DOWN, 13, k)
+        assert shifted.reshape(-1, 8, 4)[k].tobytes() == want[0].tobytes()
+        assert phase.reshape(-1, 8, 4)[k].tobytes() == want[1].tobytes()
+    single = md_baseline(amp[0, 0], 3, ShiftDirection.DOWN, seed=13)
+    assert single[0].tobytes() == shifted[0, 0].tobytes()
+    assert single[1].tobytes() == phase[0, 0].tobytes()
+
+
 def test_md_baseline_batch_layout_does_not_matter():
     amp = np.random.default_rng(10).uniform(0, 1, (2, 3, 8, 4))
-    want = md_baseline(amp, amp, 1, ShiftDirection.UP, seed=12)
+    want = md_baseline(amp, 1, ShiftDirection.UP, seed=12)
     for batch in layouts(amp)[1:]:
         assert not batch.flags.c_contiguous
-        got = md_baseline(batch, batch, 1, ShiftDirection.UP, seed=12)
+        got = md_baseline(batch, 1, ShiftDirection.UP, seed=12)
         assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
         assert got[1].min() >= -np.pi and got[1].max() < np.pi
 
@@ -483,7 +493,7 @@ def test_augment_dataset_matches_per_sample_primitives(
         assert fn(amp, shift).tobytes() == stacked.tobytes()
         assert fn(amp[0], shift).tobytes() == stacked[0].tobytes()
     # A leading batch axis flattens in C order: matrix k uses stream (seed, k).
-    shifted, phase = md_baseline(amp, amp, shift, ShiftDirection.DOWN, data_seed)
+    shifted, phase = md_baseline(amp, shift, ShiftDirection.DOWN, data_seed)
     for k, a in enumerate(amp[0]):
         want = md_reference(a, shift, ShiftDirection.DOWN, data_seed, k)
         assert shifted[0, k].tobytes() == want[0].tobytes()

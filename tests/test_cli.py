@@ -50,7 +50,7 @@ def workspace(tmp_path_factory):
     run("report", "--in", root / "base.json", root / "aug.json", "--format", "md",
         "--out", root / "grid.md")
     run("sweep", "--train", root / "train_ang.csia", "--test", root / "test_ang.csia",
-        "--method", "bs-down", "--param", "shift", "--values", "0,1,2", "--ratio", "1/4",
+        "--method", "bs-down", "--values", "0,1,2", "--ratio", "1/4",
         "--seed", 5, "--out", root / "sweep.json")
     return root
 
@@ -103,7 +103,7 @@ def test_reruns_are_byte_identical(workspace, tmp_path):
     code = cli.run(
         ["sweep", "--train", str(workspace / "train_ang.csia"),
          "--test", str(workspace / "test_ang.csia"), "--method", "bs-down",
-         "--param", "shift", "--values", "0,1,2", "--ratio", "1/4", "--seed", "5",
+         "--values", "0,1,2", "--ratio", "1/4", "--seed", "5",
          "--out", str(tmp_path / "sweep.json")]
     )
     assert code == 0
@@ -164,7 +164,7 @@ def test_report_conflicting_cells_fail(tmp_path, capsys):
 
 
 USAGE_CASES = [
-    ["transform", "--in", "x.csia", "--out", "y.csia"],  # forward without --na
+    ["transform", "--in", "x.csia", "--out", "y.csia"],  # angular-delay input without --nc
     ["augment", "--in", "x.csia", "--method", "bs-up", "--out", "y.csia"],  # no --shift
     ["augment", "--in", "x.csia", "--method", "rg", "--out", "y.csia"],  # no --block
 ]
@@ -192,18 +192,30 @@ RANGE_CASES = [
                   "--out", "y.csia"], 2, id="augment-block-zero"),
     pytest.param(["transform", "--in", "f.csia", "--na", "0", "--out", "y.csia"], 2,
                  id="transform-na-zero"),
+    # the input's domain picks the flag it needs: spatial-frequency reads --na
+    pytest.param(["transform", "--in", "f.csia", "--nc", "16", "--out", "y.csia"], 2,
+                 id="transform-spatial-frequency-without-na"),
     pytest.param(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
-                  "--param", "shift", "--values", "1,-1", "--ratio", "1/4", "--out", "y.json"],
+                  "--values", "1,-1", "--ratio", "1/4", "--out", "y.json"],
                  2, id="sweep-shift-negative"),
     pytest.param(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
-                  "--param", "shift", "--values", "1,1", "--ratio", "1/4", "--out", "y.json"],
+                  "--values", "1,1", "--ratio", "1/4", "--out", "y.json"],
                  2, id="sweep-values-duplicate"),
+    pytest.param(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "rg",
+                  "--values", "2,0", "--ratio", "1/4", "--out", "y.json"],
+                 2, id="sweep-block-zero"),
+    pytest.param(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
+                  "--values", "a,b", "--ratio", "1/4", "--out", "y.json"],
+                 2, id="sweep-values-not-integers"),
+    pytest.param(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
+                  "--values", ",", "--ratio", "1/4", "--out", "y.json"],
+                 2, id="sweep-values-empty"),
     # a field the method does not use is still judged
     pytest.param(["augment", "--in", "x.csia", "--method", "rg", "--block", "4", "--shift", "-1",
                   "--out", "y.csia"], 2, id="augment-rg-shift-negative"),
     # flags are judged before any file is read: the training file does not exist
     pytest.param(["sweep", "--train", "missing.csia", "--test", "x.csia", "--method", "bs-up",
-                  "--param", "shift", "--values", "1,-1", "--ratio", "1/4", "--out", "y.json"],
+                  "--values", "1,-1", "--ratio", "1/4", "--out", "y.json"],
                  2, id="sweep-values-before-missing-file"),
     # --out is judged before any work: "." is a directory, "missing/" does not exist
     pytest.param(["gen", "--scenario", "s.json", "--count", "4", "--out", "."], 2,
@@ -213,14 +225,14 @@ RANGE_CASES = [
     pytest.param(["transform", "--in", "f.csia", "--na", "4", "--out", "."], 2,
                  id="transform-out-directory"),
     pytest.param(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
-                  "--param", "shift", "--values", "1", "--ratio", "1/4", "--out", "."],
+                  "--values", "1", "--ratio", "1/4", "--out", "."],
                  2, id="sweep-out-directory"),
     pytest.param(["report", "--in", "y.json", "--out", "."], 2, id="report-out-directory"),
     # valid flag values that conflict with the input: runtime errors
     pytest.param(["transform", "--in", "f.csia", "--na", "2000", "--out", "y.csia"], 1,
                  id="transform-na-above-subcarriers"),
-    pytest.param(["transform", "--in", "x.csia", "--inverse", "--nc", "4", "--out", "y.csia"],
-                 1, id="transform-nc-below-delay-rows"),
+    pytest.param(["transform", "--in", "x.csia", "--nc", "4", "--out", "y.csia"], 1,
+                 id="transform-nc-below-delay-rows"),
 ]
 
 
@@ -240,21 +252,30 @@ def test_out_of_range_flag_values(workspace, argv, code, capsys):
 
 
 def test_transform_inverse_requires_nc(workspace, capsys):
-    argv = ["transform", "--in", str(workspace / "train_ang.csia"), "--inverse",
-            "--out", str(workspace / "ignored.csia")]
-    assert cli.run(argv) == 2
-    assert "--nc" in capsys.readouterr().err
+    # An angular-delay input goes back to spatial-frequency, so it needs
+    # --nc; --na, the forward flag, does not stand in for it.
+    for extra in ([], ["--na", "4"]):
+        argv = ["transform", "--in", str(workspace / "train_ang.csia"), *extra,
+                "--out", str(workspace / "ignored.csia")]
+        assert cli.run(argv) == 2
+        assert "--nc" in capsys.readouterr().err
+    assert not (workspace / "ignored.csia").exists()
 
 
-def test_sweep_param_method_mismatch(workspace, capsys):
-    base = ["sweep", "--train", str(workspace / "train_ang.csia"),
-            "--test", str(workspace / "test_ang.csia"), "--ratio", "1/4",
-            "--out", str(workspace / "ignored.json")]
-    assert cli.run(base + ["--method", "rg", "--param", "shift", "--values", "1"]) == 2
-    assert cli.run(base + ["--method", "bs-up", "--param", "block", "--values", "3"]) == 2
-    assert cli.run(base + ["--method", "bs-up", "--param", "shift", "--values", "a,b"]) == 2
-    assert cli.run(base + ["--method", "bs-up", "--param", "shift", "--values", ","]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "method,values,param", [("rg", "2,3", "block"), ("bs-up", "0,1", "shift")])
+def test_sweep_param_follows_method(workspace, tmp_path, capsys, method, values, param):
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--train", str(workspace / "train_ang.csia"),
+            "--test", str(workspace / "test_ang.csia"), "--method", method,
+            "--values", values, "--ratio", "1/4", "--out", str(out)]
+    assert cli.run(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == [
+        f"{param}={v}" for v in values.split(",")]
+    summary = json.loads(out.read_text())
+    assert summary["param"] == param and summary["method"] == method
+    assert [r["value"] for r in summary["results"]] == [int(v) for v in values.split(",")]
 
 
 @pytest.mark.parametrize("na", [4, None], ids=["fewer-delay-rows", "spatial-frequency"])
@@ -269,7 +290,7 @@ def test_sweep_judges_the_test_file_before_any_fit(workspace, tmp_path, monkeypa
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
     out = tmp_path / "sweep.json"
     assert cli.run(["sweep", "--train", str(workspace / "train_ang.csia"), "--test", str(test),
-                    "--method", "bs-down", "--param", "shift", "--values", "0,1",
+                    "--method", "bs-down", "--values", "0,1",
                     "--ratio", "1/4", "--out", str(out)]) == 1
     assert calls == []
     assert not out.exists()
@@ -292,10 +313,6 @@ def test_runtime_errors_exit_1(workspace, tmp_path, capsys):
     wrong_domain = ["fit", "--train", str(workspace / "train.csia"), "--ratio", "1/4",
                     "--out", str(tmp_path / "c.csic")]
     assert cli.run(wrong_domain) == 1
-    # so is transforming a dataset that is already angular-delay
-    retransform = ["transform", "--in", str(workspace / "train_ang.csia"), "--na", "4",
-                   "--out", str(tmp_path / "t.csia")]
-    assert cli.run(retransform) == 1
     corrupt = tmp_path / "corrupt.csia"
     corrupt.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNK")
     assert cli.run(["fit", "--train", str(corrupt), "--ratio", "1/4",
@@ -359,7 +376,7 @@ def test_transform_inverse_round_trip(workspace, tmp_path, capsys):
     full = ["transform", "--in", str(workspace / "train.csia"), "--na", "16",
             "--out", str(tmp_path / "full_ang.csia")]
     assert cli.run(full) == 0
-    back = ["transform", "--in", str(tmp_path / "full_ang.csia"), "--inverse", "--nc", "16",
+    back = ["transform", "--in", str(tmp_path / "full_ang.csia"), "--nc", "16",
             "--out", str(tmp_path / "back.csia")]
     assert cli.run(back) == 0
     capsys.readouterr()

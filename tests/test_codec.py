@@ -19,7 +19,7 @@ from csiaug.codec import (
     _fix_signs,
     EvalReport,
     LinearCodec,
-    component_count,
+    check_components,
     decode_batch,
     encode_batch,
     evaluate,
@@ -69,7 +69,7 @@ def test_component_count_table():
     dim = 2 * 32 * 32
     expected = {"1/4": 512, "1/8": 256, "1/16": 128, "1/32": 64, "1/64": 32}
     for text, m in expected.items():
-        assert component_count(parse_ratio(text), dim) == m
+        assert check_components(parse_ratio(text), dim) == m
 
 
 def test_to_db():
@@ -240,7 +240,7 @@ def test_ratio_bases_are_prefixes_of_the_full_basis(empty_memo):
     for ratio in ("1/16", "1/8", "1/4"):
         codec = fit_codec(ds, ratio)
         m = codec.components
-        assert m == component_count(parse_ratio(ratio), full.feature_dim)
+        assert m == check_components(parse_ratio(ratio), full.feature_dim)
         assert codec.basis.tobytes() == full.basis[:, :m].tobytes()
         assert codec.mean.tobytes() == full.mean.tobytes()
 

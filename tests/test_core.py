@@ -18,7 +18,6 @@ from csiaug.core import (
     Provenance,
     ShiftDirection,
     decompose,
-    empty_dataset,
     recompose,
 )
 
@@ -185,7 +184,7 @@ def test_dataset_equality_covers_domain_and_meta():
 
 
 def test_empty_dataset_keeps_shape():
-    ds = empty_dataset(4, 2, Domain.SPATIAL_FREQUENCY)
+    ds = Dataset(np.zeros((0, 4, 2)), Domain.SPATIAL_FREQUENCY)
     assert len(ds) == 0
     assert ds.sample_shape == (4, 2)
 

@@ -23,7 +23,6 @@ from csiaug.core import (
     Dataset,
     Domain,
     Provenance,
-    empty_dataset,
 )
 from csiaug.dataset_io import (
     CorruptedFileError,
@@ -88,7 +87,7 @@ def test_write_quantizes_to_float32_once(tmp_path):
 
 
 def test_empty_dataset_file_is_header_only(tmp_path):
-    ds = empty_dataset(5, 3, Domain.ANGULAR_DELAY)
+    ds = Dataset(np.zeros((0, 5, 3)), Domain.ANGULAR_DELAY)
     path = tmp_path / "empty.csia"
     write_dataset(ds, path)
     assert path.stat().st_size == 20
@@ -272,6 +271,26 @@ def test_non_finite_payload_rejected(tmp_path):
             read_dataset(path)
 
 
+@pytest.mark.filterwarnings("error")
+def test_signalling_nan_payload_rejected_without_warning(tmp_path):
+    # The complex128 upcast of a signalling NaN raises the invalid flag.
+    header = struct.pack("<4sHBBIII", b"CSIA", 1, 1, 0, 1, 1, 1)
+    path = tmp_path / "snan.csia"
+    sidecar_path(path).write_text(json.dumps(Provenance().to_dict()))
+    path.write_bytes(header + struct.pack("<2I", 0x7F800001, 0))
+    with pytest.raises(CorruptedFileError, match="snan.csia.*finite"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("value", [1e39, 1e39j, -3.5e38])
+def test_write_rejects_samples_beyond_float32(tmp_path, value):
+    # The 32-bit cast would store inf, which read_dataset then rejects.
+    path = tmp_path / "big.csia"
+    with pytest.raises(ValueError, match="big.csia.*32-bit"):
+        write_dataset(Dataset(np.full((1, 2, 1), value), Domain.ANGULAR_DELAY), path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_oversized_sample_shape_rejected(tmp_path):
     # zero samples of 2**32-1 by 2**32-1 pass the length check but no
     # array of that shape can exist.
@@ -368,6 +387,19 @@ def test_codec_non_orthonormal_payload_rejected(tmp_path):
     struct.pack_into("<d", raw, offset, v + 1.0)
     path.write_bytes(bytes(raw))
     with pytest.raises(CorruptedFileError, match="payload invalid"):
+        read_codec(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_codec_huge_basis_entry_rejected_without_warning(tmp_path):
+    # 1e300 squared overflows in the orthonormality residual.
+    codec = fitted_codec()
+    path = tmp_path / "huge.csic"
+    write_codec(codec, path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, 26 + 8 * codec.feature_dim, 1e300)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptedFileError, match="huge.csic.*not orthonormal"):
         read_codec(path)
 
 
