@@ -14,10 +14,11 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from csiaug import AugmentMode, DftPlan, derive_seed, generate_angular_dataset, parse_ratio
+from csiaug import AugmentMode, derive_seed, generate_angular_dataset, parse_ratio
 from csiaug.codec import check_components, evaluate_passes
 from csiaug.dataset_io import check_out, write_record
 from csiaug.rng import check_int, check_seed
+from csiaug.transform import check_delay_bins
 
 PRESETS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -73,7 +74,7 @@ def run(ap, args, ratio, train_spec, test_spec, passes):
             raise ValueError(f"test scenario has {test_spec.antennas} antennas, "
                              f"training scenario {train_spec.antennas}")
         for spec in (train_spec, test_spec):
-            DftPlan(spec.subcarriers, spec.antennas, args.na)
+            check_delay_bins(args.na, spec.subcarriers)
         check_components(ratio, 2 * args.na * train_spec.antennas)
     mode = AugmentMode(args.mode)
     for i in range(args.seeds):

@@ -17,6 +17,7 @@ import argparse
 
 import _trials
 from csiaug import AugmentMethod, AugmentParams, ShiftDirection, load_scenario
+from csiaug.core import _param_field
 
 
 def main():
@@ -47,14 +48,15 @@ def main():
 
     margins = [t["margin_db"] for t in trials]
     print(f"mean margin {sum(margins) / len(margins):+.3f} dB over {len(margins)} trials")
+    used = _param_field(params.method)
     _trials.write(args, {
         "train_scenario": args.train_scenario,
         "test_scenario": args.test_scenario,
         "ratio": args.ratio,
         "method": args.method,
         "mode": args.mode,
-        "shift": args.shift if args.method != "rg" else None,
-        "block": args.block if args.method == "rg" else None,
+        "shift": args.shift if used == "shift" else None,
+        "block": args.block if used == "block_size" else None,
         "seed_base": args.seed_base,
         "trials": trials,
         "mean_margin_db": sum(margins) / len(margins),

@@ -57,7 +57,6 @@ from csiaug.core import (
     AugmentParams,
     AugmentationRecord,
     Dataset,
-    DftPlan,
     Domain,
     Provenance,
     ShiftDirection,
@@ -87,7 +86,6 @@ __all__ = [
     "AugmentationRecord",
     "CorruptedFileError",
     "Dataset",
-    "DftPlan",
     "Domain",
     "EvalReport",
     "FileFormatError",

@@ -29,9 +29,10 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from csiaug.core import Dataset, DftPlan, Domain, Provenance, Record
+from csiaug.core import Dataset, Domain, Provenance, Record
 from csiaug.dataset_io import read_record, write_record
 from csiaug.rng import RNG_SCHEME, check_int, check_real, check_seed, make_generator
+from csiaug.transform import check_delay_bins
 
 
 @dataclass(frozen=True)
@@ -181,9 +182,9 @@ def generate_dataset(spec: ScenarioSpec, count: int) -> Dataset:
 def generate_angular_dataset(spec: ScenarioSpec, count: int, delay_bins: int) -> Dataset:
     """Generate in the angular-delay domain, keeping only ``delay_bins`` rows.
 
-    Equal to roundoff to ``transform_dataset(generate_dataset(spec, count), plan)``,
+    Equal to roundoff to ``transform_dataset(generate_dataset(spec, count), delay_bins)``,
     without the frequency batch or its FFT: a path of delay tau puts the Dirichlet kernel
     exp(j pi d (Nc-1)/Nc) sin(pi d) / (sqrt(Nc) sin(pi d/Nc)), d = k - tau, on delay row k.
     """
-    plan = DftPlan(spec.subcarriers, spec.antennas, delay_bins)
-    return _generate(spec, count, plan.delay_bins, Domain.ANGULAR_DELAY)
+    check_delay_bins(delay_bins, spec.subcarriers)
+    return _generate(spec, count, delay_bins, Domain.ANGULAR_DELAY)

@@ -33,7 +33,7 @@ from csiaug.augment import augment_dataset
 from csiaug.channel import generate_dataset, load_scenario
 from csiaug.codec import EvalReport, evaluate, evaluate_passes, fit_codec, fit_spectrum, parse_ratio
 from csiaug.core import (
-    AugmentMethod, AugmentMode, AugmentParams, DftPlan, Domain, ShiftDirection, _param_field,
+    AugmentMethod, AugmentMode, AugmentParams, Domain, ShiftDirection, _param_field,
 )
 from csiaug.dataset_io import (
     atomic_write_bytes,
@@ -161,16 +161,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     dataset = read_dataset(args.input)
-    rows, cols = dataset.sample_shape
     # The input's domain picks the direction.
     if dataset.domain is Domain.ANGULAR_DELAY:
         if args.nc is None:
             raise UsageError("an angular-delay input requires --nc (subcarriers to restore)")
-        out = inverse_transform_dataset(dataset, DftPlan(args.nc, cols, rows))
+        out = inverse_transform_dataset(dataset, args.nc)
     else:
         if args.na is None:
             raise UsageError("a spatial-frequency input requires --na (delay rows to keep)")
-        out = transform_dataset(dataset, DftPlan(rows, cols, args.na))
+        out = transform_dataset(dataset, args.na)
     write_dataset(out, args.out)
     print(f"wrote {len(out)} samples ({out.domain.value}) to {args.out}")
     return 0
@@ -247,7 +246,8 @@ def render_report_grid(reports: Sequence[EvalReport], fmt: str) -> str:
         "| " + " | ".join("---" for _ in header) + " |",
     ]
     for row in rows:
-        lines.append("| " + " | ".join(cell if cell else "-" for cell in row) + " |")
+        cells = (cell.replace("|", r"\|") if cell else "-" for cell in row)
+        lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
 

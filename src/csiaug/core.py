@@ -335,24 +335,3 @@ class AugmentParams:
             raise ValueError(f"method {self.method.value} requires a {used.replace('_', ' ')}")
         if not isinstance(self.direction, ShiftDirection):
             raise TypeError("direction must be a ShiftDirection")
-
-
-@dataclass(frozen=True)
-class DftPlan:
-    """Dimensions for the angular-delay transform.
-
-    Both transforms use unitary (1/sqrt(N)) scaling, so the untruncated
-    transform preserves Frobenius energy and inverts exactly.
-    """
-
-    subcarriers: int
-    antennas: int
-    delay_bins: int
-
-    def __post_init__(self) -> None:
-        for name in ("subcarriers", "antennas", "delay_bins"):
-            object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
-        if self.delay_bins > self.subcarriers:
-            raise ValueError(
-                f"delay_bins ({self.delay_bins}) cannot exceed subcarriers ({self.subcarriers})"
-            )

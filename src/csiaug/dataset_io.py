@@ -76,10 +76,17 @@ class CorruptedFileError(ValueError):
 
 
 def atomic_write_bytes(path: str | Path, *chunks: Any) -> None:
-    """Write ``chunks`` (bytes or C-contiguous arrays) in order via a temp file and rename."""
+    """Write ``chunks`` (bytes or C-contiguous arrays) in order via a temp file and rename.
+
+    The file gets the mode ``open(path, "wb")`` would give a new file,
+    ``0o666`` less the umask, not the temp file's ``0o600``.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)

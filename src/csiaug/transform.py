@@ -19,51 +19,55 @@ from __future__ import annotations
 
 import numpy as np
 
-from csiaug.core import Dataset, DftPlan, Domain
+from csiaug.core import Dataset, Domain
+from csiaug.rng import check_int
 
 
-def transform_values(values: np.ndarray, plan: DftPlan) -> np.ndarray:
+def check_delay_bins(delay_bins: int, subcarriers: int) -> None:
+    """``ValueError`` unless both counts are integers of at least 1 and
+    ``delay_bins`` does not exceed ``subcarriers``."""
+    check_int(delay_bins, "delay_bins", 1)
+    check_int(subcarriers, "subcarriers", 1)
+    if delay_bins > subcarriers:
+        raise ValueError(f"delay_bins ({delay_bins}) cannot exceed subcarriers ({subcarriers})")
+
+
+def transform_values(values: np.ndarray, delay_bins: int) -> np.ndarray:
     """Raw-array forward transform; trailing two axes are (rows, cols).
 
-    Transforms the long (subcarrier) axis first and truncates before
-    touching the antenna axis; identical to ifft2 + row slice.
+    Transforms the long (subcarrier) axis first and keeps its leading
+    ``delay_bins`` rows before touching the antenna axis; identical to
+    ifft2 + row slice.
     """
-    delay = np.fft.ifft(values, axis=-2, norm="ortho")[..., : plan.delay_bins, :]
+    delay = np.fft.ifft(values, axis=-2, norm="ortho")[..., :delay_bins, :]
     return np.fft.ifft(delay, axis=-1, norm="ortho")
 
 
-def inverse_transform_values(values: np.ndarray, plan: DftPlan) -> np.ndarray:
-    """Raw-array inverse transform; zero-pads the delay axis back to full size."""
+def inverse_transform_values(values: np.ndarray, subcarriers: int) -> np.ndarray:
+    """Raw-array inverse transform; zero-pads the delay axis to ``subcarriers`` rows."""
     angle = np.fft.fft(values, axis=-1, norm="ortho")
-    pad = [(0, 0)] * (values.ndim - 2) + [(0, plan.subcarriers - plan.delay_bins), (0, 0)]
+    pad = [(0, 0)] * (values.ndim - 2) + [(0, subcarriers - values.shape[-2]), (0, 0)]
     return np.fft.fft(np.pad(angle, pad), axis=-2, norm="ortho")
 
 
-def transform_dataset(dataset: Dataset, plan: DftPlan) -> Dataset:
-    """Transform every sample of a dataset, keeping the leading delay rows."""
+def transform_dataset(dataset: Dataset, delay_bins: int) -> Dataset:
+    """Transform every sample of a dataset, keeping the leading ``delay_bins`` rows."""
     if dataset.domain is not Domain.SPATIAL_FREQUENCY:
         raise ValueError(f"dataset is already in domain {dataset.domain.value}")
-    if dataset.sample_shape != (plan.subcarriers, plan.antennas):
-        raise ValueError(
-            f"sample shape {dataset.sample_shape} does not match plan "
-            f"({plan.subcarriers}, {plan.antennas})"
-        )
-    return Dataset(transform_values(dataset.samples, plan), Domain.ANGULAR_DELAY, dataset.meta)
+    check_delay_bins(delay_bins, dataset.sample_shape[0])
+    samples = transform_values(dataset.samples, delay_bins)
+    return Dataset(samples, Domain.ANGULAR_DELAY, dataset.meta)
 
 
-def inverse_transform_dataset(dataset: Dataset, plan: DftPlan) -> Dataset:
+def inverse_transform_dataset(dataset: Dataset, subcarriers: int) -> Dataset:
     """Invert :func:`transform_dataset`, treating dropped delay rows as zero.
 
-    Exact (to rounding) when the plan keeps all rows; otherwise each
-    sample becomes the channel whose truncated transform equals it.
+    Exact (to rounding) when ``subcarriers`` equals the row count;
+    otherwise each sample becomes the channel of ``subcarriers`` rows
+    whose truncated transform equals it.
     """
     if dataset.domain is not Domain.ANGULAR_DELAY:
         raise ValueError(f"dataset is already in domain {dataset.domain.value}")
-    if dataset.sample_shape != (plan.delay_bins, plan.antennas):
-        raise ValueError(
-            f"sample shape {dataset.sample_shape} does not match plan "
-            f"({plan.delay_bins}, {plan.antennas})"
-        )
-    return Dataset(
-        inverse_transform_values(dataset.samples, plan), Domain.SPATIAL_FREQUENCY, dataset.meta
-    )
+    check_delay_bins(dataset.sample_shape[0], subcarriers)
+    samples = inverse_transform_values(dataset.samples, subcarriers)
+    return Dataset(samples, Domain.SPATIAL_FREQUENCY, dataset.meta)

@@ -18,7 +18,7 @@ from csiaug.channel import (
     load_scenario,
     save_scenario,
 )
-from csiaug.core import DftPlan, Domain
+from csiaug.core import Domain
 from csiaug.rng import make_generator
 from csiaug.transform import transform_dataset
 
@@ -179,8 +179,7 @@ def test_generation_provenance_embeds_scenario():
 
 def fft_oracle(spec, count, delay_bins):
     """The staged path: all subcarriers, then the truncated FFT."""
-    plan = DftPlan(spec.subcarriers, spec.antennas, delay_bins)
-    return transform_dataset(generate_dataset(spec, count), plan)
+    return transform_dataset(generate_dataset(spec, count), delay_bins)
 
 
 def assert_matches_fft_oracle(spec, count, delay_bins):

@@ -153,6 +153,16 @@ def test_report_grid_golden_csv(tmp_path, capsys):
     )
 
 
+def test_report_grid_md_escapes_pipes(tmp_path, capsys):
+    a = report_file(tmp_path, "a.json", "bs-down|S=1", "1/4", -10.5)
+    assert cli.run(["report", "--in", str(a)]) == 0
+    assert capsys.readouterr().out == (
+        "| method | 1/4 |\n"
+        "| --- | --- |\n"
+        "| bs-down\\|S=1 | -10.500 |\n"
+    )
+
+
 def test_report_conflicting_cells_fail(tmp_path, capsys):
     a = report_file(tmp_path, "a.json", "baseline", "1/4", -10.5)
     b = report_file(tmp_path, "b.json", "baseline", "1/4", -11.5)

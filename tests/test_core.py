@@ -13,7 +13,6 @@ from csiaug.core import (
     AugmentParams,
     AugmentationRecord,
     Dataset,
-    DftPlan,
     Domain,
     Provenance,
     ShiftDirection,
@@ -233,17 +232,3 @@ def test_enum_tokens_match_cli_surface():
     assert {m.value for m in AugmentMode} == {"append", "replace"}
     assert {d.value for d in ShiftDirection} == {"up", "down"}
     assert {d.value for d in Domain} == {"spatial-frequency", "angular-delay"}
-
-
-def test_dft_plan_validation():
-    plan = DftPlan(64, 8, 16)
-    assert (plan.subcarriers, plan.antennas, plan.delay_bins) == (64, 8, 16)
-    with pytest.raises(ValueError):
-        DftPlan(64, 8, 65)
-    with pytest.raises(ValueError):
-        DftPlan(64, 0, 16)
-    with pytest.raises(ValueError):
-        DftPlan(64, 8, 0)
-    for fields in ((16.7, 4, 2), (16, 4.2, 2), (16, 4, True), (16.7, 4.2, True)):
-        with pytest.raises(ValueError, match="must be an integer"):
-            DftPlan(*fields)

@@ -1,7 +1,9 @@
 """Tests for the binary dataset/codec containers and JSON artifacts."""
 
 import json
+import os
 import re
+import stat
 import struct
 import tracemalloc
 from fractions import Fraction
@@ -424,6 +426,21 @@ def test_atomic_writes_leave_no_temp_files(tmp_path):
     write_codec(fitted_codec(), tmp_path / "clean.csic")
     leftovers = [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_new_artifacts_get_the_umask_default_mode(tmp_path, umask, mode):
+    # As open(path, "wb") would create them, not with the temp file's 0o600.
+    old = os.umask(umask)
+    try:
+        write_dataset(float32_dataset(), tmp_path / "new.csia")
+        write_codec(fitted_codec(), tmp_path / "new.csic")
+        write_record(tmp_path / "new.json", {"a": 1})
+    finally:
+        os.umask(old)
+    for path in tmp_path.iterdir():
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
+    assert len(list(tmp_path.iterdir())) == 4
 
 
 def oracle_dataset_bytes(ds):

@@ -11,7 +11,6 @@ PUBLIC_NAMES = {
     "AugmentationRecord",
     "CorruptedFileError",
     "Dataset",
-    "DftPlan",
     "Domain",
     "EvalReport",
     "FileFormatError",

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from csiaug.core import Dataset, DftPlan, Domain, Provenance
+from csiaug.core import Dataset, Domain, Provenance
 from csiaug.transform import (
+    check_delay_bins,
     inverse_transform_dataset,
     inverse_transform_values,
     transform_dataset,
@@ -34,7 +35,7 @@ def random_channel(rng, nc, nt):
 def test_matches_dense_dft_oracle(nc, nt, na):
     rng = np.random.default_rng(nc * 100 + nt * 10 + na)
     h = random_channel(rng, nc, nt)
-    got = transform_values(h, DftPlan(nc, nt, na))
+    got = transform_values(h, na)
     want = reference_transform(h, na)
     assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
 
@@ -43,40 +44,37 @@ def test_single_delay_tone_concentrates_in_one_row():
     # A pure phase ramp of one cycle across 4 subcarriers is a path at
     # delay bin 1; the transform puts all energy there, scaled to 2.
     h = np.exp(-2j * np.pi * np.arange(4) / 4).reshape(4, 1)
-    ha = transform_values(h, DftPlan(4, 1, 4))
+    ha = transform_values(h, 4)
     assert np.abs(ha - np.array([[0], [2], [0], [0]])).max() < 1e-12
 
 
 def test_size_one_transform_is_identity():
     h = np.array([[3.5 - 1.25j]])
-    ha = transform_values(h, DftPlan(1, 1, 1))
+    ha = transform_values(h, 1)
     assert np.abs(ha - h).max() < 1e-15
 
 
 def test_zeros_map_to_zeros():
-    plan = DftPlan(16, 4, 8)
-    assert not np.any(transform_values(np.zeros((16, 4)), plan))
-    assert not np.any(inverse_transform_values(transform_values(np.zeros((16, 4)), plan), plan))
+    assert not np.any(transform_values(np.zeros((16, 4)), 8))
+    assert not np.any(inverse_transform_values(transform_values(np.zeros((16, 4)), 8), 16))
 
 
 def test_untruncated_round_trip_and_parseval():
     rng = np.random.default_rng(7)
-    plan = DftPlan(64, 8, 64)
     h = random_channel(rng, 64, 8)
-    ha = transform_values(h, plan)
+    ha = transform_values(h, 64)
     h_norm = np.linalg.norm(h)
     assert abs(np.linalg.norm(ha) - h_norm) / h_norm < 1e-10
-    back = inverse_transform_values(ha, plan)
+    back = inverse_transform_values(ha, 64)
     assert np.linalg.norm(back - h) / h_norm < 1e-10
 
 
 def test_linearity():
     rng = np.random.default_rng(21)
-    plan = DftPlan(32, 4, 12)
     h1, h2 = random_channel(rng, 32, 4), random_channel(rng, 32, 4)
     a, b = 1.7 - 0.3j, -0.4 + 2.2j
-    combined = transform_values(a * h1 + b * h2, plan)
-    separate = a * transform_values(h1, plan) + b * transform_values(h2, plan)
+    combined = transform_values(a * h1 + b * h2, 12)
+    separate = a * transform_values(h1, 12) + b * transform_values(h2, 12)
     assert np.abs(combined - separate).max() < 1e-10 * np.abs(separate).max()
 
 
@@ -85,50 +83,63 @@ def test_truncated_round_trip_for_band_limited_input():
     # loses nothing to truncation, so the round trip is tight both ways.
     rng = np.random.default_rng(3)
     nc, nt, na = 64, 4, 8
-    plan = DftPlan(nc, nt, na)
     rows = rng.standard_normal((na, nt)) + 1j * rng.standard_normal((na, nt))
-    h = inverse_transform_values(rows, plan)
-    ha = transform_values(h, plan)
+    h = inverse_transform_values(rows, nc)
+    ha = transform_values(h, na)
     assert np.linalg.norm(ha - rows) / np.linalg.norm(rows) < 1e-10
-    again = transform_values(inverse_transform_values(ha, plan), plan)
+    again = transform_values(inverse_transform_values(ha, nc), na)
     assert np.linalg.norm(again - ha) / np.linalg.norm(ha) < 1e-10
-
-
-def test_shape_mismatches_rejected():
-    plan = DftPlan(16, 4, 8)
-    with pytest.raises(ValueError, match="shape"):
-        transform_dataset(Dataset(np.zeros((1, 8, 4)), Domain.SPATIAL_FREQUENCY), plan)
-    ang = transform_dataset(Dataset(np.zeros((1, 16, 4)), Domain.SPATIAL_FREQUENCY), plan)
-    with pytest.raises(ValueError, match="shape"):
-        inverse_transform_dataset(ang, DftPlan(16, 4, 4))
 
 
 def test_dataset_transform_matches_per_sample_loop():
     rng = np.random.default_rng(11)
-    plan = DftPlan(16, 4, 6)
     samples = rng.standard_normal((5, 16, 4)) + 1j * rng.standard_normal((5, 16, 4))
     meta = Provenance(seed=4)
     ds = Dataset(samples, Domain.SPATIAL_FREQUENCY, meta)
-    batch = transform_dataset(ds, plan)
+    batch = transform_dataset(ds, 6)
     assert batch.domain is Domain.ANGULAR_DELAY
     assert batch.meta == meta
     for i in range(5):
-        single = transform_values(samples[i], plan)
+        single = transform_values(samples[i], 6)
         assert np.array_equal(batch.samples[i], single)
-    back = inverse_transform_dataset(batch, plan)
+    back = inverse_transform_dataset(batch, 16)
     assert back.domain is Domain.SPATIAL_FREQUENCY
     for i in range(5):
-        single = inverse_transform_values(batch.samples[i], plan)
+        single = inverse_transform_values(batch.samples[i], 16)
         assert np.array_equal(back.samples[i], single)
     # the inverse is a right inverse on the truncated domain, not on raw samples
-    again = transform_dataset(back, plan)
+    again = transform_dataset(back, 6)
     assert np.abs(again.samples - batch.samples).max() < 1e-10
 
 
 def test_dataset_transform_checks_domain():
     ds = Dataset(np.zeros((1, 8, 2), dtype=complex), Domain.ANGULAR_DELAY)
     with pytest.raises(ValueError, match="domain"):
-        transform_dataset(ds, DftPlan(8, 2, 4))
+        transform_dataset(ds, 4)
     fwd = Dataset(np.zeros((1, 8, 2), dtype=complex), Domain.SPATIAL_FREQUENCY)
     with pytest.raises(ValueError, match="domain"):
-        inverse_transform_dataset(fwd, DftPlan(8, 2, 8))
+        inverse_transform_dataset(fwd, 8)
+
+
+def test_delay_bins_validation():
+    # The one rule: delay rows are an integer from 1 to the subcarrier count.
+    check_delay_bins(16, 16)
+    for bad in (2.0, 16.7, True, 0):
+        with pytest.raises(ValueError, match="delay_bins must be"):
+            check_delay_bins(bad, 16)
+        with pytest.raises(ValueError, match="subcarriers must be"):
+            check_delay_bins(1, bad)
+    freq = Dataset(np.zeros((1, 16, 4), dtype=complex), Domain.SPATIAL_FREQUENCY)
+    assert transform_dataset(freq, 16).sample_shape == (16, 4)
+    for bad in (8.0, True, 0):
+        with pytest.raises(ValueError, match="delay_bins must be"):
+            transform_dataset(freq, bad)
+    with pytest.raises(ValueError, match=r"delay_bins \(17\) cannot exceed subcarriers \(16\)"):
+        transform_dataset(freq, 17)
+    ang = transform_dataset(freq, 8)
+    assert inverse_transform_dataset(ang, 8).sample_shape == (8, 4)
+    for bad in (16.0, True, 0):
+        with pytest.raises(ValueError, match="subcarriers must be"):
+            inverse_transform_dataset(ang, bad)
+    with pytest.raises(ValueError, match=r"delay_bins \(8\) cannot exceed subcarriers \(7\)"):
+        inverse_transform_dataset(ang, 7)
