@@ -209,9 +209,11 @@ def augment_dataset(
         )
     if not isinstance(mode, AugmentMode):
         raise TypeError("mode must be an AugmentMode")
-    augmented = _augment_samples(dataset.samples, params)
+    samples = _augment_samples(dataset.samples, params)
     if mode is AugmentMode.APPEND:
-        samples = np.concatenate([dataset.samples, augmented], axis=0)
-    else:
-        samples = augmented
-    return Dataset(samples, dataset.domain, dataset.meta.with_augmentation(_record(params, mode)))
+        count = len(dataset)
+        both = np.empty((2 * count, *dataset.sample_shape), dtype=np.complex128)
+        both[:count], both[count:] = dataset.samples, samples
+        samples = both
+    meta = dataset.meta.with_augmentation(_record(params, mode))
+    return Dataset._adopt(samples, dataset.domain, meta)

@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from csiaug.core import Dataset, Domain, Provenance, Record
+from csiaug.core import Dataset, Domain, Provenance, Record, _chunk_samples, _fill
 from csiaug.dataset_io import read_record, write_record
 from csiaug.rng import RNG_SCHEME, check_int, check_real, check_seed, make_generator
 from csiaug.transform import check_delay_bins
@@ -132,9 +132,6 @@ def _batch_draws(spec: ScenarioSpec, start: int, stop: int) -> tuple[np.ndarray,
     return tuple(np.stack(column) for column in zip(*draws))
 
 
-_CHUNK = 512  # samples per synthesis batch
-
-
 def _synthesize_angular(
     spec: ScenarioSpec, rows: int, tau: np.ndarray, theta: np.ndarray, phi: np.ndarray
 ) -> np.ndarray:
@@ -154,19 +151,26 @@ def _synthesize_angular(
     return delay @ np.fft.ifft(steer, axis=-1, norm="ortho")
 
 
+def _chunks(spec: ScenarioSpec, count: int, rows: int, domain: Domain) -> Iterator[np.ndarray]:
+    """``count`` samples synthesised one chunk (:func:`core._chunk_samples`) at a time:
+    all subcarriers, or the leading ``rows`` delay rows of the angular-delay domain."""
+    step = _chunk_samples(rows, spec.antennas)
+    for start in range(0, count, step):
+        draws = _batch_draws(spec, start, min(start + step, count))
+        if domain is Domain.ANGULAR_DELAY:
+            yield _synthesize_angular(spec, rows, *draws)
+        else:
+            yield _synthesize(spec, *draws)
+
+
+def _provenance(spec: ScenarioSpec) -> Provenance:
+    return Provenance(scenario=spec.to_dict(), seed=spec.seed, rng=RNG_SCHEME)
+
+
 def _generate(spec: ScenarioSpec, count: int, rows: int, domain: Domain) -> Dataset:
-    """``count`` samples synthesised ``_CHUNK`` at a time: all subcarriers, or
-    the leading ``rows`` delay rows of the angular-delay domain."""
     count = check_int(count, "count", 0)
     out = np.empty((count, rows, spec.antennas), dtype=np.complex128)
-    for start in range(0, count, _CHUNK):
-        stop = min(start + _CHUNK, count)
-        draws = _batch_draws(spec, start, stop)
-        if domain is Domain.ANGULAR_DELAY:
-            out[start:stop] = _synthesize_angular(spec, rows, *draws)
-        else:
-            out[start:stop] = _synthesize(spec, *draws)
-    return Dataset(out, domain, Provenance(scenario=spec.to_dict(), seed=spec.seed, rng=RNG_SCHEME))
+    return Dataset._adopt(_fill(out, _chunks(spec, count, rows, domain)), domain, _provenance(spec))
 
 
 def generate_dataset(spec: ScenarioSpec, count: int) -> Dataset:

@@ -25,17 +25,21 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from csiaug.augment import augment_dataset
-from csiaug.channel import generate_dataset, load_scenario
+from csiaug.channel import _chunks, _provenance, load_scenario
 from csiaug.codec import EvalReport, evaluate, evaluate_passes, fit_codec, fit_spectrum, parse_ratio
 from csiaug.core import (
     AugmentMethod, AugmentMode, AugmentParams, Domain, ShiftDirection, _param_field,
 )
 from csiaug.dataset_io import (
+    _Header,
+    _open_dataset,
+    _write_chunks,
     atomic_write_bytes,
     check_out,
     read_codec,
@@ -47,7 +51,7 @@ from csiaug.dataset_io import (
     write_report,
 )
 from csiaug.rng import MASK64, check_int, check_ints
-from csiaug.transform import inverse_transform_dataset, transform_dataset
+from csiaug.transform import _plan
 
 # (flag, lowest, highest) for values invalid whatever the input holds, which
 # no object can judge before a file is read.
@@ -153,25 +157,25 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     spec = load_scenario(args.scenario)
     if args.seed is not None:
         spec = spec.with_seed(args.seed)
-    dataset = generate_dataset(spec, args.count)
-    write_dataset(dataset, args.out)
-    print(f"wrote {len(dataset)} samples ({dataset.domain.value}) to {args.out}")
+    domain = Domain.SPATIAL_FREQUENCY
+    head = _Header(domain, args.count, spec.subcarriers, spec.antennas, _provenance(spec))
+    _write_chunks(args.out, head, _chunks(spec, args.count, spec.subcarriers, domain))
+    print(f"wrote {head.count} samples ({domain.value}) to {args.out}")
     return 0
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    dataset = read_dataset(args.input)
-    # The input's domain picks the direction.
-    if dataset.domain is Domain.ANGULAR_DELAY:
-        if args.nc is None:
+    with _open_dataset(args.input) as (head, chunks):
+        # The input's domain picks the direction.
+        if head.domain is Domain.ANGULAR_DELAY and args.nc is None:
             raise UsageError("an angular-delay input requires --nc (subcarriers to restore)")
-        out = inverse_transform_dataset(dataset, args.nc)
-    else:
-        if args.na is None:
+        if head.domain is Domain.SPATIAL_FREQUENCY and args.na is None:
             raise UsageError("a spatial-frequency input requires --na (delay rows to keep)")
-        out = transform_dataset(dataset, args.na)
-    write_dataset(out, args.out)
-    print(f"wrote {len(out)} samples ({out.domain.value}) to {args.out}")
+        rows = args.nc if head.domain is Domain.ANGULAR_DELAY else args.na
+        domain, values, step = _plan(head.domain, head.rows, head.cols, rows)
+        out = head._replace(domain=domain, rows=rows)
+        _write_chunks(args.out, out, (values(chunk, rows) for chunk in chunks(step)))
+    print(f"wrote {out.count} samples ({domain.value}) to {args.out}")
     return 0
 
 
@@ -246,16 +250,21 @@ def render_report_grid(reports: Sequence[EvalReport], fmt: str) -> str:
         "| " + " | ".join("---" for _ in header) + " |",
     ]
     for row in rows:
-        cells = (cell.replace("|", r"\|") if cell else "-" for cell in row)
+        cells = (_md_cell(cell) if cell else "-" for cell in row)
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
+
+
+def _md_cell(text: str) -> str:
+    """``text`` as one Markdown table cell: pipes escaped, line breaks as ``<br>``."""
+    return re.sub(r"\r\n?|\n", "<br>", text.replace("|", r"\|"))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     reports = [read_report(path) for path in args.inputs]
     text = render_report_grid(reports, args.format)
     if args.out:
-        atomic_write_bytes(args.out, text.encode("utf-8"))
+        atomic_write_bytes(args.out, [text.encode("utf-8")])
         print(f"wrote {args.format} grid to {args.out}")
     else:
         sys.stdout.write(text)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -265,7 +265,19 @@ class Dataset:
     meta: Provenance = field(default_factory=Provenance)
 
     def __post_init__(self) -> None:
-        vals = np.array(self.samples, dtype=np.complex128, copy=True)
+        self._freeze(np.array(self.samples, dtype=np.complex128, copy=True))
+
+    @classmethod
+    def _adopt(cls, samples: np.ndarray, domain: Domain, meta: Provenance) -> "Dataset":
+        """A dataset that takes over ``samples``, a complex128 array the package
+        has just allocated and nothing else holds: the same checks, no copy."""
+        dataset = cls.__new__(cls)
+        object.__setattr__(dataset, "domain", domain)
+        object.__setattr__(dataset, "meta", meta)
+        dataset._freeze(samples)
+        return dataset
+
+    def _freeze(self, vals: np.ndarray) -> None:
         if vals.ndim != 3:
             raise ValueError(f"samples must be a (count, rows, cols) array, got shape {vals.shape}")
         if vals.shape[1] < 1 or vals.shape[2] < 1:
@@ -295,6 +307,29 @@ class Dataset:
             and _same_bits(self.samples, other.samples)
             and self.meta == other.meta
         )
+
+
+# Bytes of complex128 samples per chunk. Synthesis, the transforms and the
+# dataset reader and writer work through a dataset one chunk at a time, so a
+# stream from source to file holds about one chunk whatever the count.
+_CHUNK_BYTES = 8 << 20
+
+
+def _chunk_samples(rows: int, cols: int) -> int:
+    """Samples of ``rows`` x ``cols`` per chunk: 512 at 32 x 32, 16 at 1024 x 32."""
+    return max(1, _CHUNK_BYTES // (16 * rows * cols))
+
+
+def _fill(out: np.ndarray, chunks: Iterable[np.ndarray]) -> np.ndarray:
+    """``out`` filled in order from ``chunks`` of samples, which must cover it exactly."""
+    start = 0
+    for chunk in chunks:
+        out[start:start + len(chunk)] = chunk
+        start += len(chunk)
+        del chunk  # else it stays alive while the next chunk is made
+    if start != len(out):
+        raise ValueError(f"chunks hold {start} samples, expected {len(out)}")
+    return out
 
 
 def _param_field(method: AugmentMethod) -> str:

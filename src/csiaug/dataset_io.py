@@ -23,9 +23,11 @@ little-endian 64-bit floats.
 
 Storage quantizes complex values once to 32-bit floats; reading never
 re-quantizes, so write -> read -> write reproduces files byte for byte.
-Payloads move straight between the file and one array: a dataset read
-holds the float32 payload plus the dataset's own complex128 copy, and a
-dataset write holds one float32 copy of the samples.
+Dataset payloads move between the file and memory in chunks of about
+8 MiB of complex128 samples through one reused float32 buffer: a dataset
+read holds the dataset's own complex128 array plus one chunk, a write one
+float32 chunk, and a stream from source to file (``csiaug gen``,
+``csiaug transform``) about one chunk whatever the sample count.
 All writes go through a temp file plus rename, so a crashed run never
 leaves a half-written artifact at the target path.
 
@@ -37,19 +39,24 @@ with sorted keys, 2-space indent and a final newline, and read back by
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import os
 import struct
 import tempfile
 import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, BinaryIO, Callable
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from csiaug.codec import EvalReport, LinearCodec
-from csiaug.core import Dataset, Domain, Provenance
+from csiaug.core import (
+    Dataset, Domain, Provenance, _chunk_samples, _fill,
+)
 
 DATASET_MAGIC = b"CSIA"
 DATASET_VERSION = 1
@@ -75,8 +82,11 @@ class CorruptedFileError(ValueError):
     """The file follows the grammar but its content is inconsistent."""
 
 
-def atomic_write_bytes(path: str | Path, *chunks: Any) -> None:
+def atomic_write_bytes(path: str | Path, chunks: Iterable[Any]) -> None:
     """Write ``chunks`` (bytes or C-contiguous arrays) in order via a temp file and rename.
+
+    ``chunks`` may be a generator: an exception it raises removes the temp
+    file and leaves the target as it was.
 
     The file gets the mode ``open(path, "wb")`` would give a new file,
     ``0o666`` less the umask, not the temp file's ``0o600``.
@@ -101,7 +111,7 @@ def atomic_write_bytes(path: str | Path, *chunks: Any) -> None:
 
 def write_record(path: str | Path, obj: dict[str, Any]) -> None:
     """Write JSON object ``obj`` atomically: sorted keys, 2-space indent, final newline."""
-    atomic_write_bytes(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    atomic_write_bytes(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
 def read_record(path: str | Path, what: str, parse: Callable[[dict[str, Any]], Any]) -> Any:
@@ -163,18 +173,71 @@ def _read_header(fh: BinaryIO, path: str | Path, magic: bytes) -> tuple[int, ...
     return tuple(fields)
 
 
-def _read_payload(fh: BinaryIO, path: str | Path, count: int, dtype: str) -> np.ndarray:
-    """The ``count`` entries of ``dtype`` that must fill the rest of the file."""
-    expected = fh.tell() + count * np.dtype(dtype).itemsize
+def _check_extent(fh: BinaryIO, path: str | Path, nbytes: int) -> None:
+    """``CorruptedFileError`` unless ``nbytes`` of payload fill the rest of the file."""
+    expected = fh.tell() + nbytes
     size = os.fstat(fh.fileno()).st_size
     if size != expected:
         raise CorruptedFileError(
             f"{path}: payload length mismatch, header implies {expected} bytes, file has {size}"
         )
-    out = np.empty(count, dtype=dtype)
+
+
+def _read_into(fh: BinaryIO, path: str | Path, out: np.ndarray) -> np.ndarray:
     if fh.readinto(out) != out.nbytes:
         raise CorruptedFileError(f"{path}: short read, file ended inside the payload")
     return out
+
+
+class _Header(NamedTuple):
+    """What a dataset container holds besides its payload."""
+
+    domain: Domain
+    count: int
+    rows: int
+    cols: int
+    meta: Provenance
+
+
+def _write_chunks(path: str | Path, head: _Header, chunks: Iterable[np.ndarray]) -> None:
+    """Write the container of ``head`` from ``chunks``, consecutive complex
+    batches of samples that must add up to ``head.count``, and its sidecar.
+
+    Each chunk is judged as it arrives: a non-finite entry or one too large
+    for a 32-bit float is a ``ValueError`` that leaves neither file behind.
+    """
+    header = _DATASET_HEADER.pack(
+        DATASET_MAGIC,
+        DATASET_VERSION,
+        _DOMAIN_TO_CODE[head.domain],
+        0,
+        _check_u32(head.count, "sample count"),
+        _check_u32(head.rows, "row count"),
+        _check_u32(head.cols, "col count"),
+    )
+    atomic_write_bytes(path, itertools.chain([header], _encode(path, head, chunks)))
+    write_record(sidecar_path(path), head.meta.to_dict())
+
+
+def _encode(path: str | Path, head: _Header, chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Each chunk as little-endian complex64, cast into one reused buffer."""
+    done, buf = 0, np.empty(0, dtype="<c8")
+    for chunk in chunks:
+        if buf.size < chunk.size:
+            buf = np.empty(chunk.size, dtype="<c8")
+        out = buf[:chunk.size].reshape(chunk.shape)
+        try:
+            with np.errstate(over="raise"):
+                np.copyto(out, chunk)
+        except FloatingPointError:
+            raise ValueError(f"{path}: dataset samples overflow 32-bit floats") from None
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"{path}: dataset samples must be finite")
+        done += len(chunk)
+        del chunk  # else it stays alive while the next chunk is made
+        yield out
+    if done != head.count:
+        raise ValueError(f"{path}: chunks hold {done} samples, the header {head.count}")
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -182,32 +245,25 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
 
     Identical datasets produce byte-identical files: the writer embeds
     no timestamps or environment details.  An entry too large for a
-    32-bit float is a ``ValueError`` before either file is written.
+    32-bit float is a ``ValueError`` that leaves neither file behind.
     """
     count, (rows, cols) = len(dataset), dataset.sample_shape
-    header = _DATASET_HEADER.pack(
-        DATASET_MAGIC,
-        DATASET_VERSION,
-        _DOMAIN_TO_CODE[dataset.domain],
-        0,
-        _check_u32(count, "sample count"),
-        _check_u32(rows, "row count"),
-        _check_u32(cols, "col count"),
-    )
-    try:
-        with np.errstate(over="raise"):
-            payload = np.ascontiguousarray(dataset.samples, dtype="<c8")
-    except FloatingPointError:
-        raise ValueError(f"{path}: dataset samples overflow 32-bit floats") from None
-    atomic_write_bytes(path, header, payload)
-    write_record(sidecar_path(path), dataset.meta.to_dict())
+    head = _Header(dataset.domain, count, rows, cols, dataset.meta)
+    step = _chunk_samples(rows, cols)
+    _write_chunks(path, head, (dataset.samples[i:i + step] for i in range(0, count, step)))
 
 
-def read_dataset(path: str | Path) -> Dataset:
-    """Parse a dataset container, validating header and payload extent.
+_Chunks = Callable[[int], Iterator[np.ndarray]]
 
-    A missing sidecar is tolerated with a warning (external tools may
-    emit bare binaries); a malformed sidecar is an error.
+
+@contextmanager
+def _open_dataset(path: str | Path) -> Iterator[tuple[_Header, _Chunks]]:
+    """The header of a dataset container and ``chunks(step)``, which serves its
+    payload as complex128 batches of ``step`` samples.
+
+    Header fields, payload extent and sidecar are judged on entry; each
+    batch is checked finite as it is read.  The file closes when the
+    block exits, however it exits.
     """
     with open(path, "rb") as fh:
         domain_code, reserved, count, rows, cols = _read_header(fh, path, DATASET_MAGIC)
@@ -217,15 +273,45 @@ def read_dataset(path: str | Path) -> Dataset:
             raise FileFormatError(f"{path}: reserved byte at offset 7 must be zero, got {reserved}")
         if rows < 1 or cols < 1:
             raise FileFormatError(f"{path}: sample shape ({rows}, {cols}) must be at least 1x1")
-        flat = _read_payload(fh, path, count * rows * cols, "<c8")
-    meta = _read_sidecar(path)
-    try:
-        # Dataset's own complex128 copy is the one upcast; a signalling NaN
-        # raises the invalid flag there before Dataset rejects it as not finite.
-        with np.errstate(invalid="ignore"):
-            return Dataset(flat.reshape(count, rows, cols), _CODE_TO_DOMAIN[domain_code], meta)
-    except ValueError as exc:
-        raise CorruptedFileError(f"{path}: dataset payload invalid: {exc}") from exc
+        _check_extent(fh, path, count * rows * cols * 8)
+        head = _Header(_CODE_TO_DOMAIN[domain_code], count, rows, cols, _read_sidecar(path))
+        yield head, functools.partial(_read_chunks, fh, path, head)
+
+
+def _read_chunks(fh: BinaryIO, path: str | Path, head: _Header, step: int) -> Iterator[np.ndarray]:
+    """The payload after the header, ``step`` samples at a time.
+
+    Every chunk is read into one float32 buffer and widened into one
+    complex128 buffer, so a chunk stays valid only until the next is served.
+    """
+    for start in range(0, head.count, step):
+        if start == 0:  # not before: an empty payload's shape may fit no array
+            shape = (min(step, head.count), head.rows, head.cols)
+            buf, wide = np.empty(shape, dtype="<c8"), np.empty(shape, dtype=np.complex128)
+        n = min(step, head.count - start)
+        part = _read_into(fh, path, buf[:n])
+        # Judged before the complex128 upcast, where a signalling NaN would
+        # raise the invalid flag.
+        if not np.all(np.isfinite(part)):
+            raise CorruptedFileError(
+                f"{path}: dataset payload invalid: dataset samples must be finite")
+        np.copyto(wide[:n], part)
+        yield wide[:n]
+
+
+def read_dataset(path: str | Path) -> Dataset:
+    """Parse a dataset container, validating header and payload extent.
+
+    A missing sidecar is tolerated with a warning (external tools may
+    emit bare binaries); a malformed sidecar is an error.
+    """
+    with _open_dataset(path) as (head, chunks):
+        try:
+            out = np.empty((head.count, head.rows, head.cols), dtype=np.complex128)
+        except ValueError as exc:  # a shape no array can have
+            raise CorruptedFileError(f"{path}: dataset payload invalid: {exc}") from exc
+        _fill(out, chunks(_chunk_samples(head.rows, head.cols)))
+    return Dataset._adopt(out, head.domain, head.meta)
 
 
 def _read_sidecar(path: str | Path) -> Provenance:
@@ -249,7 +335,7 @@ def write_codec(codec: LinearCodec, path: str | Path) -> None:
         _check_u32(ratio.denominator, "ratio denominator"),
     )
     basis = np.ascontiguousarray(codec.basis.T, dtype="<f8")
-    atomic_write_bytes(path, header, np.asarray(codec.mean, dtype="<f8"), basis)
+    atomic_write_bytes(path, [header, np.asarray(codec.mean, dtype="<f8"), basis])
 
 
 def read_codec(path: str | Path) -> LinearCodec:
@@ -261,7 +347,8 @@ def read_codec(path: str | Path) -> LinearCodec:
         if den == 0 or num == 0:
             raise FileFormatError(f"{path}: ratio {num}/{den} is not a positive rational")
         dim = 2 * delay_bins * antennas
-        floats = _read_payload(fh, path, dim + dim * m, "<f8")
+        _check_extent(fh, path, 8 * (dim + dim * m))
+        floats = _read_into(fh, path, np.empty(dim + dim * m, dtype="<f8"))
     basis = floats[dim:].reshape(m, dim).T
     try:
         return LinearCodec(delay_bins, antennas, Fraction(num, den), floats[:dim], basis)

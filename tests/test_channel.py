@@ -18,6 +18,7 @@ from csiaug.channel import (
     load_scenario,
     save_scenario,
 )
+from csiaug import core
 from csiaug.core import Domain
 from csiaug.rng import make_generator
 from csiaug.transform import transform_dataset
@@ -208,7 +209,13 @@ def test_generate_angular_matches_transform_of_generated():
     assert_matches_fft_oracle(small_spec(), 20, 12)
 
 
-def test_generate_angular_matches_across_chunk_boundary():
+@pytest.fixture
+def chunk_512(monkeypatch):
+    """512 samples per chunk at chunk_spec's 8 delay rows by 4 antennas."""
+    monkeypatch.setattr(core, "_CHUNK_BYTES", 512 * 16 * 8 * 4)
+
+
+def test_generate_angular_matches_across_chunk_boundary(chunk_512):
     assert_matches_fft_oracle(chunk_spec(), 520, 8)
 
 
@@ -254,7 +261,7 @@ def test_unreduced_denominator_misses_the_oracle_near_nc():
     assert np.abs(fused - staged).max() <= tolerance
 
 
-def test_generate_angular_is_batch_independent():
+def test_generate_angular_is_batch_independent(chunk_512):
     # Sample 512 is alone in its chunk of the 513-sample call and one of
     # eight in the 520-sample call: its bytes must not notice.
     long = generate_angular_dataset(chunk_spec(), 520, 8).samples

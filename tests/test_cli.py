@@ -163,6 +163,18 @@ def test_report_grid_md_escapes_pipes(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("label", ["bs\ndown", "bs\r\ndown", "bs\rdown"])
+def test_report_grid_md_keeps_a_multiline_label_in_one_row(label):
+    report = EvalReport(label, "1/4", 0.1, -10.0, 1, {"ratio": "1/4"})
+    assert cli.render_report_grid([report], "md") == (
+        "| method | 1/4 |\n"
+        "| --- | --- |\n"
+        "| bs<br>down | -10.000 |\n"
+    )
+    if "\n" in label:  # CSV quotes the label, line break and all.
+        assert cli.render_report_grid([report], "csv") == f'method,1/4\n"{label}",-10.000\n'
+
+
 def test_report_conflicting_cells_fail(tmp_path, capsys):
     a = report_file(tmp_path, "a.json", "baseline", "1/4", -10.5)
     b = report_file(tmp_path, "b.json", "baseline", "1/4", -11.5)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from csiaug.augment import augment_dataset
 from csiaug.channel import ScenarioSpec, generate_angular_dataset, load_scenario
-from csiaug import dataset_io
+from csiaug import core, dataset_io
 from csiaug.codec import EvalReport, LinearCodec, fit_codec
 from csiaug.core import (
     AugmentationRecord,
@@ -510,18 +510,25 @@ def large_dataset():
     return Dataset(raw[0] + 1j * raw[1], Domain.SPATIAL_FREQUENCY)
 
 
+def chunk_bytes(ds):
+    """complex128 bytes of one chunk of ``ds``'s samples."""
+    return core._chunk_samples(*ds.sample_shape) * ds.samples[0].nbytes
+
+
 def test_read_dataset_memory_bound(tmp_path):
     ds = large_dataset()
     path = tmp_path / "big.csia"
     write_dataset(ds, path)
-    # The float32 payload plus the dataset's complex128 copy: 1.5x.
-    assert traced_peak(read_dataset, path) <= 1.7 * ds.samples.nbytes
+    # The dataset's own array, one complex128 chunk and its float32 buffer.
+    bound = ds.samples.nbytes + 1.5 * chunk_bytes(ds) + 2**20
+    assert traced_peak(read_dataset, path) <= bound
 
 
 def test_write_dataset_memory_bound(tmp_path):
     ds = large_dataset()
-    # One float32 copy of the samples: 0.5x.
-    assert traced_peak(write_dataset, ds, tmp_path / "big.csia") <= 0.6 * ds.samples.nbytes
+    # One float32 chunk.
+    bound = 0.5 * chunk_bytes(ds) + 2**20
+    assert traced_peak(write_dataset, ds, tmp_path / "big.csia") <= bound
 
 
 def test_dataset_equality_memory_bound():

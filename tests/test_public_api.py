@@ -72,15 +72,15 @@ BENCHMARK_NAMES = (
     "write_dataset",
 )
 
-# Stage functions the benchmark swaps into ``csiaug.cli`` to trace the CLI.
+# Stage functions the benchmark swaps into ``csiaug.cli`` to trace the CLI:
+# those the CLI calls.  ``gen`` and ``transform`` stream their chunks
+# without generate_dataset or transform_dataset.
 CLI_STAGES = (
     "augment_dataset",
     "evaluate",
     "fit_codec",
-    "generate_dataset",
     "read_codec",
     "read_dataset",
-    "transform_dataset",
     "write_codec",
     "write_dataset",
 )
