@@ -23,8 +23,6 @@ timestamps, so reruns with the same inputs and seeds are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import re
 import sys
 from fractions import Fraction
@@ -32,9 +30,12 @@ from typing import Any, Callable, Sequence
 
 from csiaug.augment import augment_dataset
 from csiaug.channel import _chunks, _provenance, load_scenario
-from csiaug.codec import EvalReport, evaluate, evaluate_passes, fit_codec, fit_spectrum, parse_ratio
+from csiaug.codec import (
+    EvalReport, _check_train, _fit_chunks, check_components, evaluate, evaluate_passes, parse_ratio,
+)
 from csiaug.core import (
-    AugmentMethod, AugmentMode, AugmentParams, Domain, ShiftDirection, _param_field,
+    AugmentMethod, AugmentMode, AugmentParams, Domain, ShiftDirection, _chunk_samples,
+    _param_field,
 )
 from csiaug.dataset_io import (
     _Header,
@@ -195,11 +196,16 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     ratio = _usage(parse_ratio, args.ratio)
-    train = read_dataset(args.train)
-    codec = fit_codec(train, ratio)
+    with _open_dataset(args.train) as (head, chunks):
+        # Judged from the header, before the payload is read; the features
+        # are filled from the file's chunks, so the complex set never exists.
+        check_components(ratio, 2 * head.rows * head.cols)
+        _check_train(head.domain, head.count)
+        step = _chunk_samples(head.rows, head.cols)
+        spectrum = _fit_chunks(chunks(step), head.count, head.rows, head.cols)
+    codec = spectrum.codec(ratio)
     write_codec(codec, args.out)
-    # The spectrum fit_codec just computed for this dataset is reused.
-    share = fit_spectrum(train).energy_share(codec.components)
+    share = spectrum.energy_share(codec.components)
     print(f"fit codec with {codec.components}/{codec.feature_dim} components "
           f"({share:.4%} of training energy) to {args.out}")
     return 0
@@ -240,11 +246,7 @@ def render_report_grid(reports: Sequence[EvalReport], fmt: str) -> str:
             row.append("" if value is None else f"{value:.3f}")
         rows.append(row)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
+        return "".join(",".join(map(_csv_cell, row)) + "\n" for row in [header] + rows)
     lines = [
         "| " + " | ".join(header) + " |",
         "| " + " | ".join("---" for _ in header) + " |",
@@ -253,6 +255,17 @@ def render_report_grid(reports: Sequence[EvalReport], fmt: str) -> str:
         cells = (_md_cell(cell) if cell else "-" for cell in row)
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV field, quoted if it holds a comma, a quote or a line break.
+
+    The ``csv`` module's writer leaves a bare ``\r`` unquoted when rows end
+    in ``\n``, and a reader then splits the row there.
+    """
+    if re.search(r'[,"\r\n]', text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _md_cell(text: str) -> str:

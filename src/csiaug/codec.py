@@ -174,9 +174,10 @@ def _fix_signs(basis: np.ndarray) -> None:
     # Eigenvectors are defined up to sign; pin each column so its first
     # nonzero coordinate is positive, making fits reproducible artifacts.
     # A zero column's argmax lands on a zero, which is never below 0.
-    # Flipping in place allocates no second copy of the basis.
+    # Multiplying by a row of +-1 flips in place without copying the
+    # flipped columns out and back.
     first = basis[np.argmax(basis != 0, axis=0), np.arange(basis.shape[1])]
-    basis[:, first < 0] *= -1
+    basis *= np.where(first < 0, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -225,27 +226,34 @@ def _forget(ref: weakref.ref) -> None:
         _last_fit = None
 
 
-def fit_spectrum(train: Dataset) -> Spectrum:
-    """Mean and full sign-fixed eigendecomposition of a training set.
-
-    The full eigendecomposition always yields a complete orthonormal set,
-    so ratio 1 gives a lossless codec even when the training set has
-    fewer samples than features.  A repeat call on the same ``Dataset``
-    object returns the spectrum of the previous call.
-    """
-    global _last_fit
-    if train.domain is not Domain.ANGULAR_DELAY:
-        raise ValueError(f"codec training expects angular-delay samples, got {train.domain.value}")
-    n = len(train)
+def _check_train(domain: Domain, n: int) -> None:
+    if domain is not Domain.ANGULAR_DELAY:
+        raise ValueError(f"codec training expects angular-delay samples, got {domain.value}")
     if n < 2:
         raise ValueError(f"codec training needs at least 2 samples, got {n}")
-    last = _last_fit
-    if last is not None and last[0]() is train:
-        return last[1]
-    # Drop the held spectrum before computing, so two are never alive.
-    _last_fit = last = None
-    rows, cols = train.sample_shape
-    x = features(train.samples)
+
+
+def _fit_chunks(chunks: Iterable[np.ndarray], n: int, rows: int, cols: int) -> Spectrum:
+    """Spectrum of ``n`` samples of ``rows`` x ``cols`` that ``chunks`` serve in
+    order as complex batches.
+
+    The chunks fill one float64 matrix in :func:`features` layout, the same
+    bits as ``features`` of the whole set, so no complex copy of the set is
+    needed.  The matrix is this function's own local: ``del x`` frees it
+    before the eigensolve, which an array the caller still referenced would
+    survive.
+    """
+    half = rows * cols
+    x = np.empty((n, 2 * half))
+    start = 0
+    for chunk in chunks:
+        flat = chunk.reshape(len(chunk), half)
+        x[start:start + len(flat), :half] = flat.real
+        x[start:start + len(flat), half:] = flat.imag
+        start += len(flat)
+        del chunk, flat  # else the last chunk stays alive through the eigensolve
+    if start != n:
+        raise ValueError(f"chunks hold {start} samples, expected {n}")
     mean = x.mean(axis=0)
     x -= mean
     cov = (x.T @ x) / (n - 1)
@@ -256,7 +264,25 @@ def fit_spectrum(train: Dataset) -> Spectrum:
     _fix_signs(vectors)
     for array in (mean, values, vectors):
         array.flags.writeable = False
-    spectrum = Spectrum(rows, cols, mean, values, vectors)
+    return Spectrum(rows, cols, mean, values, vectors)
+
+
+def fit_spectrum(train: Dataset) -> Spectrum:
+    """Mean and full sign-fixed eigendecomposition of a training set.
+
+    The full eigendecomposition always yields a complete orthonormal set,
+    so ratio 1 gives a lossless codec even when the training set has
+    fewer samples than features.  A repeat call on the same ``Dataset``
+    object returns the spectrum of the previous call.
+    """
+    global _last_fit
+    _check_train(train.domain, len(train))
+    last = _last_fit
+    if last is not None and last[0]() is train:
+        return last[1]
+    # Drop the held spectrum before computing, so two are never alive.
+    _last_fit = last = None
+    spectrum = _fit_chunks((train.samples,), len(train), *train.sample_shape)
     _last_fit = (weakref.ref(train, _forget), spectrum)
     return spectrum
 

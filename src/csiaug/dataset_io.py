@@ -28,6 +28,8 @@ Dataset payloads move between the file and memory in chunks of about
 read holds the dataset's own complex128 array plus one chunk, a write one
 float32 chunk, and a stream from source to file (``csiaug gen``,
 ``csiaug transform``) about one chunk whatever the sample count.
+``csiaug fit`` holds the float64 feature matrix plus one chunk, never the
+complex training set.
 All writes go through a temp file plus rename, so a crashed run never
 leaves a half-written artifact at the target path.
 

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line pipeline (in-process via cli.run)."""
 
+import csv
+import io
 import json
 import re
 import subprocess
@@ -171,8 +173,16 @@ def test_report_grid_md_keeps_a_multiline_label_in_one_row(label):
         "| --- | --- |\n"
         "| bs<br>down | -10.000 |\n"
     )
-    if "\n" in label:  # CSV quotes the label, line break and all.
-        assert cli.render_report_grid([report], "csv") == f'method,1/4\n"{label}",-10.000\n'
+    # CSV quotes the label, line break and all.
+    assert cli.render_report_grid([report], "csv") == f'method,1/4\n"{label}",-10.000\n'
+
+
+@pytest.mark.parametrize("label", ["bs\rdown", "bs\r\ndown", "bs\ndown", "bs,down", 'bs"down'])
+def test_report_grid_csv_reads_back_one_row_per_label(label):
+    report = EvalReport(label, "1/4", 0.1, -10.0, 1, {"ratio": "1/4"})
+    text = cli.render_report_grid([report], "csv")
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [
+        ["method", "1/4"], [label, "-10.000"]]
 
 
 def test_report_conflicting_cells_fail(tmp_path, capsys):

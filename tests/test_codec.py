@@ -198,6 +198,21 @@ def test_fix_signs_matches_column_loop(basis):
     assert got.tobytes() == want.tobytes()
 
 
+def test_fix_signs_equals_the_gather_scatter_flip():
+    # The broadcast multiply must give the bits of the fancy-index flip
+    # ``basis[:, first < 0] *= -1`` it replaced.
+    basis = np.random.default_rng(3).standard_normal((64, 48))
+    basis[:5, ::3] = 0.0  # leading zeros of both signs in a third of the columns
+    basis[:2, 1::6] = -0.0
+    basis[::2, 7], basis[1::2, 7] = 0.0, -0.0  # one all-zero column
+    old = basis.copy()
+    first = old[np.argmax(old != 0, axis=0), np.arange(old.shape[1])]
+    assert 0 < np.count_nonzero(first < 0) < basis.shape[1]
+    old[:, first < 0] *= -1
+    _fix_signs(basis)
+    assert basis.tobytes() == old.tobytes()
+
+
 def test_codec_shape_checks():
     ds = random_dataset(10, 4, 3, seed=9)
     codec = fit_codec(ds, "1/4")

@@ -74,11 +74,11 @@ BENCHMARK_NAMES = (
 
 # Stage functions the benchmark swaps into ``csiaug.cli`` to trace the CLI:
 # those the CLI calls.  ``gen`` and ``transform`` stream their chunks
-# without generate_dataset or transform_dataset.
+# without generate_dataset or transform_dataset, and ``fit`` fills its
+# features from the file's chunks without read_dataset or fit_codec.
 CLI_STAGES = (
     "augment_dataset",
     "evaluate",
-    "fit_codec",
     "read_codec",
     "read_dataset",
     "write_codec",

@@ -1,5 +1,6 @@
-"""Streamed gen and transform: the bytes of the in-memory path, every check
-per chunk, no file or handle left behind, and memory flat in the count."""
+"""Streamed gen, transform and fit: the bytes of the in-memory path, every
+check per chunk, no file or handle left behind, and memory flat in the count
+(gen, transform) or no complex copy of the training set (fit)."""
 
 import os
 import struct
@@ -11,8 +12,11 @@ import pytest
 
 from csiaug import cli, core, dataset_io
 from csiaug.channel import generate_dataset, load_scenario
+from csiaug.codec import fit_codec
 from csiaug.core import Dataset, Domain
-from csiaug.dataset_io import CorruptedFileError, read_dataset, sidecar_path, write_dataset
+from csiaug.dataset_io import (
+    CorruptedFileError, read_dataset, sidecar_path, write_codec, write_dataset,
+)
 from csiaug.transform import inverse_transform_dataset, transform_dataset
 
 PRESET = Path(__file__).resolve().parents[1] / "scenarios" / "motion-range-train.json"
@@ -147,3 +151,77 @@ def test_gen_and_transform_memory_does_not_grow_with_count(tmp_path, capsys):
         f.unlink()
     for small, large in zip(peaks[200], peaks[1600]):
         assert large <= 1.1 * small, peaks
+
+
+def random_file(path, count, domain=Domain.ANGULAR_DELAY, rows=8, cols=4, seed=0):
+    g = np.random.default_rng(seed)
+    shape = (count, rows, cols)
+    write_dataset(Dataset(g.standard_normal(shape) + 1j * g.standard_normal(shape), domain), path)
+    return path
+
+
+SAMPLE_BYTES = 16 * 8 * 4  # one complex128 sample of 8 x 4
+
+
+@pytest.mark.parametrize("count", [2, 17, 53])
+def test_cli_fit_equals_the_library_fit(tmp_path, monkeypatch, capsys, count):
+    train = random_file(tmp_path / "train.csia", count, seed=count)
+    want = tmp_path / "want.csic"
+    write_codec(fit_codec(read_dataset(train), "1/4"), want)
+    # One sample per chunk, three (a short last chunk for 17 and 53), the whole file.
+    for budget in (1, 3 * SAMPLE_BYTES, 1 << 40):
+        monkeypatch.setattr(core, "_CHUNK_BYTES", budget)
+        got = tmp_path / f"got{budget}.csic"
+        assert run("fit", "--train", train, "--ratio", "1/4", "--out", got) == 0
+        assert got.read_bytes() == want.read_bytes()
+
+
+def nan_in_last_chunk(path):
+    random_file(path, 17)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, len(raw) - 4, np.nan)
+    path.write_bytes(bytes(raw))
+
+
+def truncated(path):
+    random_file(path, 17)
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+@pytest.mark.parametrize(
+    "make,ratio,message",
+    [
+        (lambda p: random_file(p, 17, Domain.SPATIAL_FREQUENCY), "1/4",
+         "codec training expects angular-delay samples, got spatial-frequency"),
+        (lambda p: random_file(p, 1), "1/4", "codec training needs at least 2 samples, got 1"),
+        (nan_in_last_chunk, "1/4", "dataset samples must be finite"),
+        (truncated, "1/4", "payload length mismatch"),
+        (lambda p: random_file(p, 17), "3/2", "exceeds feature dim 64"),
+    ],
+    ids=["frequency-domain", "one-sample", "nan-in-last-chunk", "truncated", "ratio-above-1"],
+)
+def test_cli_fit_rejects_bad_input_and_leaves_nothing(
+        tmp_path, monkeypatch, capsys, make, ratio, message):
+    monkeypatch.setattr(core, "_CHUNK_BYTES", 3 * SAMPLE_BYTES)
+    train = tmp_path / "train.csia"
+    make(train)
+    (tmp_path / "out").mkdir()
+    fds = open_fds()
+    assert run("fit", "--train", train, "--ratio", ratio, "--out", tmp_path / "out" / "c.csic") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert list((tmp_path / "out").iterdir()) == []
+    assert open_fds() == fds
+
+
+def test_cli_fit_holds_no_complex_copy_of_the_training_set(tmp_path, monkeypatch, capsys):
+    # 2000 samples of 16 x 16: the float64 features and the complex128 set are
+    # 8.2 MB each, the scatter matrix 2.1 MB, a 64-sample chunk 0.4 MB.
+    count, rows, cols, step = 2000, 16, 16, 64
+    train = random_file(tmp_path / "train.csia", count, rows=rows, cols=cols)
+    monkeypatch.setattr(core, "_CHUNK_BYTES", step * 16 * rows * cols)
+    dim = 2 * rows * cols
+    bound = 8 * count * dim + 8 * dim * dim + step * rows * cols * (8 + 16) + (1 << 20)
+    code, peak = traced(["fit", "--train", train, "--ratio", "1/4", "--out", tmp_path / "c.csic"])
+    assert code == 0
+    assert peak <= bound, (peak, bound)
