@@ -29,7 +29,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from csiaug.core import Dataset, Domain, Provenance, Record, _chunk_samples, _fill
+from csiaug.core import Dataset, Domain, Provenance, Record, _Stream
 from csiaug.dataset_io import read_record, write_record
 from csiaug.rng import RNG_SCHEME, check_int, check_real, check_seed, make_generator
 from csiaug.transform import check_delay_bins
@@ -151,26 +151,21 @@ def _synthesize_angular(
     return delay @ np.fft.ifft(steer, axis=-1, norm="ortho")
 
 
-def _chunks(spec: ScenarioSpec, count: int, rows: int, domain: Domain) -> Iterator[np.ndarray]:
-    """``count`` samples synthesised one chunk (:func:`core._chunk_samples`) at a time:
-    all subcarriers, or the leading ``rows`` delay rows of the angular-delay domain."""
-    step = _chunk_samples(rows, spec.antennas)
-    for start in range(0, count, step):
-        draws = _batch_draws(spec, start, min(start + step, count))
-        if domain is Domain.ANGULAR_DELAY:
-            yield _synthesize_angular(spec, rows, *draws)
-        else:
-            yield _synthesize(spec, *draws)
-
-
-def _provenance(spec: ScenarioSpec) -> Provenance:
-    return Provenance(scenario=spec.to_dict(), seed=spec.seed, rng=RNG_SCHEME)
-
-
-def _generate(spec: ScenarioSpec, count: int, rows: int, domain: Domain) -> Dataset:
+def _source(spec: ScenarioSpec, count: int, rows: int, domain: Domain) -> _Stream:
+    """The stream of ``count`` samples synthesised as they are served: all
+    subcarriers, or the leading ``rows`` delay rows of the angular-delay domain."""
     count = check_int(count, "count", 0)
-    out = np.empty((count, rows, spec.antennas), dtype=np.complex128)
-    return Dataset._adopt(_fill(out, _chunks(spec, count, rows, domain)), domain, _provenance(spec))
+
+    def chunks(step: int) -> Iterator[np.ndarray]:
+        for start in range(0, count, step):
+            draws = _batch_draws(spec, start, min(start + step, count))
+            if domain is Domain.ANGULAR_DELAY:
+                yield _synthesize_angular(spec, rows, *draws)
+            else:
+                yield _synthesize(spec, *draws)
+
+    meta = Provenance(scenario=spec.to_dict(), seed=spec.seed, rng=RNG_SCHEME)
+    return _Stream(domain, count, rows, spec.antennas, meta, chunks)
 
 
 def generate_dataset(spec: ScenarioSpec, count: int) -> Dataset:
@@ -180,7 +175,7 @@ def generate_dataset(spec: ScenarioSpec, count: int) -> Dataset:
     :mod:`csiaug.rng`), so any sample can be regenerated in isolation
     and the dataset is independent of batching.
     """
-    return _generate(spec, count, spec.subcarriers, Domain.SPATIAL_FREQUENCY)
+    return _source(spec, count, spec.subcarriers, Domain.SPATIAL_FREQUENCY).collect()
 
 
 def generate_angular_dataset(spec: ScenarioSpec, count: int, delay_bins: int) -> Dataset:
@@ -191,4 +186,4 @@ def generate_angular_dataset(spec: ScenarioSpec, count: int, delay_bins: int) ->
     exp(j pi d (Nc-1)/Nc) sin(pi d) / (sqrt(Nc) sin(pi d/Nc)), d = k - tau, on delay row k.
     """
     check_delay_bins(delay_bins, spec.subcarriers)
-    return _generate(spec, count, delay_bins, Domain.ANGULAR_DELAY)
+    return _source(spec, count, delay_bins, Domain.ANGULAR_DELAY).collect()

@@ -29,18 +29,16 @@ from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from csiaug.augment import augment_dataset
-from csiaug.channel import _chunks, _provenance, load_scenario
+from csiaug.channel import _source, load_scenario
 from csiaug.codec import (
-    EvalReport, _check_train, _fit_chunks, check_components, evaluate, evaluate_passes, parse_ratio,
+    EvalReport, _fit, check_components, evaluate, evaluate_passes, parse_ratio,
 )
 from csiaug.core import (
-    AugmentMethod, AugmentMode, AugmentParams, Domain, ShiftDirection, _chunk_samples,
-    _param_field,
+    AugmentMethod, AugmentMode, AugmentParams, Domain, ShiftDirection, _param_field,
 )
 from csiaug.dataset_io import (
-    _Header,
     _open_dataset,
-    _write_chunks,
+    _write,
     atomic_write_bytes,
     check_out,
     read_codec,
@@ -52,15 +50,16 @@ from csiaug.dataset_io import (
     write_report,
 )
 from csiaug.rng import MASK64, check_int, check_ints
-from csiaug.transform import _plan
+from csiaug.transform import _transform
 
 # (flag, lowest, highest) for values invalid whatever the input holds, which
-# no object can judge before a file is read.
+# no object can judge before a file is read. Counts are u32 header fields.
+_U32 = 2**32 - 1
 _FLAG_RANGES = (
-    ("count", 0, None),
+    ("count", 0, _U32),
     ("seed", 0, MASK64),
-    ("na", 1, None),
-    ("nc", 1, None),
+    ("na", 1, _U32),
+    ("nc", 1, _U32),
 )
 
 
@@ -158,25 +157,22 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     spec = load_scenario(args.scenario)
     if args.seed is not None:
         spec = spec.with_seed(args.seed)
-    domain = Domain.SPATIAL_FREQUENCY
-    head = _Header(domain, args.count, spec.subcarriers, spec.antennas, _provenance(spec))
-    _write_chunks(args.out, head, _chunks(spec, args.count, spec.subcarriers, domain))
-    print(f"wrote {head.count} samples ({domain.value}) to {args.out}")
+    source = _source(spec, args.count, spec.subcarriers, Domain.SPATIAL_FREQUENCY)
+    _write(args.out, source)
+    print(f"wrote {source.count} samples ({source.domain.value}) to {args.out}")
     return 0
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    with _open_dataset(args.input) as (head, chunks):
+    with _open_dataset(args.input) as source:
         # The input's domain picks the direction.
-        if head.domain is Domain.ANGULAR_DELAY and args.nc is None:
+        if source.domain is Domain.ANGULAR_DELAY and args.nc is None:
             raise UsageError("an angular-delay input requires --nc (subcarriers to restore)")
-        if head.domain is Domain.SPATIAL_FREQUENCY and args.na is None:
+        if source.domain is Domain.SPATIAL_FREQUENCY and args.na is None:
             raise UsageError("a spatial-frequency input requires --na (delay rows to keep)")
-        rows = args.nc if head.domain is Domain.ANGULAR_DELAY else args.na
-        domain, values, step = _plan(head.domain, head.rows, head.cols, rows)
-        out = head._replace(domain=domain, rows=rows)
-        _write_chunks(args.out, out, (values(chunk, rows) for chunk in chunks(step)))
-    print(f"wrote {out.count} samples ({domain.value}) to {args.out}")
+        out = _transform(source, args.nc if source.domain is Domain.ANGULAR_DELAY else args.na)
+        _write(args.out, out)
+    print(f"wrote {out.count} samples ({out.domain.value}) to {args.out}")
     return 0
 
 
@@ -196,13 +192,11 @@ def _cmd_augment(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     ratio = _usage(parse_ratio, args.ratio)
-    with _open_dataset(args.train) as (head, chunks):
-        # Judged from the header, before the payload is read; the features
-        # are filled from the file's chunks, so the complex set never exists.
-        check_components(ratio, 2 * head.rows * head.cols)
-        _check_train(head.domain, head.count)
-        step = _chunk_samples(head.rows, head.cols)
-        spectrum = _fit_chunks(chunks(step), head.count, head.rows, head.cols)
+    with _open_dataset(args.train) as train:
+        # Ratio, domain and count are judged before the payload is read; the
+        # features are filled from the file's chunks, never the complex set.
+        check_components(ratio, 2 * train.rows * train.cols)
+        spectrum = _fit(train)
     codec = spectrum.codec(ratio)
     write_codec(codec, args.out)
     share = spectrum.energy_share(codec.components)

@@ -35,7 +35,7 @@ import numpy as np
 
 from csiaug.augment import augment_dataset
 from csiaug.core import (
-    AugmentMode, AugmentParams, Dataset, Domain, Record, check_object,
+    AugmentMode, AugmentParams, Dataset, Domain, Record, _stream, _Stream, check_object,
 )
 from csiaug.rng import check_int, check_real, check_str
 
@@ -233,9 +233,8 @@ def _check_train(domain: Domain, n: int) -> None:
         raise ValueError(f"codec training needs at least 2 samples, got {n}")
 
 
-def _fit_chunks(chunks: Iterable[np.ndarray], n: int, rows: int, cols: int) -> Spectrum:
-    """Spectrum of ``n`` samples of ``rows`` x ``cols`` that ``chunks`` serve in
-    order as complex batches.
+def _fit(train: _Stream) -> Spectrum:
+    """Spectrum of the samples ``train`` serves, judged from its fields first.
 
     The chunks fill one float64 matrix in :func:`features` layout, the same
     bits as ``features`` of the whole set, so no complex copy of the set is
@@ -243,17 +242,14 @@ def _fit_chunks(chunks: Iterable[np.ndarray], n: int, rows: int, cols: int) -> S
     before the eigensolve, which an array the caller still referenced would
     survive.
     """
-    half = rows * cols
+    _check_train(train.domain, train.count)
+    n, half = train.count, train.rows * train.cols
     x = np.empty((n, 2 * half))
-    start = 0
-    for chunk in chunks:
+    for span, chunk in train.spans(train.step):
         flat = chunk.reshape(len(chunk), half)
-        x[start:start + len(flat), :half] = flat.real
-        x[start:start + len(flat), half:] = flat.imag
-        start += len(flat)
+        x[span, :half] = flat.real
+        x[span, half:] = flat.imag
         del chunk, flat  # else the last chunk stays alive through the eigensolve
-    if start != n:
-        raise ValueError(f"chunks hold {start} samples, expected {n}")
     mean = x.mean(axis=0)
     x -= mean
     cov = (x.T @ x) / (n - 1)
@@ -264,7 +260,7 @@ def _fit_chunks(chunks: Iterable[np.ndarray], n: int, rows: int, cols: int) -> S
     _fix_signs(vectors)
     for array in (mean, values, vectors):
         array.flags.writeable = False
-    return Spectrum(rows, cols, mean, values, vectors)
+    return Spectrum(train.rows, train.cols, mean, values, vectors)
 
 
 def fit_spectrum(train: Dataset) -> Spectrum:
@@ -282,7 +278,7 @@ def fit_spectrum(train: Dataset) -> Spectrum:
         return last[1]
     # Drop the held spectrum before computing, so two are never alive.
     _last_fit = last = None
-    spectrum = _fit_chunks((train.samples,), len(train), *train.sample_shape)
+    spectrum = _fit(_stream(train))
     _last_fit = (weakref.ref(train, _forget), spectrum)
     return spectrum
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -309,9 +309,9 @@ class Dataset:
         )
 
 
-# Bytes of complex128 samples per chunk. Synthesis, the transforms and the
-# dataset reader and writer work through a dataset one chunk at a time, so a
-# stream from source to file holds about one chunk whatever the count.
+# Bytes of complex128 samples per chunk. Every source and sink of samples
+# works through a dataset one chunk at a time, so a stream from source to
+# file holds about one chunk whatever the count.
 _CHUNK_BYTES = 8 << 20
 
 
@@ -320,16 +320,49 @@ def _chunk_samples(rows: int, cols: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * rows * cols))
 
 
-def _fill(out: np.ndarray, chunks: Iterable[np.ndarray]) -> np.ndarray:
-    """``out`` filled in order from ``chunks`` of samples, which must cover it exactly."""
-    start = 0
-    for chunk in chunks:
-        out[start:start + len(chunk)] = chunk
-        start += len(chunk)
-        del chunk  # else it stays alive while the next chunk is made
-    if start != len(out):
-        raise ValueError(f"chunks hold {start} samples, expected {len(out)}")
-    return out
+class _Stream(NamedTuple):
+    """A dataset's samples on their way from a source (synthesis, a file, a
+    dataset, a transform) to a sink (a dataset, a file, a fit): ``chunks(step)``
+    serves them in order as complex batches of at most ``step`` samples, each
+    valid until the next is served."""
+
+    domain: Domain
+    count: int
+    rows: int
+    cols: int
+    meta: Provenance
+    chunks: Callable[[int], Iterator[np.ndarray]]
+
+    @property
+    def step(self) -> int:
+        """Samples per chunk of this stream's sample shape."""
+        return _chunk_samples(self.rows, self.cols)
+
+    def spans(self, step: int) -> Iterator[tuple[slice, np.ndarray]]:
+        """Each of ``chunks(step)`` with the slice of samples it holds; a
+        ``ValueError`` once they are served unless they add up to ``count``."""
+        start = 0
+        for chunk in self.chunks(step):
+            yield slice(start, start + len(chunk)), chunk
+            start += len(chunk)
+            del chunk  # else it stays alive while the next chunk is made
+        if start != self.count:
+            raise ValueError(f"chunks hold {start} samples, expected {self.count}")
+
+    def collect(self) -> Dataset:
+        """The dataset of the served samples."""
+        out = np.empty((self.count, self.rows, self.cols), dtype=np.complex128)
+        for span, chunk in self.spans(self.step):
+            out[span] = chunk
+            del chunk  # else it stays alive while the next chunk is made
+        return Dataset._adopt(out, self.domain, self.meta)
+
+
+def _stream(dataset: Dataset) -> _Stream:
+    """The stream serving slices of ``dataset``'s samples."""
+    samples = dataset.samples
+    return _Stream(dataset.domain, len(samples), *dataset.sample_shape, dataset.meta,
+                   lambda step: (samples[i:i + step] for i in range(0, len(samples), step)))
 
 
 def _param_field(method: AugmentMethod) -> str:

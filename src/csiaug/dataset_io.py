@@ -23,13 +23,13 @@ little-endian 64-bit floats.
 
 Storage quantizes complex values once to 32-bit floats; reading never
 re-quantizes, so write -> read -> write reproduces files byte for byte.
-Dataset payloads move between the file and memory in chunks of about
-8 MiB of complex128 samples through one reused float32 buffer: a dataset
-read holds the dataset's own complex128 array plus one chunk, a write one
-float32 chunk, and a stream from source to file (``csiaug gen``,
-``csiaug transform``) about one chunk whatever the sample count.
-``csiaug fit`` holds the float64 feature matrix plus one chunk, never the
-complex training set.
+The reader is a source and the writer a sink of the one sample stream
+(``core._Stream``), whose chunks hold about 8 MiB of complex128 samples
+and pass through one reused float32 buffer: a dataset read holds the
+dataset's own complex128 array plus one chunk, a write one float32 chunk,
+and a stream from source to file (``csiaug gen``, ``csiaug transform``)
+about one chunk whatever the sample count.  ``csiaug fit`` holds the
+float64 feature matrix plus one chunk, never the complex training set.
 All writes go through a temp file plus rename, so a crashed run never
 leaves a half-written artifact at the target path.
 
@@ -51,14 +51,12 @@ import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
 from csiaug.codec import EvalReport, LinearCodec
-from csiaug.core import (
-    Dataset, Domain, Provenance, _chunk_samples, _fill,
-)
+from csiaug.core import Dataset, Domain, Provenance, _stream, _Stream
 
 DATASET_MAGIC = b"CSIA"
 DATASET_VERSION = 1
@@ -191,40 +189,26 @@ def _read_into(fh: BinaryIO, path: str | Path, out: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Header(NamedTuple):
-    """What a dataset container holds besides its payload."""
-
-    domain: Domain
-    count: int
-    rows: int
-    cols: int
-    meta: Provenance
-
-
-def _write_chunks(path: str | Path, head: _Header, chunks: Iterable[np.ndarray]) -> None:
-    """Write the container of ``head`` from ``chunks``, consecutive complex
-    batches of samples that must add up to ``head.count``, and its sidecar.
+def _write(path: str | Path, stream: _Stream) -> None:
+    """Write the container of ``stream`` and its sidecar.
 
     Each chunk is judged as it arrives: a non-finite entry or one too large
     for a 32-bit float is a ``ValueError`` that leaves neither file behind.
     """
     header = _DATASET_HEADER.pack(
-        DATASET_MAGIC,
-        DATASET_VERSION,
-        _DOMAIN_TO_CODE[head.domain],
-        0,
-        _check_u32(head.count, "sample count"),
-        _check_u32(head.rows, "row count"),
-        _check_u32(head.cols, "col count"),
+        DATASET_MAGIC, DATASET_VERSION, _DOMAIN_TO_CODE[stream.domain], 0,
+        _check_u32(stream.count, "sample count"),
+        _check_u32(stream.rows, "row count"),
+        _check_u32(stream.cols, "col count"),
     )
-    atomic_write_bytes(path, itertools.chain([header], _encode(path, head, chunks)))
-    write_record(sidecar_path(path), head.meta.to_dict())
+    atomic_write_bytes(path, itertools.chain([header], _encode(path, stream)))
+    write_record(sidecar_path(path), stream.meta.to_dict())
 
 
-def _encode(path: str | Path, head: _Header, chunks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+def _encode(path: str | Path, stream: _Stream) -> Iterator[np.ndarray]:
     """Each chunk as little-endian complex64, cast into one reused buffer."""
-    done, buf = 0, np.empty(0, dtype="<c8")
-    for chunk in chunks:
+    buf = np.empty(0, dtype="<c8")
+    for _, chunk in stream.spans(stream.step):
         if buf.size < chunk.size:
             buf = np.empty(chunk.size, dtype="<c8")
         out = buf[:chunk.size].reshape(chunk.shape)
@@ -235,11 +219,8 @@ def _encode(path: str | Path, head: _Header, chunks: Iterable[np.ndarray]) -> It
             raise ValueError(f"{path}: dataset samples overflow 32-bit floats") from None
         if not np.all(np.isfinite(out)):
             raise ValueError(f"{path}: dataset samples must be finite")
-        done += len(chunk)
         del chunk  # else it stays alive while the next chunk is made
         yield out
-    if done != head.count:
-        raise ValueError(f"{path}: chunks hold {done} samples, the header {head.count}")
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -249,19 +230,12 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
     no timestamps or environment details.  An entry too large for a
     32-bit float is a ``ValueError`` that leaves neither file behind.
     """
-    count, (rows, cols) = len(dataset), dataset.sample_shape
-    head = _Header(dataset.domain, count, rows, cols, dataset.meta)
-    step = _chunk_samples(rows, cols)
-    _write_chunks(path, head, (dataset.samples[i:i + step] for i in range(0, count, step)))
-
-
-_Chunks = Callable[[int], Iterator[np.ndarray]]
+    _write(path, _stream(dataset))
 
 
 @contextmanager
-def _open_dataset(path: str | Path) -> Iterator[tuple[_Header, _Chunks]]:
-    """The header of a dataset container and ``chunks(step)``, which serves its
-    payload as complex128 batches of ``step`` samples.
+def _open_dataset(path: str | Path) -> Iterator[_Stream]:
+    """The stream of a dataset container's samples, served from its payload.
 
     Header fields, payload extent and sidecar are judged on entry; each
     batch is checked finite as it is read.  The file closes when the
@@ -276,11 +250,11 @@ def _open_dataset(path: str | Path) -> Iterator[tuple[_Header, _Chunks]]:
         if rows < 1 or cols < 1:
             raise FileFormatError(f"{path}: sample shape ({rows}, {cols}) must be at least 1x1")
         _check_extent(fh, path, count * rows * cols * 8)
-        head = _Header(_CODE_TO_DOMAIN[domain_code], count, rows, cols, _read_sidecar(path))
-        yield head, functools.partial(_read_chunks, fh, path, head)
+        head = _Stream(_CODE_TO_DOMAIN[domain_code], count, rows, cols, _read_sidecar(path), None)
+        yield head._replace(chunks=functools.partial(_read_chunks, fh, path, head))
 
 
-def _read_chunks(fh: BinaryIO, path: str | Path, head: _Header, step: int) -> Iterator[np.ndarray]:
+def _read_chunks(fh: BinaryIO, path: str | Path, head: _Stream, step: int) -> Iterator[np.ndarray]:
     """The payload after the header, ``step`` samples at a time.
 
     Every chunk is read into one float32 buffer and widened into one
@@ -307,13 +281,13 @@ def read_dataset(path: str | Path) -> Dataset:
     A missing sidecar is tolerated with a warning (external tools may
     emit bare binaries); a malformed sidecar is an error.
     """
-    with _open_dataset(path) as (head, chunks):
+    with _open_dataset(path) as stream:
         try:
-            out = np.empty((head.count, head.rows, head.cols), dtype=np.complex128)
+            return stream.collect()
+        except CorruptedFileError:
+            raise
         except ValueError as exc:  # a shape no array can have
             raise CorruptedFileError(f"{path}: dataset payload invalid: {exc}") from exc
-        _fill(out, chunks(_chunk_samples(head.rows, head.cols)))
-    return Dataset._adopt(out, head.domain, head.meta)
 
 
 def _read_sidecar(path: str | Path) -> Provenance:

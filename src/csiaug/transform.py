@@ -17,11 +17,9 @@ The row convention makes the delay axis physical: a path with delay of
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from csiaug.core import Dataset, Domain, _chunk_samples, _fill
+from csiaug.core import Dataset, Domain, _stream, _Stream
 from csiaug.rng import check_int
 
 
@@ -52,33 +50,24 @@ def inverse_transform_values(values: np.ndarray, subcarriers: int) -> np.ndarray
     return np.fft.fft(np.pad(angle, pad), axis=-2, norm="ortho")
 
 
-def _plan(domain: Domain, rows: int, cols: int, new_rows: int) -> tuple[Domain, Callable, int]:
-    """The output domain, the per-chunk map ``values(chunk, new_rows)`` and the
-    samples per chunk of the transform of ``rows`` x ``cols`` samples in
-    ``domain`` to ``new_rows`` rows, once the row counts are checked."""
-    if domain is Domain.SPATIAL_FREQUENCY:
-        check_delay_bins(new_rows, rows)
+def _transform(source: _Stream, new_rows: int) -> _Stream:
+    """``source`` moved to the other domain with ``new_rows`` rows once the row counts
+    are checked, each chunk no larger than either side's chunk and mapped as served."""
+    if source.domain is Domain.SPATIAL_FREQUENCY:
+        check_delay_bins(new_rows, source.rows)
         domain, values = Domain.ANGULAR_DELAY, transform_values
     else:
-        check_delay_bins(rows, new_rows)
+        check_delay_bins(source.rows, new_rows)
         domain, values = Domain.SPATIAL_FREQUENCY, inverse_transform_values
-    return domain, values, _chunk_samples(max(rows, new_rows), cols)
-
-
-def _map(dataset: Dataset, new_rows: int) -> Dataset:
-    """The other domain's dataset of ``new_rows`` rows, transformed one chunk at a time."""
-    rows, cols = dataset.sample_shape
-    domain, values, step = _plan(dataset.domain, rows, cols, new_rows)
-    chunks = (values(dataset.samples[i:i + step], new_rows) for i in range(0, len(dataset), step))
-    out = np.empty((len(dataset), new_rows, cols), dtype=np.complex128)
-    return Dataset._adopt(_fill(out, chunks), domain, dataset.meta)
+    return source._replace(domain=domain, rows=new_rows, chunks=lambda step: (
+        values(chunk, new_rows) for chunk in source.chunks(min(step, source.step))))
 
 
 def transform_dataset(dataset: Dataset, delay_bins: int) -> Dataset:
     """Transform every sample of a dataset, keeping the leading ``delay_bins`` rows."""
     if dataset.domain is not Domain.SPATIAL_FREQUENCY:
         raise ValueError(f"dataset is already in domain {dataset.domain.value}")
-    return _map(dataset, delay_bins)
+    return _transform(_stream(dataset), delay_bins).collect()
 
 
 def inverse_transform_dataset(dataset: Dataset, subcarriers: int) -> Dataset:
@@ -90,4 +79,4 @@ def inverse_transform_dataset(dataset: Dataset, subcarriers: int) -> Dataset:
     """
     if dataset.domain is not Domain.ANGULAR_DELAY:
         raise ValueError(f"dataset is already in domain {dataset.domain.value}")
-    return _map(dataset, subcarriers)
+    return _transform(_stream(dataset), subcarriers).collect()

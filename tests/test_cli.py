@@ -283,6 +283,23 @@ def test_out_of_range_flag_values(workspace, argv, code, capsys):
     assert not (workspace / "ignored.csia").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [(["gen", "--scenario", "s.json", "--count"], "--count"),
+     (["transform", "--in", "x.csia", "--nc"], "--nc"),
+     (["transform", "--in", "f.csia", "--na"], "--na")],
+    ids=["gen-count", "transform-nc", "transform-na"],
+)
+def test_counts_beyond_32_bits_are_usage_errors(workspace, tmp_path, argv, flag, capsys):
+    # Each lands in an unsigned 32-bit container field, whatever the input holds.
+    paths = {"s.json": workspace / "scenario.json", "f.csia": workspace / "train.csia",
+             "x.csia": workspace / "train_ang.csia"}
+    argv = [str(paths.get(a, a)) for a in argv] + [str(2**32), "--out", str(tmp_path / "y.csia")]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"usage error: {flag} must be at most 4294967295")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_transform_inverse_requires_nc(workspace, capsys):
     # An angular-delay input goes back to spatial-frequency, so it needs
     # --nc; --na, the forward flag, does not stand in for it.

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from csiaug import cli, core, dataset_io
+from csiaug import cli, codec, core, dataset_io
 from csiaug.channel import generate_dataset, load_scenario
 from csiaug.codec import fit_codec
-from csiaug.core import Dataset, Domain
+from csiaug.core import Dataset, Domain, Provenance
 from csiaug.dataset_io import (
     CorruptedFileError, read_dataset, sidecar_path, write_codec, write_dataset,
 )
@@ -119,14 +119,27 @@ def test_abandoned_readers_close_their_file(tmp_path, capsys):
     src, out = preset_input(tmp_path)
     fds = open_fds()
     # Left after one chunk, and left by an exception before the first.
-    with dataset_io._open_dataset(src) as (head, chunks):
-        assert next(chunks(CHUNK)).shape == (CHUNK, 1024, 32)
+    with dataset_io._open_dataset(src) as stream:
+        assert next(stream.chunks(CHUNK)).shape == (CHUNK, 1024, 32)
     assert run("transform", "--in", src, "--nc", 1024, "--out", out) == 2
     poke(src, LONG - 1, [np.inf])
     with pytest.raises(CorruptedFileError, match="finite"):
         read_dataset(src)
     assert open_fds() == fds
     assert list(out.parent.iterdir()) == []
+
+
+def test_every_sink_rejects_a_short_stream(tmp_path):
+    # The chunks hold one sample fewer than the count the stream announces.
+    chunk = np.ones((4, 2, 3), dtype=complex)
+    stream = core._Stream(Domain.ANGULAR_DELAY, 5, 2, 3, Provenance(), lambda step: iter([chunk]))
+    with pytest.raises(ValueError, match="chunks hold 4 samples, expected 5"):
+        stream.collect()
+    with pytest.raises(ValueError, match="chunks hold 4 samples, expected 5"):
+        dataset_io._write(tmp_path / "short.csia", stream)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ValueError, match="chunks hold 4 samples, expected 5"):
+        codec._fit(stream)
 
 
 def traced(argv):
