@@ -26,6 +26,8 @@ isolation, and a single 2-D call draws from stream ``(seed, 0)``.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from csiaug.core import (
@@ -38,6 +40,8 @@ from csiaug.core import (
     ShiftDirection,
     _check_amplitude,
     _param_field,
+    _stream,
+    _Stream,
     combine_polar,
     polar_parts,
 )
@@ -105,7 +109,9 @@ def bubble_shift_down(amplitude: np.ndarray, shift: int) -> np.ndarray:
     return _bubble_shift(amplitude, shift, up=False)
 
 
-def random_generation(amplitude: np.ndarray, block_size: int, seed: int) -> np.ndarray:
+def random_generation(
+    amplitude: np.ndarray, block_size: int, seed: int, *, _first: int = 0
+) -> np.ndarray:
     """Redraw a square block of the amplitude matrix uniformly at random.
 
     The block nominally spans ``block_size`` rows and columns, centred
@@ -117,7 +123,8 @@ def random_generation(amplitude: np.ndarray, block_size: int, seed: int) -> np.n
     (computed before any redraw); everything outside the clipped block
     is left bit-identical.  ``amplitude`` is one (rows, cols) matrix or
     a (..., rows, cols) batch; matrix k of the flattened batch draws its
-    centre column and then its block from stream ``(seed, k)``.
+    centre column and then its block from stream ``(seed, k)``
+    (``(seed, _first + k)`` for a batch that starts at sample ``_first``).
     """
     amp = _check_amplitude(amplitude)
     block_size = check_int(block_size, "block size", 1)
@@ -127,7 +134,7 @@ def random_generation(amplitude: np.ndarray, block_size: int, seed: int) -> np.n
         peak_row = int(np.argmax(matrix)) // cols
         low = float(np.min(matrix))
         high = float(np.max(matrix))
-        rng = make_generator(seed, k)
+        rng = make_generator(seed, _first + k)
         centre_col = int(rng.integers(0, cols))
         r0 = max(peak_row - before, 0)
         r1 = min(peak_row - before + block_size, rows)
@@ -138,7 +145,7 @@ def random_generation(amplitude: np.ndarray, block_size: int, seed: int) -> np.n
 
 
 def md_baseline(
-    amplitude: np.ndarray, shift: int, direction: ShiftDirection, seed: int
+    amplitude: np.ndarray, shift: int, direction: ShiftDirection, seed: int, *, _first: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic-shift baseline: rigid column shift, phase fully redrawn.
 
@@ -146,7 +153,8 @@ def md_baseline(
     given direction with no repair pass; the new phase is i.i.d. uniform
     on [-pi, pi), so the input phase plays no part.  ``amplitude`` is one
     (rows, cols) matrix or a (..., rows, cols) batch; matrix k of the
-    flattened batch draws its phase from stream ``(seed, k)``.
+    flattened batch draws its phase from stream ``(seed, k)`` (``(seed,
+    _first + k)`` for a batch that starts at sample ``_first``).
     """
     amp = _check_amplitude(amplitude)
     shift = check_int(shift, "shift", 0)
@@ -157,16 +165,17 @@ def md_baseline(
     rows, cols = amp.shape[-2:]
     new_phase = np.empty_like(amp)
     for k, matrix in enumerate(new_phase.reshape(-1, rows, cols)):
-        matrix[...] = make_generator(seed, k).uniform(-np.pi, np.pi, size=(rows, cols))
+        matrix[...] = make_generator(seed, _first + k).uniform(-np.pi, np.pi, size=(rows, cols))
     return shifted, new_phase
 
 
-def _augment_samples(samples: np.ndarray, params: AugmentParams) -> np.ndarray:
-    """Augmented copy of a (count, rows, cols) complex batch.
+def _augment_samples(samples: np.ndarray, params: AugmentParams, first: int) -> np.ndarray:
+    """Augmented copy of a (count, rows, cols) complex batch of a dataset's
+    samples starting at sample ``first``.
 
     The whole batch is split into polar form, passed through one batch
-    primitive and recomposed once; sample ``i`` of a seeded method draws
-    from stream ``(params.seed, i)``.
+    primitive and recomposed once; sample ``i`` of the dataset draws from
+    stream ``(params.seed, i)`` in a seeded method.
     """
     amplitude, phase = polar_parts(samples)
     if params.method is AugmentMethod.BUBBLE_SHIFT_UP:
@@ -174,9 +183,10 @@ def _augment_samples(samples: np.ndarray, params: AugmentParams) -> np.ndarray:
     elif params.method is AugmentMethod.BUBBLE_SHIFT_DOWN:
         amplitude = bubble_shift_down(amplitude, params.shift)
     elif params.method is AugmentMethod.RANDOM_GENERATION:
-        amplitude = random_generation(amplitude, params.block_size, params.seed)
+        amplitude = random_generation(amplitude, params.block_size, params.seed, _first=first)
     elif params.method is AugmentMethod.MODEL_DRIVEN:
-        amplitude, phase = md_baseline(amplitude, params.shift, params.direction, params.seed)
+        amplitude, phase = md_baseline(
+            amplitude, params.shift, params.direction, params.seed, _first=first)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown method {params.method!r}")
     return combine_polar(amplitude, phase)
@@ -192,6 +202,32 @@ def _record(params: AugmentParams, mode: AugmentMode) -> AugmentationRecord:
     )
 
 
+def _augmented(source: _Stream, params: AugmentParams, mode: AugmentMode) -> _Stream:
+    """``source`` augmented in ``mode``, judged from its fields first.
+
+    The stream serves APPEND's originals as ``source`` serves them, then
+    ``source``'s chunks once more, each augmented as it is served, so it
+    holds a few chunks whatever the count.  A source read from a file
+    serves its payload from the start on each call.
+    """
+    if source.domain is not Domain.ANGULAR_DELAY:
+        raise ValueError(
+            f"augmentation expects angular-delay samples, got domain {source.domain.value}"
+        )
+    if not isinstance(mode, AugmentMode):
+        raise TypeError("mode must be an AugmentMode")
+
+    def chunks(step: int) -> Iterator[np.ndarray]:
+        if mode is AugmentMode.APPEND:
+            yield from source.chunks(step)
+        for span, chunk in source.spans(step):
+            yield _augment_samples(chunk, params, span.start)
+
+    count = 2 * source.count if mode is AugmentMode.APPEND else source.count
+    meta = source.meta.with_augmentation(_record(params, mode))
+    return source._replace(count=count, meta=meta, chunks=chunks)
+
+
 def augment_dataset(
     dataset: Dataset, params: AugmentParams, mode: AugmentMode = AugmentMode.APPEND
 ) -> Dataset:
@@ -203,17 +239,4 @@ def augment_dataset(
     sample count; REPLACE keeps only the augmented copies.
     The provenance chain gains one record either way.
     """
-    if dataset.domain is not Domain.ANGULAR_DELAY:
-        raise ValueError(
-            f"augmentation expects angular-delay samples, got domain {dataset.domain.value}"
-        )
-    if not isinstance(mode, AugmentMode):
-        raise TypeError("mode must be an AugmentMode")
-    samples = _augment_samples(dataset.samples, params)
-    if mode is AugmentMode.APPEND:
-        count = len(dataset)
-        both = np.empty((2 * count, *dataset.sample_shape), dtype=np.complex128)
-        both[:count], both[count:] = dataset.samples, samples
-        samples = both
-    meta = dataset.meta.with_augmentation(_record(params, mode))
-    return Dataset._adopt(samples, dataset.domain, meta)
+    return _augmented(_stream(dataset), params, mode).collect()

@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from csiaug.augment import augment_dataset
+from csiaug.augment import _augmented
 from csiaug.channel import _source, load_scenario
 from csiaug.codec import (
     EvalReport, _fit, check_components, evaluate, evaluate_passes, parse_ratio,
@@ -45,7 +45,6 @@ from csiaug.dataset_io import (
     read_dataset,
     read_report,
     write_codec,
-    write_dataset,
     write_record,
     write_report,
 )
@@ -183,10 +182,10 @@ def _augment_params(args: argparse.Namespace, shift=None, block=None) -> Augment
 
 def _cmd_augment(args: argparse.Namespace) -> int:
     params = _augment_params(args, args.shift, args.block)
-    dataset = read_dataset(args.input)
-    out = augment_dataset(dataset, params, AugmentMode(args.mode))
-    write_dataset(out, args.out)
-    print(f"wrote {len(out)} samples ({args.method}, mode {args.mode}) to {args.out}")
+    with _open_dataset(args.input) as source:
+        out = _augmented(source, params, AugmentMode(args.mode))
+        _write(args.out, out)
+    print(f"wrote {out.count} samples ({args.method}, mode {args.mode}) to {args.out}")
     return 0
 
 

@@ -25,11 +25,13 @@ finite).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -233,6 +235,55 @@ def _check_train(domain: Domain, n: int) -> None:
         raise ValueError(f"codec training needs at least 2 samples, got {n}")
 
 
+@functools.cache
+def _dsyevd() -> Callable[..., int] | None:
+    """NumPy's own ``LAPACKE_dsyevd``, or ``None`` on a build that does not
+    bundle scipy-openblas.
+
+    It is the C interface to the ``dsyevd`` that ``np.linalg.eigh`` calls,
+    in the same library, found through the symbols of NumPy's linear-algebra
+    extension.
+    """
+    config = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
+    if config.get("lapack", {}).get("name") != "scipy-openblas":
+        return None
+    from numpy.linalg import _umath_linalg
+    try:
+        routine = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dsyevd64_
+    except (OSError, AttributeError):
+        return None
+    routine.restype = ctypes.c_int64
+    routine.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    return routine
+
+
+def _eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(cov)``, bit for bit, overwriting a float64 ``cov``.
+
+    The buffer of a C-ordered symmetric matrix, read column-major, is the
+    matrix NumPy would copy out and hand to ``dsyevd`` (eigenvectors, lower
+    triangle); any other array goes to ``eigh`` as it is.  Solving in that
+    buffer saves NumPy's input copy and output array; LAPACKE allocates the
+    workspace as NumPy does and frees it before the one copy that gives the
+    C-ordered eigenvectors ``eigh`` returns.  A NaN entry, which LAPACKE
+    rejects before it writes, goes to ``eigh`` to fail as it always did.
+    """
+    dsyevd, n = _dsyevd(), len(cov)
+    # LAPACK writes n * n doubles from this pointer: only a writeable,
+    # aligned, C-contiguous float64 square matrix may be solved in place.
+    if dsyevd is None or cov.dtype != np.float64 or cov.shape != (n, n) or not cov.flags.carray:
+        return np.linalg.eigh(cov)
+    values = np.empty(n)
+    # 102 is LAPACK_COL_MAJOR.
+    info = dsyevd(102, b"V", b"L", n, cov.ctypes.data, n, values.ctypes.data)
+    if info < 0:
+        return np.linalg.eigh(cov)
+    if info > 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return values, cov.T.copy()
+
+
 def _fit(train: _Stream) -> Spectrum:
     """Spectrum of the samples ``train`` serves, judged from its fields first.
 
@@ -254,7 +305,7 @@ def _fit(train: _Stream) -> Spectrum:
     x -= mean
     cov = (x.T @ x) / (n - 1)
     del x
-    values, vectors = np.linalg.eigh(cov)
+    values, vectors = _eigh(cov)
     del cov
     values, vectors = values[::-1], vectors[:, ::-1]
     _fix_signs(vectors)

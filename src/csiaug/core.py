@@ -322,7 +322,8 @@ def _chunk_samples(rows: int, cols: int) -> int:
 
 class _Stream(NamedTuple):
     """A dataset's samples on their way from a source (synthesis, a file, a
-    dataset, a transform) to a sink (a dataset, a file, a fit): ``chunks(step)``
+    dataset, a transform, an augmentation) to a sink (a dataset, a file, a
+    fit): ``chunks(step)``
     serves them in order as complex batches of at most ``step`` samples, each
     valid until the next is served."""
 

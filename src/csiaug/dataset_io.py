@@ -27,9 +27,11 @@ The reader is a source and the writer a sink of the one sample stream
 (``core._Stream``), whose chunks hold about 8 MiB of complex128 samples
 and pass through one reused float32 buffer: a dataset read holds the
 dataset's own complex128 array plus one chunk, a write one float32 chunk,
-and a stream from source to file (``csiaug gen``, ``csiaug transform``)
-about one chunk whatever the sample count.  ``csiaug fit`` holds the
-float64 feature matrix plus one chunk, never the complex training set.
+and a stream from source to file (``csiaug gen``, ``csiaug transform``,
+``csiaug augment``) a few chunks whatever the sample count.  A reader
+serves its payload from the first sample on each call, so ``augment`` reads
+it twice in append mode.  ``csiaug fit`` holds the float64 feature matrix
+plus one chunk, never the complex training set.
 All writes go through a temp file plus rename, so a crashed run never
 leaves a half-written artifact at the target path.
 
@@ -255,11 +257,13 @@ def _open_dataset(path: str | Path) -> Iterator[_Stream]:
 
 
 def _read_chunks(fh: BinaryIO, path: str | Path, head: _Stream, step: int) -> Iterator[np.ndarray]:
-    """The payload after the header, ``step`` samples at a time.
+    """The payload after the header, ``step`` samples at a time, from its
+    first sample on each call.
 
     Every chunk is read into one float32 buffer and widened into one
     complex128 buffer, so a chunk stays valid only until the next is served.
     """
+    fh.seek(_DATASET_HEADER.size)
     for start in range(0, head.count, step):
         if start == 0:  # not before: an empty payload's shape may fit no array
             shape = (min(step, head.count), head.rows, head.cols)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from csiaug import cli
+from csiaug import cli, codec
 from csiaug.channel import ScenarioSpec, save_scenario
 from csiaug.codec import EvalReport, features
 from csiaug.core import Dataset, Domain, Provenance
@@ -335,8 +335,8 @@ def test_sweep_judges_the_test_file_before_any_fit(workspace, tmp_path, monkeypa
         assert cli.run(["transform", "--in", str(workspace / "test.csia"), "--na", str(na),
                         "--out", str(test)]) == 0
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    eigh = codec._eigh
+    monkeypatch.setattr(codec, "_eigh", lambda m: calls.append(m.shape) or eigh(m))
     out = tmp_path / "sweep.json"
     assert cli.run(["sweep", "--train", str(workspace / "train_ang.csia"), "--test", str(test),
                     "--method", "bs-down", "--values", "0,1",

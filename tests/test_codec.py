@@ -1,9 +1,13 @@
 """Tests for the linear subspace codec and the NMSE harness."""
 
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,8 @@ from csiaug.codec import (
     unfeatures,
 )
 from csiaug.core import AugmentMethod, AugmentMode, AugmentParams, Dataset, Domain, Provenance
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def angular_dataset(samples, seed=0):
@@ -312,7 +318,7 @@ def test_slot_is_empty_when_a_miss_reaches_the_eigensolve(empty_memo, monkeypatc
     one = random_dataset(20, 3, 3, seed=27)
     two = random_dataset(20, 3, 3, seed=28)
     held = weakref.ref(fit_spectrum(one))
-    eigh = np.linalg.eigh
+    eigh = codec_module._eigh
     calls = []
 
     def checked_eigh(matrix):
@@ -322,7 +328,7 @@ def test_slot_is_empty_when_a_miss_reaches_the_eigensolve(empty_memo, monkeypatc
         calls.append(matrix.shape)
         return eigh(matrix)
 
-    monkeypatch.setattr(np.linalg, "eigh", checked_eigh)
+    monkeypatch.setattr(codec_module, "_eigh", checked_eigh)
     for ratio in ("1/4", "1/8", "1/16"):
         fit_codec(two, ratio)
     assert calls == [(18, 18)]
@@ -377,6 +383,72 @@ def test_fit_holds_at_most_features_and_scatter_at_once(empty_memo):
     # the sign flip, which works in place.
     dim = 2 * 16 * 16
     assert traced_fit_peak("1/4") <= 1.01 * 8 * (600 * dim + dim * dim)
+
+
+# Compares _eigh with np.linalg.eigh, bit for bit and in layout, on scatter
+# matrices of full rank and below it, at the BLAS thread count it inherits.
+EIGH_CHILD = """
+import numpy as np
+from csiaug import codec
+
+g = np.random.default_rng(5)
+for count, dim in [(3, 1), (5, 2), (400, 96), (20, 96), (1200, 512), (100, 512)]:
+    x = g.standard_normal((count, dim))
+    x -= x.mean(axis=0)
+    cov = (x.T @ x) / (count - 1)
+    want = np.linalg.eigh(cov)
+    got = codec._eigh(cov.copy())
+    for a, b in zip(want, got):
+        assert a.shape == b.shape and a.flags.c_contiguous == b.flags.c_contiguous, dim
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (count, dim)
+print(codec._dsyevd() is not None)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_in_place_eigh_equals_numpy_eigh_bitwise(threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", EIGH_CHILD], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # The child compared the in-place routine wherever this process resolves it.
+    assert proc.stdout.split() == [str(codec_module._dsyevd() is not None)]
+
+
+def test_eigh_leaves_a_matrix_it_cannot_solve_in_place_to_numpy():
+    x = np.random.default_rng(6).standard_normal((30, 8))
+    cov = x.T @ x
+    readonly = cov.copy()
+    readonly.flags.writeable = False
+    for matrix in (np.asfortranarray(cov), readonly, cov.astype(np.float32), cov[::2, ::2]):
+        before = matrix.copy()
+        for a, b in zip(codec_module._eigh(matrix), np.linalg.eigh(matrix)):
+            assert a.dtype == b.dtype and a.strides == b.strides and a.tobytes() == b.tobytes()
+        assert matrix.tobytes() == before.tobytes()
+
+
+def test_eigh_fails_on_a_non_finite_scatter_as_numpy_does():
+    for value in (np.nan, np.inf):
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            np.linalg.eigh(np.full((3, 3), value))
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            codec_module._eigh(np.full((3, 3), value))
+
+
+def test_fit_without_the_in_place_routine_is_the_same(empty_memo, monkeypatch):
+    ds = random_dataset(40, 4, 3, seed=32)
+    want = fit_spectrum(ds)
+    monkeypatch.setattr(codec_module, "_last_fit", None)
+    monkeypatch.setattr(codec_module, "_dsyevd", lambda: None)
+    got = fit_spectrum(ds)
+    assert got is not want
+    for name in ("mean", "values", "vectors"):
+        a, b = getattr(want, name), getattr(got, name)
+        assert a.strides == b.strides and a.tobytes() == b.tobytes(), name
+    assert codec_module._last_fit[1] is got
+    assert fit_spectrum(ds) is got
+    assert codec_bytes(fit_codec(ds, "1/4")) == codec_bytes(want.codec("1/4"))
 
 
 def test_codec_requires_orthonormal_basis():
@@ -465,15 +537,15 @@ def test_evaluate_produces_full_report():
 
 
 def count_eigh(monkeypatch):
-    """Patch ``np.linalg.eigh`` to record each call; returns the call list."""
-    eigh = np.linalg.eigh
+    """Patch the fit's eigensolver to record each call; returns the call list."""
+    eigh = codec_module._eigh
     calls = []
 
     def counted(matrix):
         calls.append(matrix.shape)
         return eigh(matrix)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(codec_module, "_eigh", counted)
     return calls
 
 

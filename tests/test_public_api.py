@@ -73,16 +73,15 @@ BENCHMARK_NAMES = (
 )
 
 # Stage functions the benchmark swaps into ``csiaug.cli`` to trace the CLI:
-# those the CLI calls.  ``gen`` and ``transform`` stream their chunks
-# without generate_dataset or transform_dataset, and ``fit`` fills its
-# features from the file's chunks without read_dataset or fit_codec.
+# those the CLI calls.  ``gen``, ``transform`` and ``augment`` stream their
+# chunks from source to file without generate_dataset, transform_dataset,
+# augment_dataset or write_dataset, and ``fit`` fills its features from the
+# file's chunks without read_dataset or fit_codec.
 CLI_STAGES = (
-    "augment_dataset",
     "evaluate",
     "read_codec",
     "read_dataset",
     "write_codec",
-    "write_dataset",
 )
 
 

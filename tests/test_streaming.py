@@ -1,9 +1,12 @@
-"""Streamed gen, transform and fit: the bytes of the in-memory path, every
-check per chunk, no file or handle left behind, and memory flat in the count
-(gen, transform) or no complex copy of the training set (fit)."""
+"""Streamed gen, transform, augment and fit: the bytes of the in-memory path,
+every check per chunk, no file or handle left behind, and memory flat in the
+count (gen, transform), no complex copy of the set (augment, fit) and no
+eigensolver copies (the fit child's peak resident size)."""
 
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,15 +14,20 @@ import numpy as np
 import pytest
 
 from csiaug import cli, codec, core, dataset_io
+from csiaug.augment import augment_dataset
 from csiaug.channel import generate_dataset, load_scenario
 from csiaug.codec import fit_codec
-from csiaug.core import Dataset, Domain, Provenance
+from csiaug.core import (
+    AugmentMethod, AugmentMode, AugmentParams, Dataset, Domain, Provenance, ShiftDirection,
+)
 from csiaug.dataset_io import (
     CorruptedFileError, read_dataset, sidecar_path, write_codec, write_dataset,
 )
 from csiaug.transform import inverse_transform_dataset, transform_dataset
 
-PRESET = Path(__file__).resolve().parents[1] / "scenarios" / "motion-range-train.json"
+ROOT = Path(__file__).resolve().parents[1]
+PRESET = ROOT / "scenarios" / "motion-range-train.json"
+SRC = ROOT / "src"
 CHUNK = core._chunk_samples(1024, 32)  # samples per chunk of the preset's 1024 x 32 samples
 LONG = 3 * CHUNK + 5  # three full chunks and a short one
 
@@ -238,3 +246,113 @@ def test_cli_fit_holds_no_complex_copy_of_the_training_set(tmp_path, monkeypatch
     code, peak = traced(["fit", "--train", train, "--ratio", "1/4", "--out", tmp_path / "c.csic"])
     assert code == 0
     assert peak <= bound, (peak, bound)
+
+
+# Fits the file named first, in a child whose start-up and a tiny warm-up fit
+# set the baseline, and prints how far the fit raised ru_maxrss, in bytes.
+FIT_CHILD = """
+import resource, sys
+from csiaug import cli, core
+
+train, warm, out, chunk = sys.argv[1:]
+core._CHUNK_BYTES = int(chunk)
+assert cli.run(["fit", "--train", warm, "--ratio", "1/4", "--out", out]) == 0
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert cli.run(["fit", "--train", train, "--ratio", "1/4", "--out", out]) == 0
+print(1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base))
+"""
+
+# A child's ru_maxrss starts at its parent's resident size, so the fit child
+# is started by a small launcher whose own size is below the child's baseline.
+LAUNCHER = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs resource.getrusage")
+def test_fit_child_rss_holds_features_scatter_and_a_chunk(tmp_path, capsys):
+    # 2048 samples of 16 x 32: 16.8 MB of features, an 8.4 MB scatter matrix.
+    # The eigensolve must not add NumPy's input copy and output array to the
+    # scatter and the 16.8 MB workspace: growth was 30-31 MB here, and 47-48
+    # MB with np.linalg.eigh. The slack covers BLAS buffers and allocator
+    # rounding, 4-5 MB measured at one and two BLAS threads.
+    count, rows, cols, step = 2048, 16, 32, 64
+    train = random_file(tmp_path / "train.csia", count, rows=rows, cols=cols)
+    warm = random_file(tmp_path / "warm.csia", 8, rows=2, cols=2)
+    dim = 2 * rows * cols
+    chunk = step * rows * cols * (16 + 8)
+    bound = 8 * count * dim + 8 * dim * dim + chunk + (10 << 20)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, sys.executable, "-c", FIT_CHILD,
+         train, warm, tmp_path / "c.csic", str(step * rows * cols * 16)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    growth = int(proc.stdout.split()[-1])
+    assert growth <= bound, (growth, bound)
+
+
+METHODS = [
+    AugmentParams(AugmentMethod.BUBBLE_SHIFT_UP, shift=2),
+    AugmentParams(AugmentMethod.BUBBLE_SHIFT_DOWN, shift=3),
+    AugmentParams(AugmentMethod.RANDOM_GENERATION, block_size=3, seed=11),
+    AugmentParams(AugmentMethod.MODEL_DRIVEN, shift=1, seed=12, direction=ShiftDirection.UP),
+]
+
+
+def augment_argv(path, params, mode, out):
+    used = "block" if params.method is AugmentMethod.RANDOM_GENERATION else "shift"
+    value = params.block_size if used == "block" else params.shift
+    return ["augment", "--in", path, "--method", params.method.value, f"--{used}", value,
+            "--seed", params.seed, "--direction", params.direction.value,
+            "--mode", mode.value, "--out", out]
+
+
+@pytest.mark.parametrize("mode", list(AugmentMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("params", METHODS, ids=lambda p: p.method.value)
+def test_streamed_augment_equals_the_in_memory_augment(tmp_path, monkeypatch, capsys,
+                                                        params, mode):
+    src = random_file(tmp_path / "in.csia", 17, seed=17)
+    dataset = read_dataset(src)
+    # The whole file in one batch, as one call of the batch primitives.
+    monkeypatch.setattr(core, "_CHUNK_BYTES", 1 << 40)
+    whole = augment_dataset(dataset, params, mode)
+    want = tmp_path / "want.csia"
+    write_dataset(whole, want)
+    # One sample per chunk, three (a short last chunk), the whole file.
+    for budget in (1, 3 * SAMPLE_BYTES, 1 << 40):
+        monkeypatch.setattr(core, "_CHUNK_BYTES", budget)
+        got = tmp_path / f"got{budget}.csia"
+        assert run(*augment_argv(src, params, mode, got)) == 0
+        assert files(got) == files(want)
+        assert augment_dataset(dataset, params, mode) == whole
+
+
+def test_cli_augment_holds_no_complex_copy_of_the_set(tmp_path, monkeypatch, capsys):
+    # 2000 samples of 16 x 16: the complex128 set is 8.2 MB, its appended
+    # output 16.4 MB, a 64-sample chunk 0.26 MB. Each method peaked at about
+    # six chunks (1.5 MB) here, and at 33 MB reading the whole set.
+    count, rows, cols, step = 2000, 16, 16, 64
+    src = random_file(tmp_path / "in.csia", count, rows=rows, cols=cols)
+    monkeypatch.setattr(core, "_CHUNK_BYTES", step * 16 * rows * cols)
+    bound = 8 * step * rows * cols * 16 + (1 << 20)
+    assert bound < count * rows * cols * 16 / 2
+    for params in METHODS:
+        code, peak = traced(augment_argv(src, params, AugmentMode.APPEND, tmp_path / "a.csia"))
+        assert code == 0
+        assert peak <= bound, (params.method, peak, bound)
+
+
+@pytest.mark.parametrize("mode", list(AugmentMode), ids=lambda m: m.value)
+def test_cli_augment_rejects_a_nan_in_the_last_chunk_and_leaves_nothing(
+        tmp_path, monkeypatch, capsys, mode):
+    monkeypatch.setattr(core, "_CHUNK_BYTES", 3 * SAMPLE_BYTES)
+    src = tmp_path / "in.csia"
+    nan_in_last_chunk(src)
+    (tmp_path / "out").mkdir()
+    fds = open_fds()
+    argv = augment_argv(src, METHODS[1], mode, tmp_path / "out" / "a.csia")
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {src}: dataset payload invalid: dataset samples must be finite\n")
+    assert list((tmp_path / "out").iterdir()) == []
+    assert open_fds() == fds
