@@ -5,8 +5,10 @@ a scenario JSON, ``transform`` moves them to the truncated angular-delay
 domain (and an angular-delay input back), ``augment`` applies one
 amplitude-domain augmentation, ``fit`` trains the linear codec, ``eval``
 measures NMSE on a test set, ``report`` lays multiple evaluations out as
-a methods-by-ratios grid, and ``sweep`` automates a sweep of the
-method's one parameter through augment + fit + eval.
+a methods-by-ratios grid, and ``sweep`` runs the delay-gap studies:
+per trial, a codec fitted on the plain training set and one per value of
+the method's one parameter, evaluated on one test set, the sets read
+from ``--train``/``--test`` files (one trial) or drawn from scenarios.
 
 Exit codes: 0 on success, 2 for usage errors (bad flags, flag
 combinations, flag values out of range whatever the input holds, or an
@@ -15,9 +17,12 @@ combinations, flag values out of range whatever the input holds, or an
 flag values that conflict with the input).  ``AugmentParams`` judges the
 augmentation flags (one pass per distinct sweep value) before any file is
 read, so a shift or block size it rejects is a usage error even where the
-method ignores it; ``sweep`` judges its test file against its training
-file before the first pass.  Artifacts are written atomically without
-timestamps, so reruns with the same inputs and seeds are byte-identical.
+method ignores it; a file source mixed with a scenario source is a usage
+error too.  ``sweep`` judges its scenarios against the flags before the
+first draw, and its test set against its training set and the ratio
+against the feature dimension before the first fit.  Artifacts are
+written atomically without timestamps, so reruns with the same inputs
+and seeds are byte-identical.
 """
 
 from __future__ import annotations
@@ -25,16 +30,17 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from csiaug.augment import _augmented
-from csiaug.channel import _source, load_scenario
+from csiaug.channel import ScenarioSpec, _source, generate_angular_dataset, load_scenario
 from csiaug.codec import (
     EvalReport, _fit, check_components, evaluate, evaluate_passes, parse_ratio,
 )
 from csiaug.core import (
-    AugmentMethod, AugmentMode, AugmentParams, Domain, ShiftDirection, _param_field,
+    AugmentMethod, AugmentMode, AugmentParams, Dataset, Domain, ShiftDirection, _param_field,
 )
 from csiaug.dataset_io import (
     _open_dataset,
@@ -48,17 +54,22 @@ from csiaug.dataset_io import (
     write_record,
     write_report,
 )
-from csiaug.rng import MASK64, check_int, check_ints
-from csiaug.transform import _transform
+from csiaug.rng import MASK64, check_int, check_ints, derive_seed
+from csiaug.transform import _transform, check_delay_bins
 
 # (flag, lowest, highest) for values invalid whatever the input holds, which
-# no object can judge before a file is read. Counts are u32 header fields.
+# no object can judge before a file is read. Counts are u32 header fields;
+# a codec fits on two samples and evaluates one. Trial i draws under seed
+# indices 2i and 2i + 1 and augments under 100 + i, so 50 trials keep them apart.
 _U32 = 2**32 - 1
 _FLAG_RANGES = (
     ("count", 0, _U32),
     ("seed", 0, MASK64),
     ("na", 1, _U32),
     ("nc", 1, _U32),
+    ("train_count", 2, _U32),
+    ("test_count", 1, _U32),
+    ("trials", 1, 50),
 )
 
 
@@ -122,13 +133,24 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--format", choices=["md", "csv"], default="md")
     rep.add_argument("--out", help="write the table here instead of stdout")
 
-    sw = sub.add_parser("sweep", help="sweep the method's shift or block size end to end")
-    sw.add_argument("--train", required=True, help="angular-delay training dataset (.csia)")
-    sw.add_argument("--test", required=True, help="angular-delay test dataset (.csia)")
+    sw = sub.add_parser("sweep", help="fit plain and per-value augmented codecs, per trial")
+    train = sw.add_mutually_exclusive_group(required=True)
+    train.add_argument("--train", help="angular-delay training dataset (.csia)")
+    train.add_argument("--train-scenario", help="training scenario JSON, drawn per trial")
+    test = sw.add_mutually_exclusive_group(required=True)
+    test.add_argument("--test", help="angular-delay test dataset (.csia)")
+    test.add_argument("--test-scenario", help="test scenario JSON, drawn per trial")
+    test.add_argument("--gap-bins", type=float,
+                      help="test scenario: the training one, delay range shifted by this")
+    sw.add_argument("--train-count", type=int, default=2000, help="training samples (scenario)")
+    sw.add_argument("--test-count", type=int, default=500, help="test samples (scenario)")
+    sw.add_argument("--na", type=int, default=32, help="delay rows kept (scenario)")
+    sw.add_argument("--trials", type=int, default=5, help="independent trials (scenario)")
     sw.add_argument("--method", required=True, choices=[m.value for m in AugmentMethod])
     sw.add_argument("--values", required=True, help="block sizes (rg) or shifts, e.g. 0,1,2,3")
     sw.add_argument("--ratio", required=True, help="compression ratio, e.g. 1/4")
-    sw.add_argument("--seed", type=int, default=0, help="augmentation pass seed")
+    sw.add_argument("--seed", type=int, default=0,
+                    help="augmentation seed (files) or seed base (scenario)")
     sw.add_argument("--direction", choices=[d.value for d in ShiftDirection], default="down")
     sw.add_argument("--mode", choices=[m.value for m in AugmentMode], default="append")
     sw.add_argument("--out", required=True, help="output summary (.json)")
@@ -139,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_flags(args: argparse.Namespace) -> None:
     for flag, low, high in _FLAG_RANGES:
         if getattr(args, flag, None) is not None:
-            _usage(check_int, getattr(args, flag), f"--{flag}", low, high)
+            _usage(check_int, getattr(args, flag), "--" + flag.replace("_", "-"), low, high)
     if args.out is not None:
         _usage(check_out, args.out)
 
@@ -277,36 +299,89 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_scenarios(
+    args: argparse.Namespace, ratio: Fraction,
+) -> tuple[ScenarioSpec, ScenarioSpec]:
+    """The training and test scenarios, judged against each other and the flags."""
+    train = load_scenario(args.train_scenario)
+    if args.gap_bins is None:
+        test = load_scenario(args.test_scenario)
+    else:
+        lo, hi = train.delay_range
+        test = replace(train, delay_range=(lo + args.gap_bins, hi + args.gap_bins))
+    if test.antennas != train.antennas:
+        raise ValueError(f"test scenario has {test.antennas} antennas, "
+                         f"training scenario {train.antennas}")
+    for spec in (train, test):
+        check_delay_bins(args.na, spec.subcarriers)
+    check_components(ratio, 2 * args.na * train.antennas)
+    return train, test
+
+
+def _sweep_trials(
+    args: argparse.Namespace, ratio: Fraction, specs: tuple[ScenarioSpec, ScenarioSpec] | None,
+) -> Iterator[tuple[Dataset, Dataset, int]]:
+    """``(train, test, augmentation seed)`` per trial: the files once, under
+    ``--seed``, or ``--trials`` draws of ``specs``, trial i training under
+    ``derive_seed(seed, 2i)``, testing under ``2i + 1`` and augmenting under
+    ``100 + i``."""
+    if specs is None:
+        train, test = read_dataset(args.train), read_dataset(args.test)
+        rows, cols = train.sample_shape
+        check_components(ratio, 2 * rows * cols)
+        yield train, test, args.seed
+        return
+    train_spec, test_spec = specs
+    for i in range(args.trials):
+        yield (
+            generate_angular_dataset(train_spec.with_seed(derive_seed(args.seed, 2 * i)),
+                                     args.train_count, args.na),
+            generate_angular_dataset(test_spec.with_seed(derive_seed(args.seed, 2 * i + 1)),
+                                     args.test_count, args.na),
+            derive_seed(args.seed, 100 + i),
+        )
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # The augment flag of the field the method reads: shift or block.
     param = _param_field(AugmentMethod(args.method)).removesuffix("_size")
     values = _usage(check_ints, args.values, "--values", f"{param} values")
     passes = [_augment_params(args, **{param: value}) for value in values]
     ratio = _usage(parse_ratio, args.ratio)
-    train = read_dataset(args.train)
-    test = read_dataset(args.test)
+    if (args.train is None) != (args.test is None):
+        raise UsageError("--train and --test are files; a --train-scenario takes "
+                         "--test-scenario or --gap-bins")
+    specs = None if args.train is not None else _sweep_scenarios(args, ratio)
     mode = AugmentMode(args.mode)
-    results: list[dict[str, Any]] = []
-    for value, report in zip(values, evaluate_passes(train, test, passes, ratio, mode)):
-        results.append(
-            {"value": value, "nmse_linear": report.nmse_linear, "nmse_db": report.nmse_db}
-        )
-        print(f"{param}={value}: NMSE {report.nmse_db:.3f} dB")
-    best = min(results, key=lambda r: r["nmse_db"])
+    trials: list[dict[str, Any]] = []
+    for i, (train, test, seed) in enumerate(_sweep_trials(args, ratio, specs)):
+        # Pass 0 is the plain training set: the baseline every value is judged by.
+        seeded = [None] + [replace(p, seed=seed) for p in passes]
+        base, *nmse_db = [r.nmse_db for r in evaluate_passes(train, test, seeded, ratio, mode)]
+        best = values[nmse_db.index(min(nmse_db))]
+        trials.append({"trial": i, "baseline_db": base, "nmse_db": nmse_db, "best_value": best})
+        cells = "  ".join(f"{param}={v}: {db:.3f}" for v, db in zip(values, nmse_db))
+        print(f"trial {i}: baseline {base:.3f}  {cells} dB  -> best {param}={best}")
+    margins = [sum(t["baseline_db"] - t["nmse_db"][j] for t in trials) / len(trials)
+               for j in range(len(values))]
     summary = {
         "method": args.method,
         "param": param,
+        "values": values,
         "ratio": str(ratio),
         "mode": mode.value,
         "seed": args.seed,
         "direction": args.direction,
+        "train_scenario": specs[0].to_dict() if specs else None,
+        "test_scenario": specs[1].to_dict() if specs else None,
         "train_samples": len(train),
         "test_samples": len(test),
-        "results": results,
-        "best_value": best["value"],
+        "trials": trials,
+        "mean_margin_db": margins,
     }
     write_record(args.out, summary)
-    print(f"best {param}={best['value']} ({best['nmse_db']:.3f} dB) -> {args.out}")
+    cells = "  ".join(f"{param}={v}: {m:+.3f}" for v, m in zip(values, margins))
+    print(f"mean margin over {len(trials)} trials: {cells} dB -> {args.out}")
     return 0
 
 

@@ -4,13 +4,19 @@ import csv
 import io
 import json
 import re
+import shutil
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from csiaug import cli, codec
+from csiaug import (
+    AugmentMethod, AugmentMode, AugmentParams, augment_dataset, channel, cli, codec,
+    derive_seed, evaluate, fit_codec, generate_angular_dataset, load_scenario,
+)
 from csiaug.channel import ScenarioSpec, save_scenario
 from csiaug.codec import EvalReport, features
 from csiaug.core import Dataset, Domain, Provenance
@@ -84,11 +90,15 @@ def test_gen_seed_override_changes_data(workspace):
 def test_sweep_summary_schema(workspace):
     summary = json.loads((workspace / "sweep.json").read_text())
     assert summary["method"] == "bs-down"
-    assert summary["param"] == "shift"
+    assert summary["param"] == "shift" and summary["values"] == [0, 1, 2]
     assert summary["train_samples"] == 40 and summary["test_samples"] == 10
-    assert [r["value"] for r in summary["results"]] == [0, 1, 2]
-    best = min(summary["results"], key=lambda r: r["nmse_db"])
-    assert summary["best_value"] == best["value"]
+    # A file source is one trial under --seed; it names no scenario.
+    assert summary["seed"] == 5 and len(summary["trials"]) == 1
+    assert summary["train_scenario"] is None and summary["test_scenario"] is None
+    trial = summary["trials"][0]
+    assert len(trial["nmse_db"]) == 3
+    assert trial["best_value"] == summary["values"][trial["nmse_db"].index(min(trial["nmse_db"]))]
+    assert summary["mean_margin_db"] == [trial["baseline_db"] - db for db in trial["nmse_db"]]
 
 
 def test_reruns_are_byte_identical(workspace, tmp_path):
@@ -210,68 +220,139 @@ def test_usage_errors_exit_2(workspace, argv, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def case(argv, code, id, message):
+    return pytest.param(argv, code, message, id=id)
+
+
+def study(test, *extra):
+    """A toy-size scenario sweep whose training scenario does not exist, so
+    only flags judged before any scenario loads exit 2; ``extra`` overrides."""
+    return ["sweep", "--train-scenario", "missing.json", *test, "--train-count", "40",
+            "--test-count", "20", "--trials", "1", "--na", "4", "--method", "bs-down",
+            "--values", "1", "--ratio", "1/4", "--out", "y.json", *extra]
+
+
+# The test sides of the domain-gap study and of the shift sweep.
+GAP = ["--test-scenario", "missing.json"]
+SHIFT = ["--gap-bins", "1"]
+
+
 RANGE_CASES = [
     # out of range whatever the input holds: usage errors
-    pytest.param(["gen", "--scenario", "s.json", "--count", "-5", "--out", "y.csia"], 2,
-                 id="gen-count-negative"),
-    pytest.param(["gen", "--scenario", "s.json", "--count", "4", "--seed", "-1",
-                  "--out", "y.csia"], 2, id="gen-seed-negative"),
-    pytest.param(["gen", "--scenario", "s.json", "--count", "4", "--seed", str(2**64),
-                  "--out", "y.csia"], 2, id="gen-seed-above-64-bits"),
-    pytest.param(["augment", "--in", "x.csia", "--method", "bs-up", "--shift", "-1",
-                  "--out", "y.csia"], 2, id="augment-shift-negative"),
-    pytest.param(["augment", "--in", "x.csia", "--method", "rg", "--block", "0",
-                  "--out", "y.csia"], 2, id="augment-block-zero"),
-    pytest.param(["transform", "--in", "f.csia", "--na", "0", "--out", "y.csia"], 2,
-                 id="transform-na-zero"),
+    case(["gen", "--scenario", "s.json", "--count", "-5", "--out", "y.csia"], 2,
+         id="gen-count-negative", message="--count must be at least 0"),
+    case(["gen", "--scenario", "s.json", "--count", "4", "--seed", "-1", "--out", "y.csia"], 2,
+         id="gen-seed-negative", message="--seed must be at least 0"),
+    case(["gen", "--scenario", "s.json", "--count", "4", "--seed", str(2**64),
+          "--out", "y.csia"], 2,
+         id="gen-seed-above-64-bits", message="--seed must be at most 18446744073709551615"),
+    case(["augment", "--in", "x.csia", "--method", "bs-up", "--shift", "-1", "--out", "y.csia"],
+         2, id="augment-shift-negative", message="shift must be at least 0"),
+    case(["augment", "--in", "x.csia", "--method", "rg", "--block", "0", "--out", "y.csia"], 2,
+         id="augment-block-zero", message="block size must be at least 1"),
+    case(["transform", "--in", "f.csia", "--na", "0", "--out", "y.csia"], 2,
+         id="transform-na-zero", message="--na must be at least 1"),
     # the input's domain picks the flag it needs: spatial-frequency reads --na
-    pytest.param(["transform", "--in", "f.csia", "--nc", "16", "--out", "y.csia"], 2,
-                 id="transform-spatial-frequency-without-na"),
-    pytest.param(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
-                  "--values", "1,-1", "--ratio", "1/4", "--out", "y.json"],
-                 2, id="sweep-shift-negative"),
-    pytest.param(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
-                  "--values", "1,1", "--ratio", "1/4", "--out", "y.json"],
-                 2, id="sweep-values-duplicate"),
-    pytest.param(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "rg",
-                  "--values", "2,0", "--ratio", "1/4", "--out", "y.json"],
-                 2, id="sweep-block-zero"),
-    pytest.param(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
-                  "--values", "a,b", "--ratio", "1/4", "--out", "y.json"],
-                 2, id="sweep-values-not-integers"),
-    pytest.param(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
-                  "--values", ",", "--ratio", "1/4", "--out", "y.json"],
-                 2, id="sweep-values-empty"),
+    case(["transform", "--in", "f.csia", "--nc", "16", "--out", "y.csia"], 2,
+         id="transform-spatial-frequency-without-na",
+         message="a spatial-frequency input requires --na"),
+    case(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
+          "--values", "1,-1", "--ratio", "1/4", "--out", "y.json"],
+         2, id="sweep-shift-negative", message="shift must be at least 0"),
+    case(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
+          "--values", "1,1", "--ratio", "1/4", "--out", "y.json"],
+         2, id="sweep-values-duplicate", message="--values must name distinct shift values"),
+    case(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "rg",
+          "--values", "2,0", "--ratio", "1/4", "--out", "y.json"],
+         2, id="sweep-block-zero", message="block size must be at least 1"),
+    case(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
+          "--values", "a,b", "--ratio", "1/4", "--out", "y.json"],
+         2, id="sweep-values-not-integers", message="--values must be comma-separated integers"),
+    case(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
+          "--values", ",", "--ratio", "1/4", "--out", "y.json"],
+         2, id="sweep-values-empty", message="--values must name distinct shift values"),
     # a field the method does not use is still judged
-    pytest.param(["augment", "--in", "x.csia", "--method", "rg", "--block", "4", "--shift", "-1",
-                  "--out", "y.csia"], 2, id="augment-rg-shift-negative"),
+    case(["augment", "--in", "x.csia", "--method", "rg", "--block", "4", "--shift", "-1",
+          "--out", "y.csia"], 2, id="augment-rg-shift-negative",
+         message="shift must be at least 0"),
     # flags are judged before any file is read: the training file does not exist
-    pytest.param(["sweep", "--train", "missing.csia", "--test", "x.csia", "--method", "bs-up",
-                  "--values", "1,-1", "--ratio", "1/4", "--out", "y.json"],
-                 2, id="sweep-values-before-missing-file"),
+    case(["sweep", "--train", "missing.csia", "--test", "x.csia", "--method", "bs-up",
+          "--values", "1,-1", "--ratio", "1/4", "--out", "y.json"],
+         2, id="sweep-values-before-missing-file", message="shift must be at least 0"),
     # --out is judged before any work: "." is a directory, "missing/" does not exist
-    pytest.param(["gen", "--scenario", "s.json", "--count", "4", "--out", "."], 2,
-                 id="gen-out-directory"),
-    pytest.param(["gen", "--scenario", "s.json", "--count", "4", "--out", "missing/y.csia"], 2,
-                 id="gen-out-in-missing-directory"),
-    pytest.param(["transform", "--in", "f.csia", "--na", "4", "--out", "."], 2,
-                 id="transform-out-directory"),
-    pytest.param(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
-                  "--values", "1", "--ratio", "1/4", "--out", "."],
-                 2, id="sweep-out-directory"),
-    pytest.param(["report", "--in", "y.json", "--out", "."], 2, id="report-out-directory"),
+    case(["gen", "--scenario", "s.json", "--count", "4", "--out", "."], 2,
+         id="gen-out-directory", message="--out . is a directory"),
+    case(["gen", "--scenario", "s.json", "--count", "4", "--out", "missing/y.csia"], 2,
+         id="gen-out-in-missing-directory", message="--out directory missing does not exist"),
+    case(["transform", "--in", "f.csia", "--na", "4", "--out", "."], 2,
+         id="transform-out-directory", message="--out . is a directory"),
+    case(["sweep", "--train", "x.csia", "--test", "x.csia", "--method", "bs-up",
+          "--values", "1", "--ratio", "1/4", "--out", "."],
+         2, id="sweep-out-directory", message="--out . is a directory"),
+    case(["report", "--in", "y.json", "--out", "."], 2, id="report-out-directory",
+         message="--out . is a directory"),
+    # a file source mixed with a scenario source
+    case(["sweep", "--train", "x.csia", "--gap-bins", "1", "--method", "bs-up",
+          "--values", "1", "--ratio", "1/4", "--out", "y.json"],
+         2, id="sweep-file-with-gap-bins", message="--train and --test are files"),
+    case(["sweep", "--train-scenario", "s.json", "--test", "x.csia", "--method", "bs-up",
+          "--values", "1", "--ratio", "1/4", "--out", "y.json"],
+         2, id="sweep-scenario-with-test-file", message="--train and --test are files"),
+    # scenario sources: flags are judged before the scenario loads
+    case(study(GAP, "--trials", "0"), 2, id="gap-trials-zero",
+         message="--trials must be at least 1"),
+    case(study(SHIFT, "--values", "0,-1"), 2, id="shift-values-negative",
+         message="shift must be at least 0"),
+    case(study(GAP, "--method", "md", "--values", "-1"), 2, id="gap-md-shift-negative",
+         message="shift must be at least 0"),
+    case(study(GAP, "--ratio", "0"), 2, id="gap-ratio-zero", message="ratio must be positive"),
+    case(study(SHIFT, "--ratio", "0"), 2, id="shift-ratio-zero",
+         message="ratio must be positive"),
+    case(study(GAP, "--na", "0"), 2, id="gap-na-zero", message="--na must be at least 1"),
+    case(study(SHIFT, "--na", "0"), 2, id="shift-na-zero", message="--na must be at least 1"),
+    case(study(GAP, "--train-count", "1"), 2, id="gap-train-count-one",
+         message="--train-count must be at least 2"),
+    case(study(SHIFT, "--train-count", "-3"), 2, id="shift-train-count-negative",
+         message="--train-count must be at least 2"),
+    case(study(GAP, "--test-count", "0"), 2, id="gap-test-count-zero",
+         message="--test-count must be at least 1"),
+    case(study(SHIFT, "--test-count", "0"), 2, id="shift-test-count-zero",
+         message="--test-count must be at least 1"),
+    case(study(GAP, "--seed", "-1"), 2, id="gap-seed-negative",
+         message="--seed must be at least 0"),
+    case(study(SHIFT, "--seed", str(2**64)), 2, id="shift-seed-above-64-bits",
+         message="--seed must be at most 18446744073709551615"),
+    case(study(SHIFT, "--values", ","), 2, id="shift-values-empty",
+         message="--values must name distinct shift values"),
+    case(study(SHIFT, "--values", "1,1"), 2, id="shift-values-duplicate",
+         message="--values must name distinct shift values"),
+    case(study(GAP, "--out", "missing/y.json"), 2, id="gap-out-in-missing-directory",
+         message="--out directory"),
+    case(study(SHIFT, "--out", "missing/y.json"), 2, id="shift-out-in-missing-directory",
+         message="--out directory"),
+    case(study(GAP, "--out", "."), 2, id="gap-out-directory", message="is a directory"),
+    case(study(SHIFT, "--out", "."), 2, id="shift-out-directory", message="is a directory"),
+    case(study(GAP, "--trials", "51"), 2, id="gap-trials-above-50",
+         message="--trials must be at most 50"),
+    case(study(SHIFT, "--trials", "51"), 2, id="shift-trials-above-50",
+         message="--trials must be at most 50"),
+    case(study(SHIFT, "--values", "a,b"), 2, id="shift-values-not-integers",
+         message="--values must be comma-separated integers"),
     # valid flag values that conflict with the input: runtime errors
-    pytest.param(["transform", "--in", "f.csia", "--na", "2000", "--out", "y.csia"], 1,
-                 id="transform-na-above-subcarriers"),
-    pytest.param(["transform", "--in", "x.csia", "--nc", "4", "--out", "y.csia"], 1,
-                 id="transform-nc-below-delay-rows"),
+    case(["transform", "--in", "f.csia", "--na", "2000", "--out", "y.csia"], 1,
+         id="transform-na-above-subcarriers",
+         message="delay_bins (2000) cannot exceed subcarriers (16)"),
+    case(["transform", "--in", "x.csia", "--nc", "4", "--out", "y.csia"], 1,
+         id="transform-nc-below-delay-rows",
+         message="delay_bins (8) cannot exceed subcarriers (4)"),
 ]
 
 
-@pytest.mark.parametrize("argv,code", RANGE_CASES)
-def test_out_of_range_flag_values(workspace, argv, code, capsys):
+@pytest.mark.parametrize("argv,code,message", RANGE_CASES)
+def test_out_of_range_flag_values(workspace, argv, code, message, capsys):
     paths = {
         "s.json": workspace / "scenario.json",
+        "missing.json": workspace / "missing.json",
         "f.csia": workspace / "train.csia",  # 16 subcarriers
         "x.csia": workspace / "train_ang.csia",  # 8 delay rows
         "y.csia": workspace / "ignored.csia",
@@ -280,7 +361,9 @@ def test_out_of_range_flag_values(workspace, argv, code, capsys):
     assert cli.run([str(paths.get(a, a)) for a in argv]) == code
     err = capsys.readouterr().err
     assert ("usage error" in err) == (code == 2)
+    assert message in err
     assert not (workspace / "ignored.csia").exists()
+    assert not (workspace / "ignored.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -319,32 +402,152 @@ def test_sweep_param_follows_method(workspace, tmp_path, capsys, method, values,
             "--test", str(workspace / "test_ang.csia"), "--method", method,
             "--values", values, "--ratio", "1/4", "--out", str(out)]
     assert cli.run(argv) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines[:2]] == [
-        f"{param}={v}" for v in values.split(",")]
+    line = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(rf"trial 0: baseline \S+  {param}={values[0]}: \S+  "
+                        rf"{param}={values[-1]}: \S+ dB  -> best {param}=\d", line)
     summary = json.loads(out.read_text())
     assert summary["param"] == param and summary["method"] == method
-    assert [r["value"] for r in summary["results"]] == [int(v) for v in values.split(",")]
+    assert summary["values"] == [int(v) for v in values.split(",")]
 
 
-@pytest.mark.parametrize("na", [4, None], ids=["fewer-delay-rows", "spatial-frequency"])
-def test_sweep_judges_the_test_file_before_any_fit(workspace, tmp_path, monkeypatch, capsys, na):
-    test = workspace / "test.csia"  # spatial-frequency, 16 subcarriers
-    if na is not None:  # angular-delay with 4 delay rows, the training file has 8
+@pytest.mark.parametrize(
+    "test,ratio,message",
+    [("narrow", "1/4", "does not match codec"),
+     ("test.csia", "1/4", "angular-delay"),
+     ("test_ang.csia", "2", "exceeds feature dim")],
+    ids=["fewer-delay-rows", "spatial-frequency", "ratio-above-one"],
+)
+def test_sweep_judges_the_test_file_before_any_fit(
+        workspace, tmp_path, monkeypatch, capsys, test, ratio, message):
+    if test == "narrow":  # angular-delay with 4 delay rows, the training file has 8
         test = tmp_path / "narrow.csia"
-        assert cli.run(["transform", "--in", str(workspace / "test.csia"), "--na", str(na),
+        assert cli.run(["transform", "--in", str(workspace / "test.csia"), "--na", "4",
                         "--out", str(test)]) == 0
+    else:
+        test = workspace / test
     calls = []
-    eigh = codec._eigh
-    monkeypatch.setattr(codec, "_eigh", lambda m: calls.append(m.shape) or eigh(m))
+    eigh, augment = codec._eigh, codec.augment_dataset
+    monkeypatch.setattr(codec, "_eigh", lambda m: calls.append("eigh") or eigh(m))
+    monkeypatch.setattr(codec, "augment_dataset",
+                        lambda *a: calls.append("augment") or augment(*a))
     out = tmp_path / "sweep.json"
     assert cli.run(["sweep", "--train", str(workspace / "train_ang.csia"), "--test", str(test),
                     "--method", "bs-down", "--values", "0,1",
-                    "--ratio", "1/4", "--out", str(out)]) == 1
+                    "--ratio", ratio, "--out", str(out)]) == 1
     assert calls == []
     assert not out.exists()
     err = capsys.readouterr().err
-    assert "error:" in err and ("does not match codec" if na else "angular-delay") in err
+    assert "error:" in err and message in err
+
+
+PRESETS = Path(__file__).resolve().parent.parent / "scenarios"
+TOY = ["--train-count", "40", "--test-count", "20", "--na", "4", "--trials", "1",
+       "--seed", "20260823"]
+# The domain-gap study on the motion-range pair and the one-bin shift sweep.
+STUDIES = {
+    "gap": ["--train-scenario", PRESETS / "motion-range-train.json",
+            "--test-scenario", PRESETS / "motion-range-test.json",
+            "--method", "bs-down", "--values", "1", "--ratio", "1/4"],
+    "shift": ["--train-scenario", PRESETS / "motion-range-train.json", "--gap-bins", "1",
+              "--method", "bs-down", "--values", "0,1,2,3", "--ratio", "1/8"],
+}
+
+
+def run_study(name, out, *extra):
+    return cli.run([str(a) for a in ["sweep", *STUDIES[name], *TOY, *extra, "--out", out]])
+
+
+@pytest.mark.parametrize("name", STUDIES)
+def test_study_writes_the_sweep_summary(tmp_path, capsys, name):
+    out = tmp_path / "summary.json"
+    assert run_study(name, out) == 0
+    capsys.readouterr()
+    summary = json.loads(out.read_text())
+    assert set(summary) == {
+        "method", "param", "values", "ratio", "mode", "seed", "direction", "train_scenario",
+        "test_scenario", "train_samples", "test_samples", "trials", "mean_margin_db"}
+    assert len(summary["trials"]) == 1
+    assert (summary["train_samples"], summary["test_samples"]) == (40, 20)
+    train = load_scenario(PRESETS / "motion-range-train.json")
+    assert summary["train_scenario"] == json.loads(json.dumps(train.to_dict()))
+    lo, hi = summary["test_scenario"]["delay_range"]
+    assert (lo, hi) == ((0.0, 16.0) if name == "gap" else (1.0, 9.0))
+
+
+# Bubble shifts ignore the augmentation seed; random generation consumes it.
+@pytest.mark.parametrize("name,extra", [("gap", ["--method", "rg", "--values", "3"]),
+                                        ("shift", [])])
+def test_summary_pins_the_trial_protocol(tmp_path, capsys, name, extra):
+    out = tmp_path / "summary.json"
+    assert run_study(name, out, "--trials", "2", *extra) == 0
+    capsys.readouterr()
+    summary = json.loads(out.read_text())
+    base = summary["seed"]
+
+    # Trial 1 recomputed in-process: train under derive_seed(base, 2), test
+    # under derive_seed(base, 3), augmentation under derive_seed(base, 101).
+    train_spec = load_scenario(PRESETS / "motion-range-train.json")
+    if name == "gap":
+        test_spec = load_scenario(PRESETS / "motion-range-test.json")
+        passes = [AugmentParams(AugmentMethod.RANDOM_GENERATION, block_size=3)]
+    else:
+        lo, hi = train_spec.delay_range
+        test_spec = replace(train_spec, delay_range=(lo + 1.0, hi + 1.0))
+        passes = [AugmentParams(AugmentMethod.BUBBLE_SHIFT_DOWN, shift=s) for s in range(4)]
+    train = generate_angular_dataset(train_spec.with_seed(derive_seed(base, 2)), 40, 4)
+    test = generate_angular_dataset(test_spec.with_seed(derive_seed(base, 3)), 20, 4)
+    want = [evaluate(fit_codec(train if p is None else augment_dataset(
+        train, replace(p, seed=derive_seed(base, 101)), AugmentMode.APPEND),
+        summary["ratio"]), test).nmse_db for p in [None, *passes]]
+    got = summary["trials"][1]
+    assert [got["baseline_db"], *got["nmse_db"]] == want
+
+
+@pytest.mark.parametrize(
+    "name,extra,message",
+    [
+        ("shift", ["--gap-bins", "2000"], "delay_range must satisfy"),
+        ("gap", ["--na", "2000"], "cannot exceed subcarriers"),
+        ("shift", ["--ratio", "1/10000"], "retains no components"),
+        ("gap", ["--ratio", "2"], "exceeds feature dim"),
+        ("gap", ["--test-scenario", "{tmp}/missing.json"], "No such file or directory"),
+        ("shift", ["--train-scenario", "{tmp}/missing.json"], "No such file or directory"),
+        ("gap", ["--train-scenario", "{tmp}/list.json"], "must contain a JSON object, got list"),
+        ("shift", ["--train-scenario", "{tmp}/list.json"],
+         "must contain a JSON object, got list"),
+        ("gap", ["--test-scenario", "{tmp}/wide.json"],
+         "test scenario has 16 antennas, training scenario 32"),
+    ],
+)
+def test_study_rejects_scenario_conflicts_before_drawing(
+        tmp_path, monkeypatch, capsys, name, extra, message):
+    # Flag values valid on their own that the scenarios reject, and scenario
+    # files that do not load, are runtime errors found before any draw.
+    (tmp_path / "list.json").write_text("[1, 2]")
+    wide = json.loads((PRESETS / "motion-range-test.json").read_text())
+    (tmp_path / "wide.json").write_text(json.dumps({**wide, "antennas": 16}))
+    draws = []
+    monkeypatch.setattr(channel, "_batch_draws", lambda *a: draws.append(a))
+    out = tmp_path / "summary.json"
+    assert run_study(name, out, *[arg.format(tmp=tmp_path) for arg in extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert draws == [] and not out.exists()
+
+
+def test_study_summary_does_not_depend_on_the_preset_path(tmp_path, capsys):
+    summaries = []
+    for copy in ("a", "b/c"):
+        root = tmp_path / copy
+        root.mkdir(parents=True)
+        for preset in ("motion-range-train.json", "motion-range-test.json"):
+            shutil.copy(PRESETS / preset, root / preset)
+        out = root / "summary.json"
+        assert run_study("gap", out, "--train-scenario", root / "motion-range-train.json",
+                         "--test-scenario", root / "motion-range-test.json") == 0
+        summaries.append(out.read_bytes())
+    capsys.readouterr()
+    assert summaries[0] == summaries[1]
 
 
 def test_bad_ratio_is_usage_error(workspace, capsys):
@@ -442,6 +645,13 @@ def test_help_and_parse_failures(capsys):
     assert cli.run([]) == 2  # a command is required
     assert cli.run(["frobnicate"]) == 2
     assert cli.run(["gen", "--scenario", "s.json"]) == 2  # missing required flags
+    # one training source and one test source
+    sweep = ["sweep", "--method", "bs-up", "--values", "1", "--ratio", "1/4", "--out", "y.json"]
+    assert cli.run([*sweep, "--train", "x.csia", "--train-scenario", "s.json",
+                    "--test", "x.csia"]) == 2
+    assert cli.run([*sweep, "--train-scenario", "s.json", "--test-scenario", "s.json",
+                    "--gap-bins", "1"]) == 2
+    assert cli.run([*sweep, "--train", "x.csia"]) == 2
     capsys.readouterr()
 
 
