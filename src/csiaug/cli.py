@@ -9,6 +9,8 @@ a methods-by-ratios grid, and ``sweep`` runs the delay-gap studies:
 per trial, a codec fitted on the plain training set and one per value of
 the method's one parameter, evaluated on one test set, the sets read
 from ``--train``/``--test`` files (one trial) or drawn from scenarios.
+``sweep`` fits each pass from the sample stream, as ``fit`` does, so it never
+holds an augmented set.
 
 Exit codes: 0 on success, 2 for usage errors (bad flags, flag
 combinations, flag values out of range whatever the input holds, or an
@@ -37,10 +39,11 @@ from typing import Any, Callable, Iterator, Sequence
 from csiaug.augment import _augmented
 from csiaug.channel import ScenarioSpec, _source, generate_angular_dataset, load_scenario
 from csiaug.codec import (
-    EvalReport, _fit, check_components, evaluate, evaluate_passes, parse_ratio,
+    EvalReport, _check_test, _fit, check_components, evaluate, parse_ratio,
 )
 from csiaug.core import (
     AugmentMethod, AugmentMode, AugmentParams, Dataset, Domain, ShiftDirection, _param_field,
+    _stream, _Stream,
 )
 from csiaug.dataset_io import (
     _open_dataset,
@@ -320,22 +323,24 @@ def _sweep_scenarios(
 
 def _sweep_trials(
     args: argparse.Namespace, ratio: Fraction, specs: tuple[ScenarioSpec, ScenarioSpec] | None,
-) -> Iterator[tuple[Dataset, Dataset, int]]:
+) -> Iterator[tuple[_Stream, Dataset, int]]:
     """``(train, test, augmentation seed)`` per trial: the files once, under
     ``--seed``, or ``--trials`` draws of ``specs``, trial i training under
     ``derive_seed(seed, 2i)``, testing under ``2i + 1`` and augmenting under
-    ``100 + i``."""
+    ``100 + i``.  A training file is served from disk for each pass and stays
+    open while its trial runs; a drawn training set is collected once, since
+    drawing it again for each pass would cost more than holding it."""
     if specs is None:
-        train, test = read_dataset(args.train), read_dataset(args.test)
-        rows, cols = train.sample_shape
-        check_components(ratio, 2 * rows * cols)
-        yield train, test, args.seed
+        with _open_dataset(args.train) as train:
+            test = read_dataset(args.test)
+            check_components(ratio, 2 * train.rows * train.cols)
+            yield train, test, args.seed
         return
     train_spec, test_spec = specs
     for i in range(args.trials):
         yield (
-            generate_angular_dataset(train_spec.with_seed(derive_seed(args.seed, 2 * i)),
-                                     args.train_count, args.na),
+            _stream(generate_angular_dataset(
+                train_spec.with_seed(derive_seed(args.seed, 2 * i)), args.train_count, args.na)),
             generate_angular_dataset(test_spec.with_seed(derive_seed(args.seed, 2 * i + 1)),
                                      args.test_count, args.na),
             derive_seed(args.seed, 100 + i),
@@ -355,9 +360,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     mode = AugmentMode(args.mode)
     trials: list[dict[str, Any]] = []
     for i, (train, test, seed) in enumerate(_sweep_trials(args, ratio, specs)):
+        _check_test(test, (train.rows, train.cols))
         # Pass 0 is the plain training set: the baseline every value is judged by.
         seeded = [None] + [replace(p, seed=seed) for p in passes]
-        base, *nmse_db = [r.nmse_db for r in evaluate_passes(train, test, seeded, ratio, mode)]
+        base, *nmse_db = [evaluate(_fit(train if p is None else _augmented(train, p, mode))
+                                   .codec(ratio), test).nmse_db for p in seeded]
         best = values[nmse_db.index(min(nmse_db))]
         trials.append({"trial": i, "baseline_db": base, "nmse_db": nmse_db, "best_value": best})
         cells = "  ".join(f"{param}={v}: {db:.3f}" for v, db in zip(values, nmse_db))
@@ -374,7 +381,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "direction": args.direction,
         "train_scenario": specs[0].to_dict() if specs else None,
         "test_scenario": specs[1].to_dict() if specs else None,
-        "train_samples": len(train),
+        "train_samples": train.count,
         "test_samples": len(test),
         "trials": trials,
         "mean_margin_db": margins,

@@ -31,14 +31,11 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from csiaug.augment import augment_dataset
-from csiaug.core import (
-    AugmentMode, AugmentParams, Dataset, Domain, Record, _stream, _Stream, check_object,
-)
+from csiaug.core import Dataset, Domain, Record, _stream, _Stream, check_object
 from csiaug.rng import check_int, check_real, check_str
 
 DB_FLOOR = -300.0
@@ -79,12 +76,15 @@ def to_db(linear: float) -> float:
     return max(10.0 * math.log10(linear), DB_FLOOR)
 
 
-def features(samples: np.ndarray) -> np.ndarray:
-    """(n, rows, cols) complex batch -> (n, 2*rows*cols) real features."""
-    n = samples.shape[0]
-    return np.concatenate(
-        [samples.real.reshape(n, -1), samples.imag.reshape(n, -1)], axis=1
-    )
+def features(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(n, rows, cols) complex batch -> (n, 2*rows*cols) real features, in ``out`` if given."""
+    flat = samples.reshape(samples.shape[0], -1)
+    half = flat.shape[1]
+    if out is None:
+        out = np.empty((len(flat), 2 * half), flat.real.dtype)
+    out[:, :half] = flat.real
+    out[:, half:] = flat.imag
+    return out
 
 
 def unfeatures(vectors: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -287,20 +287,18 @@ def _eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _fit(train: _Stream) -> Spectrum:
     """Spectrum of the samples ``train`` serves, judged from its fields first.
 
-    The chunks fill one float64 matrix in :func:`features` layout, the same
-    bits as ``features`` of the whole set, so no complex copy of the set is
+    :func:`features` fills one float64 matrix chunk by chunk, the same bits
+    as ``features`` of the whole set, so no complex copy of the set is
     needed.  The matrix is this function's own local: ``del x`` frees it
     before the eigensolve, which an array the caller still referenced would
     survive.
     """
     _check_train(train.domain, train.count)
-    n, half = train.count, train.rows * train.cols
-    x = np.empty((n, 2 * half))
+    n = train.count
+    x = np.empty((n, 2 * train.rows * train.cols))
     for span, chunk in train.spans(train.step):
-        flat = chunk.reshape(len(chunk), half)
-        x[span, :half] = flat.real
-        x[span, half:] = flat.imag
-        del chunk, flat  # else the last chunk stays alive through the eigensolve
+        features(chunk, x[span])
+        del chunk  # else the last chunk stays alive through the eigensolve
     mean = x.mean(axis=0)
     x -= mean
     cov = (x.T @ x) / (n - 1)
@@ -450,16 +448,3 @@ def evaluate(codec: LinearCodec, test: Dataset, label: str = "unlabeled") -> Eva
         codec_info=codec.info(),
         test_provenance=test.meta.to_dict(),
     )
-
-
-def evaluate_passes(
-    train: Dataset, test: Dataset, passes: Iterable[AugmentParams | None],
-    ratio: Fraction | str | int, mode: AugmentMode = AugmentMode.APPEND,
-) -> Iterator[EvalReport]:
-    """Yield one report per pass: a codec fitted at ``ratio`` on ``train``
-    augmented by the pass in ``mode`` (``None``: ``train`` itself), evaluated
-    on ``test``.  ``test`` is judged against ``train`` before the first pass."""
-    _check_test(test, train.sample_shape)
-    for params in passes:
-        fitted = train if params is None else augment_dataset(train, params, mode)
-        yield evaluate(fit_codec(fitted, ratio), test)

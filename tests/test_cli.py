@@ -414,8 +414,9 @@ def test_sweep_param_follows_method(workspace, tmp_path, capsys, method, values,
     "test,ratio,message",
     [("narrow", "1/4", "does not match codec"),
      ("test.csia", "1/4", "angular-delay"),
+     ("empty", "1/4", "cannot evaluate on an empty dataset"),
      ("test_ang.csia", "2", "exceeds feature dim")],
-    ids=["fewer-delay-rows", "spatial-frequency", "ratio-above-one"],
+    ids=["fewer-delay-rows", "spatial-frequency", "empty", "ratio-above-one"],
 )
 def test_sweep_judges_the_test_file_before_any_fit(
         workspace, tmp_path, monkeypatch, capsys, test, ratio, message):
@@ -423,13 +424,15 @@ def test_sweep_judges_the_test_file_before_any_fit(
         test = tmp_path / "narrow.csia"
         assert cli.run(["transform", "--in", str(workspace / "test.csia"), "--na", "4",
                         "--out", str(test)]) == 0
+    elif test == "empty":  # the training file's shape and domain, no samples
+        test = tmp_path / "empty.csia"
+        write_dataset(Dataset(np.zeros((0, 8, 4)), Domain.ANGULAR_DELAY), test)
     else:
         test = workspace / test
     calls = []
-    eigh, augment = codec._eigh, codec.augment_dataset
+    eigh, augmented = codec._eigh, cli._augmented
     monkeypatch.setattr(codec, "_eigh", lambda m: calls.append("eigh") or eigh(m))
-    monkeypatch.setattr(codec, "augment_dataset",
-                        lambda *a: calls.append("augment") or augment(*a))
+    monkeypatch.setattr(cli, "_augmented", lambda *a: calls.append("augment") or augmented(*a))
     out = tmp_path / "sweep.json"
     assert cli.run(["sweep", "--train", str(workspace / "train_ang.csia"), "--test", str(test),
                     "--method", "bs-down", "--values", "0,1",
@@ -475,32 +478,50 @@ def test_study_writes_the_sweep_summary(tmp_path, capsys, name):
 
 
 # Bubble shifts ignore the augmentation seed; random generation consumes it.
-@pytest.mark.parametrize("name,extra", [("gap", ["--method", "rg", "--values", "3"]),
-                                        ("shift", [])])
-def test_summary_pins_the_trial_protocol(tmp_path, capsys, name, extra):
-    out = tmp_path / "summary.json"
-    assert run_study(name, out, "--trials", "2", *extra) == 0
-    capsys.readouterr()
-    summary = json.loads(out.read_text())
-    base = summary["seed"]
-
+@pytest.mark.parametrize("name,extra", [
+    ("gap", ["--method", "rg", "--values", "3"]),
+    ("shift", []),
+    ("file", ["--method", "rg", "--values", "2,3", "--mode", "replace"]),
+])
+def test_summary_pins_the_trial_protocol(tmp_path, monkeypatch, capsys, name, extra):
     # Trial 1 recomputed in-process: train under derive_seed(base, 2), test
     # under derive_seed(base, 3), augmentation under derive_seed(base, 101).
+    # The file case sweeps trial 1's sets of the gap study as files, one
+    # trial augmenting under --seed.
+    base = 20260823  # TOY's --seed
     train_spec = load_scenario(PRESETS / "motion-range-train.json")
-    if name == "gap":
-        test_spec = load_scenario(PRESETS / "motion-range-test.json")
-        passes = [AugmentParams(AugmentMethod.RANDOM_GENERATION, block_size=3)]
-    else:
+    if name == "shift":
         lo, hi = train_spec.delay_range
         test_spec = replace(train_spec, delay_range=(lo + 1.0, hi + 1.0))
         passes = [AugmentParams(AugmentMethod.BUBBLE_SHIFT_DOWN, shift=s) for s in range(4)]
+    else:
+        test_spec = load_scenario(PRESETS / "motion-range-test.json")
+        passes = [AugmentParams(AugmentMethod.RANDOM_GENERATION, block_size=b)
+                  for b in ((3,) if name == "gap" else (2, 3))]
     train = generate_angular_dataset(train_spec.with_seed(derive_seed(base, 2)), 40, 4)
     test = generate_angular_dataset(test_spec.with_seed(derive_seed(base, 3)), 20, 4)
-    want = [evaluate(fit_codec(train if p is None else augment_dataset(
-        train, replace(p, seed=derive_seed(base, 101)), AugmentMode.APPEND),
-        summary["ratio"]), test).nmse_db for p in [None, *passes]]
-    got = summary["trials"][1]
-    assert [got["baseline_db"], *got["nmse_db"]] == want
+    seed, out = derive_seed(base, 101), tmp_path / "summary.json"
+    calls, eigh = [], codec._eigh
+    monkeypatch.setattr(codec, "_eigh", lambda m: calls.append(m.shape) or eigh(m))
+    if name == "file":
+        files = tmp_path / "train.csia", tmp_path / "test.csia"
+        write_dataset(train, files[0])
+        write_dataset(test, files[1])
+        assert cli.run([str(a) for a in ["sweep", "--train", files[0], "--test", files[1],
+                                         "--ratio", "1/4", "--seed", seed, *extra,
+                                         "--out", out]]) == 0
+        train, test = map(read_dataset, files)
+    else:
+        assert run_study(name, out, "--trials", "2", *extra) == 0
+    capsys.readouterr()
+    summary = json.loads(out.read_text())
+    assert len(calls) == len(summary["trials"]) * (1 + len(passes))  # one eigensolve per pass
+    got = summary["trials"][-1]
+    assert [got["baseline_db"], *got["nmse_db"]] == [
+        evaluate(fit_codec(train if p is None else augment_dataset(
+            train, replace(p, seed=seed), AugmentMode(summary["mode"])),
+            summary["ratio"]), test).nmse_db
+        for p in [None, *passes]]
 
 
 @pytest.mark.parametrize(

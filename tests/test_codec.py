@@ -16,8 +16,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from csiaug import codec as codec_module
-from csiaug.augment import augment_dataset
-from csiaug.channel import ScenarioSpec, generate_angular_dataset
 from csiaug.codec import (
     DB_FLOOR,
     _fix_signs,
@@ -27,7 +25,6 @@ from csiaug.codec import (
     decode_batch,
     encode_batch,
     evaluate,
-    evaluate_passes,
     features,
     fit_codec,
     fit_spectrum,
@@ -37,7 +34,7 @@ from csiaug.codec import (
     to_db,
     unfeatures,
 )
-from csiaug.core import AugmentMethod, AugmentMode, AugmentParams, Dataset, Domain, Provenance
+from csiaug.core import Dataset, Domain, Provenance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -94,6 +91,11 @@ def test_features_layout_and_inverse():
     assert np.array_equal(unfeatures(vec[None, :], 1, 2)[0], sample)
     batch = np.random.default_rng(0).standard_normal((5, 3, 4)) + 1j
     assert np.array_equal(unfeatures(features(batch), 3, 4), batch)
+    # Rows of a larger matrix filled in place, as the fit fills its features.
+    out = np.full((7, 24), np.nan)
+    assert features(batch, out[1:6]).base is out
+    assert np.array_equal(out[1:6], features(batch))
+    assert np.isnan(out[[0, 6]]).all()
 
 
 def test_full_ratio_codec_is_lossless():
@@ -534,54 +536,6 @@ def test_evaluate_produces_full_report():
         evaluate(codec, Dataset(test.samples, Domain.SPATIAL_FREQUENCY))
     with pytest.raises(ValueError, match="empty"):
         evaluate(codec, angular_dataset(np.zeros((0, 4, 4))))
-
-
-def count_eigh(monkeypatch):
-    """Patch the fit's eigensolver to record each call; returns the call list."""
-    eigh = codec_module._eigh
-    calls = []
-
-    def counted(matrix):
-        calls.append(matrix.shape)
-        return eigh(matrix)
-
-    monkeypatch.setattr(codec_module, "_eigh", counted)
-    return calls
-
-
-@pytest.mark.parametrize("mode", list(AugmentMode))
-def test_evaluate_passes_matches_the_hand_loop(empty_memo, monkeypatch, mode):
-    spec = ScenarioSpec(subcarriers=16, antennas=4, paths=2, delay_range=(0.0, 5.0),
-                        angle_range=(-0.5, 0.5), gain_decay=0.4, seed=77)
-    train = generate_angular_dataset(spec, 30, 8)
-    test = generate_angular_dataset(spec.with_seed(78), 10, 8)
-    passes = [None, AugmentParams(AugmentMethod.BUBBLE_SHIFT_DOWN, shift=1),
-              AugmentParams(AugmentMethod.RANDOM_GENERATION, block_size=3, seed=7)]
-    calls = count_eigh(monkeypatch)
-    reports, counts = [], []
-    for report in evaluate_passes(train, test, passes, "1/4", mode):
-        reports.append(report)
-        counts.append(len(calls))
-    assert counts == [1, 2, 3]  # one eigendecomposition per pass
-    for params, report in zip(passes, reports):
-        fitted = train if params is None else augment_dataset(train, params, mode)
-        want = evaluate(fit_codec(fitted, "1/4"), test)
-        assert report == want
-        assert report.nmse_linear.hex() == want.nmse_linear.hex()
-
-
-def test_evaluate_passes_judges_the_test_set_before_the_first_pass(empty_memo, monkeypatch):
-    train = random_dataset(20, 4, 3, seed=30)
-    passes = [AugmentParams(AugmentMethod.BUBBLE_SHIFT_DOWN, shift=1)]
-    calls = count_eigh(monkeypatch)
-    for test, message in [
-        (random_dataset(5, 2, 3, seed=31), r"sample shape \(2, 3\) does not match codec \(4, 3\)"),
-        (Dataset(train.samples[:5], Domain.SPATIAL_FREQUENCY), "expects angular-delay"),
-        (angular_dataset(np.zeros((0, 4, 3))), "empty"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            next(evaluate_passes(train, test, passes, "1/4"))
-    assert calls == []
 
 
 def test_eval_report_dict_round_trip():

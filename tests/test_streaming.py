@@ -1,7 +1,7 @@
-"""Streamed gen, transform, augment and fit: the bytes of the in-memory path,
-every check per chunk, no file or handle left behind, and memory flat in the
-count (gen, transform), no complex copy of the set (augment, fit) and no
-eigensolver copies (the fit child's peak resident size)."""
+"""Streamed gen, transform, augment, fit and sweep: the bytes of the in-memory
+path, every check per chunk, no file or handle left behind, and memory flat in
+the count (gen, transform), no complex copy of the set (augment, fit, sweep)
+and no eigensolver copies (the fit child's peak resident size)."""
 
 import os
 import struct
@@ -174,6 +174,23 @@ def test_gen_and_transform_memory_does_not_grow_with_count(tmp_path, capsys):
         assert large <= 1.1 * small, peaks
 
 
+def test_sweep_memory_holds_no_complex_copy_of_the_training_set(tmp_path, monkeypatch, capsys):
+    # 2000 samples of 16 x 16 and a bs-down append pass: the fit of that pass
+    # holds 16.4 MB of float64 features and a 2.1 MB scatter matrix; the
+    # complex128 training set is 8.2 MB and its augmented copy 16.4 MB.
+    count, rows, cols, step = 2000, 16, 16, 64
+    train = random_file(tmp_path / "train.csia", count, rows=rows, cols=cols)
+    test = random_file(tmp_path / "test.csia", 50, rows=rows, cols=cols, seed=1)
+    monkeypatch.setattr(core, "_CHUNK_BYTES", step * 16 * rows * cols)
+    dim = 2 * rows * cols
+    bound = (8 * 2 * count * dim + 8 * dim * dim + 50 * rows * cols * 16
+             + 8 * step * rows * cols * 16 + (1 << 20))
+    code, peak = traced(["sweep", "--train", train, "--test", test, "--method", "bs-down",
+                         "--values", "1", "--ratio", "1/4", "--out", tmp_path / "s.json"])
+    assert code == 0
+    assert peak <= bound, (peak, bound)
+
+
 def random_file(path, count, domain=Domain.ANGULAR_DELAY, rows=8, cols=4, seed=0):
     g = np.random.default_rng(seed)
     shape = (count, rows, cols)
@@ -233,6 +250,24 @@ def test_cli_fit_rejects_bad_input_and_leaves_nothing(
     assert err.startswith("error:") and message in err
     assert list((tmp_path / "out").iterdir()) == []
     assert open_fds() == fds
+
+
+def test_sweep_closes_its_training_file_however_it_ends(tmp_path, monkeypatch, capsys):
+    # The file is read again for each pass and stays open only while its
+    # trial runs: after a summary, and after a NaN found by the first fit.
+    monkeypatch.setattr(core, "_CHUNK_BYTES", 3 * SAMPLE_BYTES)
+    good, bad = random_file(tmp_path / "good.csia", 17), tmp_path / "bad.csia"
+    nan_in_last_chunk(bad)
+    test, out = random_file(tmp_path / "test.csia", 5, seed=5), tmp_path / "s.json"
+    fds = open_fds()
+    for train, code in ((good, 0), (bad, 1)):
+        out.unlink(missing_ok=True)
+        assert run("sweep", "--train", train, "--test", test, "--method", "bs-down",
+                   "--values", "1", "--ratio", "1/4", "--out", out) == code
+        assert out.exists() == (code == 0)
+        assert open_fds() == fds
+    assert capsys.readouterr().err == (
+        f"error: {bad}: dataset payload invalid: dataset samples must be finite\n")
 
 
 def test_cli_fit_holds_no_complex_copy_of_the_training_set(tmp_path, monkeypatch, capsys):
