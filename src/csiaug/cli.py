@@ -218,7 +218,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     ratio = _usage(parse_ratio, args.ratio)
     with _open_dataset(args.train) as train:
         # Ratio, domain and count are judged before the payload is read; the
-        # features are filled from the file's chunks, never the complex set.
+        # fit reads the file's chunks twice, a block of features at a time,
+        # never the complex set or its feature matrix.
         check_components(ratio, 2 * train.rows * train.cols)
         spectrum = _fit(train)
     codec = spectrum.codec(ratio)

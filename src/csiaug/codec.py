@@ -10,7 +10,10 @@ training-set augmentation close a train/test distribution gap?) only
 needs a compressor whose quality depends on its training distribution.
 
 The fit is one eigendecomposition of the training scatter matrix, kept
-as a :class:`Spectrum`; the basis at any ratio is a prefix of its
+as a :class:`Spectrum`.  The mean and the scatter matrix are summed over
+two passes of the sample stream, a block of feature rows at a time, so a
+fit holds two feature_dim x feature_dim arrays whatever the sample count.
+The basis at any ratio is a prefix of its
 columns, so one eigendecomposition serves every ratio of a training set.
 :func:`fit_spectrum` remembers the spectrum of the last ``Dataset``
 object it fitted, so repeat fits of the *same* object (``fit_codec`` at
@@ -31,7 +34,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -78,8 +81,8 @@ def to_db(linear: float) -> float:
 
 def features(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(n, rows, cols) complex batch -> (n, 2*rows*cols) real features, in ``out`` if given."""
-    flat = samples.reshape(samples.shape[0], -1)
-    half = flat.shape[1]
+    half = math.prod(samples.shape[1:])
+    flat = samples.reshape(len(samples), half)
     if out is None:
         out = np.empty((len(flat), 2 * half), flat.real.dtype)
     out[:, :half] = flat.real
@@ -235,74 +238,128 @@ def _check_train(domain: Domain, n: int) -> None:
         raise ValueError(f"codec training needs at least 2 samples, got {n}")
 
 
-@functools.cache
-def _dsyevd() -> Callable[..., int] | None:
-    """NumPy's own ``LAPACKE_dsyevd``, or ``None`` on a build that does not
-    bundle scipy-openblas.
+class _Blas(NamedTuple):
+    """NumPy's own bundled ``cblas_dsyrk`` and ``LAPACKE_dsyevr``."""
 
-    It is the C interface to the ``dsyevd`` that ``np.linalg.eigh`` calls,
-    in the same library, found through the symbols of NumPy's linear-algebra
-    extension.
+    dsyrk: Callable[..., None]
+    dsyevr: Callable[..., int]
+
+
+@functools.cache
+def _blas() -> _Blas | None:
+    """The scatter and eigensolver routines of the library ``np.linalg``
+    calls, or ``None`` on a NumPy build that does not bundle scipy-openblas.
+
+    They are found through the symbols of NumPy's linear-algebra extension,
+    so they are the OpenBLAS build ``np.linalg.eigh`` and ``@`` run on.
     """
     config = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
     if config.get("lapack", {}).get("name") != "scipy-openblas":
         return None
     from numpy.linalg import _umath_linalg
     try:
-        routine = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dsyevd64_
+        library = ctypes.CDLL(_umath_linalg.__file__)
+        dsyrk, dsyevr = library.scipy_cblas_dsyrk64_, library.scipy_LAPACKE_dsyevr64_
     except (OSError, AttributeError):
         return None
-    routine.restype = ctypes.c_int64
-    routine.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-                        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-    return routine
+    enum, i64, f64, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    dsyrk.restype = None
+    dsyrk.argtypes = [enum, enum, enum, i64, i64, f64, ptr, i64, f64, ptr, i64]
+    dsyevr.restype = i64
+    dsyevr.argtypes = [enum, ctypes.c_char, ctypes.c_char, ctypes.c_char, i64, ptr, i64,
+                       f64, f64, i64, i64, f64, ptr, ptr, ptr, i64, ptr]
+    return _Blas(dsyrk, dsyevr)
 
 
 def _eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(cov)``, bit for bit, overwriting a float64 ``cov``.
+    """``np.linalg.eigh(cov)`` of the lower triangle, overwriting a float64 ``cov``.
 
-    The buffer of a C-ordered symmetric matrix, read column-major, is the
-    matrix NumPy would copy out and hand to ``dsyevd`` (eigenvectors, lower
-    triangle); any other array goes to ``eigh`` as it is.  Solving in that
-    buffer saves NumPy's input copy and output array; LAPACKE allocates the
-    workspace as NumPy does and frees it before the one copy that gives the
-    C-ordered eigenvectors ``eigh`` returns.  A NaN entry, which LAPACKE
-    rejects before it writes, goes to ``eigh`` to fail as it always did.
+    All eigenpairs come from ``dsyevr`` in the buffer of a C-ordered matrix,
+    whose lower triangle is the upper one read column-major; the eigenvectors
+    come back in ``cov``, C-ordered, and one more n x n array and O(n) of
+    workspace are all it holds.  Any other array, a NaN or an infinity (which
+    LAPACK may not reject), and a build without the routine go to ``eigh`` as
+    they are: it fails on a non-finite entry as it always did.
     """
-    dsyevd, n = _dsyevd(), len(cov)
+    blas, n = _blas(), len(cov)
     # LAPACK writes n * n doubles from this pointer: only a writeable,
     # aligned, C-contiguous float64 square matrix may be solved in place.
-    if dsyevd is None or cov.dtype != np.float64 or cov.shape != (n, n) or not cov.flags.carray:
+    if (blas is None or cov.dtype != np.float64 or cov.shape != (n, n) or not cov.flags.carray
+            or not (np.isfinite(cov.max()) and np.isfinite(cov.min()))):
         return np.linalg.eigh(cov)
-    values = np.empty(n)
-    # 102 is LAPACK_COL_MAJOR.
-    info = dsyevd(102, b"V", b"L", n, cov.ctypes.data, n, values.ctypes.data)
-    if info < 0:
-        return np.linalg.eigh(cov)
-    if info > 0:
+    values, vectors = np.empty(n), np.empty((n, n))
+    found, support = ctypes.c_int64(), np.empty(2 * n, dtype=np.int64)
+    # 102 is LAPACK_COL_MAJOR; range "A" keeps every eigenpair, so the bounds
+    # and the tolerance are not read.
+    info = blas.dsyevr(102, b"V", b"A", b"U", n, cov.ctypes.data, n, 0.0, 0.0, 0, 0, 0.0,
+                       ctypes.byref(found), values.ctypes.data, vectors.ctypes.data, n,
+                       support.ctypes.data)
+    if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return values, cov.T.copy()
+    # Column j of the column-major result is row j of ``vectors``.
+    np.copyto(cov, vectors.T)
+    return values, cov
+
+
+# Bytes of float64 features per block of the scatter pass.  The block size
+# depends only on the sample shape, so a stream's chunking never changes
+# which samples one rank-B update adds, nor the codec's bits.
+_BLOCK_BYTES = 2 << 20
+
+
+def _block_samples(dim: int) -> int:
+    """Samples of ``dim`` features per block: 128 at 2048, 512 at 512."""
+    return max(1, _BLOCK_BYTES // (8 * dim))
+
+
+def _blocks(train: _Stream, block: np.ndarray) -> Iterator[np.ndarray]:
+    """The features of the samples ``train`` serves, filled into ``block``
+    ``len(block)`` rows at a time; the last may be short.  Each is valid
+    until the next is served."""
+    filled = 0
+    for _, chunk in train.spans(train.step):
+        while len(chunk):
+            take = min(len(block) - filled, len(chunk))
+            features(chunk[:take], block[filled:filled + take])
+            chunk, filled = chunk[take:], filled + take
+            if filled == len(block):
+                yield block
+                filled = 0
+        del chunk  # else it stays alive while the next chunk is made
+    if filled:
+        yield block[:filled]
 
 
 def _fit(train: _Stream) -> Spectrum:
     """Spectrum of the samples ``train`` serves, judged from its fields first.
 
-    :func:`features` fills one float64 matrix chunk by chunk, the same bits
-    as ``features`` of the whole set, so no complex copy of the set is
-    needed.  The matrix is this function's own local: ``del x`` frees it
-    before the eigensolve, which an array the caller still referenced would
-    survive.
+    Two passes over the stream fill a block of a fixed number of feature
+    rows at a time, so the fit holds the scatter matrix, one block and one
+    chunk whatever the count, then the eigenvectors in the scatter's buffer
+    and ``dsyevr``'s own n x n output.  The first pass sums the rows in the
+    order ``x.sum(axis=0)`` does, the running sum in the row before the block,
+    so the mean has the bits of ``x.mean(axis=0)``.  The second adds each
+    centred block into the lower triangle of the scatter matrix, with
+    ``dsyrk`` where NumPy bundles it.
     """
     _check_train(train.domain, train.count)
-    n = train.count
-    x = np.empty((n, 2 * train.rows * train.cols))
-    for span, chunk in train.spans(train.step):
-        features(chunk, x[span])
-        del chunk  # else the last chunk stays alive through the eigensolve
-    mean = x.mean(axis=0)
-    x -= mean
-    cov = (x.T @ x) / (n - 1)
-    del x
+    n, dim = train.count, 2 * train.rows * train.cols
+    rows = np.zeros((min(n, _block_samples(dim)) + 1, dim))
+    for block in _blocks(train, rows[1:]):
+        rows[0] = np.add.reduce(rows[:len(block) + 1], axis=0)
+    mean = rows[0] / n
+    blas, cov = _blas(), np.zeros((dim, dim))
+    for block in _blocks(train, rows[1:]):
+        block -= mean
+        if blas is None:
+            cov += block.T @ block
+        else:
+            # 101, 122 and 112 are CblasRowMajor, CblasLower and CblasTrans;
+            # beta = 1 adds blockᵀ block to the lower triangle.
+            blas.dsyrk(101, 122, 112, dim, len(block), 1.0, block.ctypes.data, dim,
+                       1.0, cov.ctypes.data, dim)
+    del rows, block
+    cov /= n - 1
     values, vectors = _eigh(cov)
     del cov
     values, vectors = values[::-1], vectors[:, ::-1]

@@ -1,7 +1,7 @@
 """Streamed gen, transform, augment, fit and sweep: the bytes of the in-memory
 path, every check per chunk, no file or handle left behind, and memory flat in
-the count (gen, transform), no complex copy of the set (augment, fit, sweep)
-and no eigensolver copies (the fit child's peak resident size)."""
+the count (gen, transform, fit, sweep), no complex copy of the set (augment,
+fit, sweep) and no eigensolver copies (the fit child's peak resident size)."""
 
 import os
 import struct
@@ -148,6 +148,13 @@ def test_every_sink_rejects_a_short_stream(tmp_path):
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(ValueError, match="chunks hold 4 samples, expected 5"):
         codec._fit(stream)
+    # The fit reads the stream twice: a stream served whole for the mean and
+    # short for the scatter fails the second pass.
+    served = iter([np.ones((5, 2, 3), dtype=complex), chunk])
+    twice = stream._replace(chunks=lambda step: iter([next(served)]))
+    with pytest.raises(ValueError, match="chunks hold 4 samples, expected 5"):
+        codec._fit(twice)
+    assert next(served, None) is None
 
 
 def traced(argv):
@@ -174,17 +181,38 @@ def test_gen_and_transform_memory_does_not_grow_with_count(tmp_path, capsys):
         assert large <= 1.1 * small, peaks
 
 
+def test_fit_and_sweep_memory_does_not_grow_with_count(tmp_path, monkeypatch, capsys):
+    # 16 x 16 samples in 64-sample chunks: the fit holds two 512 x 512
+    # arrays and one block whatever the count, and a file sweep also its
+    # fixed test set. Holding float64 features, the fit grew 4.6 and the
+    # sweep 5.7 times from 600 to 4800 training samples.
+    rows = cols = 16
+    monkeypatch.setattr(core, "_CHUNK_BYTES", 64 * 16 * rows * cols)
+    test = random_file(tmp_path / "test.csia", 50, rows=rows, cols=cols, seed=1)
+    peaks = {}
+    for count in (600, 4800):
+        train = random_file(tmp_path / "train.csia", count, rows=rows, cols=cols)
+        fit = traced(["fit", "--train", train, "--ratio", "1/4", "--out", tmp_path / "c.csic"])
+        sweep = traced(["sweep", "--train", train, "--test", test, "--method", "bs-down",
+                        "--values", "1", "--ratio", "1/4", "--out", tmp_path / "s.json"])
+        assert (fit[0], sweep[0]) == (0, 0)
+        peaks[count] = fit[1], sweep[1]
+    for small, large in zip(peaks[600], peaks[4800]):
+        assert large <= 1.1 * small, peaks
+
+
 def test_sweep_memory_holds_no_complex_copy_of_the_training_set(tmp_path, monkeypatch, capsys):
-    # 2000 samples of 16 x 16 and a bs-down append pass: the fit of that pass
-    # holds 16.4 MB of float64 features and a 2.1 MB scatter matrix; the
-    # complex128 training set is 8.2 MB and its augmented copy 16.4 MB.
+    # 2000 samples of 16 x 16 and a bs-down append pass: each fit holds two
+    # 2.1 MB d x d arrays and a 2.1 MB block; the complex128 training set is
+    # 8.2 MB and its augmented copy 16.4 MB. 5.8 MB measured here.
     count, rows, cols, step = 2000, 16, 16, 64
     train = random_file(tmp_path / "train.csia", count, rows=rows, cols=cols)
     test = random_file(tmp_path / "test.csia", 50, rows=rows, cols=cols, seed=1)
     monkeypatch.setattr(core, "_CHUNK_BYTES", step * 16 * rows * cols)
     dim = 2 * rows * cols
-    bound = (8 * 2 * count * dim + 8 * dim * dim + 50 * rows * cols * 16
+    bound = (2 * 8 * dim * dim + 8 * dim * codec._block_samples(dim) + 50 * rows * cols * 16
              + 8 * step * rows * cols * 16 + (1 << 20))
+    assert bound < 2 * count * rows * cols * 16
     code, peak = traced(["sweep", "--train", train, "--test", test, "--method", "bs-down",
                          "--values", "1", "--ratio", "1/4", "--out", tmp_path / "s.json"])
     assert code == 0
@@ -271,13 +299,16 @@ def test_sweep_closes_its_training_file_however_it_ends(tmp_path, monkeypatch, c
 
 
 def test_cli_fit_holds_no_complex_copy_of_the_training_set(tmp_path, monkeypatch, capsys):
-    # 2000 samples of 16 x 16: the float64 features and the complex128 set are
-    # 8.2 MB each, the scatter matrix 2.1 MB, a 64-sample chunk 0.4 MB.
+    # 2000 samples of 16 x 16: the complex128 set is 8.2 MB; the scatter
+    # matrix, dsyevr's eigenvectors and a block 2.1 MB each, a 64-sample
+    # chunk 0.4 MB. 4.7 MB measured here.
     count, rows, cols, step = 2000, 16, 16, 64
     train = random_file(tmp_path / "train.csia", count, rows=rows, cols=cols)
     monkeypatch.setattr(core, "_CHUNK_BYTES", step * 16 * rows * cols)
     dim = 2 * rows * cols
-    bound = 8 * count * dim + 8 * dim * dim + step * rows * cols * (8 + 16) + (1 << 20)
+    bound = (2 * 8 * dim * dim + 8 * dim * codec._block_samples(dim)
+             + step * rows * cols * (8 + 16) + (1 << 20))
+    assert bound < count * rows * cols * 16
     code, peak = traced(["fit", "--train", train, "--ratio", "1/4", "--out", tmp_path / "c.csic"])
     assert code == 0
     assert peak <= bound, (peak, bound)
@@ -304,17 +335,18 @@ LAUNCHER = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
 
 @pytest.mark.skipif(os.name != "posix", reason="needs resource.getrusage")
 def test_fit_child_rss_holds_features_scatter_and_a_chunk(tmp_path, capsys):
-    # 2048 samples of 16 x 32: 16.8 MB of features, an 8.4 MB scatter matrix.
-    # The eigensolve must not add NumPy's input copy and output array to the
-    # scatter and the 16.8 MB workspace: growth was 30-31 MB here, and 47-48
-    # MB with np.linalg.eigh. The slack covers BLAS buffers and allocator
-    # rounding, 4-5 MB measured at one and two BLAS threads.
+    # 2048 samples of 16 x 32: 8.4 MB d x d arrays and a 2.1 MB block. The fit
+    # holds the scatter matrix and dsyevr's eigenvectors, never the 16.8 MB
+    # of features, dsyevd's 16.8 MB workspace or NumPy's copies of the
+    # input and output: growth was 20.6-20.9 MB here, and 30.0-30.9 MB
+    # holding the features beside dsyevd. The slack covers BLAS buffers and
+    # allocator rounding, 1 MB measured at one and two BLAS threads.
     count, rows, cols, step = 2048, 16, 32, 64
     train = random_file(tmp_path / "train.csia", count, rows=rows, cols=cols)
     warm = random_file(tmp_path / "warm.csia", 8, rows=2, cols=2)
     dim = 2 * rows * cols
     chunk = step * rows * cols * (16 + 8)
-    bound = 8 * count * dim + 8 * dim * dim + chunk + (10 << 20)
+    bound = 2 * 8 * dim * dim + 8 * dim * codec._block_samples(dim) + chunk + (4 << 20)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -360,6 +392,22 @@ def test_streamed_augment_equals_the_in_memory_augment(tmp_path, monkeypatch, ca
         assert run(*augment_argv(src, params, mode, got)) == 0
         assert files(got) == files(want)
         assert augment_dataset(dataset, params, mode) == whole
+
+
+def test_cli_fit_of_an_augmented_file_equals_the_library_fit(tmp_path, monkeypatch, capsys):
+    # 600 samples of 16 x 16 appended to 1200 fill two 512-sample blocks and
+    # a short one, with the seam between originals and copies in the second.
+    src = random_file(tmp_path / "in.csia", 600, rows=16, cols=16, seed=6)
+    aug = tmp_path / "aug.csia"
+    assert run(*augment_argv(src, METHODS[1], AugmentMode.APPEND, aug)) == 0
+    want = tmp_path / "want.csic"
+    write_codec(fit_codec(read_dataset(aug), "1/4"), want)
+    # Seven samples per chunk, so chunks straddle every block edge, then the whole file.
+    for budget in (7 * 16 * 16 * 16, 1 << 40):
+        monkeypatch.setattr(core, "_CHUNK_BYTES", budget)
+        got = tmp_path / f"got{budget}.csic"
+        assert run("fit", "--train", aug, "--ratio", "1/4", "--out", got) == 0
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_cli_augment_holds_no_complex_copy_of_the_set(tmp_path, monkeypatch, capsys):
