@@ -218,7 +218,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     ratio = _usage(parse_ratio, args.ratio)
     with _open_dataset(args.train) as train:
         # Ratio, domain and count are judged before the payload is read; the
-        # fit reads the file's chunks twice, a block of features at a time,
+        # fit reads the file's chunks once, a block of features at a time,
         # never the complex set or its feature matrix.
         check_components(ratio, 2 * train.rows * train.cols)
         spectrum = _fit(train)

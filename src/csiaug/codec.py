@@ -10,8 +10,8 @@ training-set augmentation close a train/test distribution gap?) only
 needs a compressor whose quality depends on its training distribution.
 
 The fit is one eigendecomposition of the training scatter matrix, kept
-as a :class:`Spectrum`.  The mean and the scatter matrix are summed over
-two passes of the sample stream, a block of feature rows at a time, so a
+as a :class:`Spectrum`.  The mean and the scatter matrix are summed in
+one pass of the sample stream, a block of feature rows at a time, so a
 fit holds two feature_dim x feature_dim arrays whatever the sample count.
 The basis at any ratio is a prefix of its
 columns, so one eigendecomposition serves every ratio of a training set.
@@ -301,7 +301,7 @@ def _eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, cov
 
 
-# Bytes of float64 features per block of the scatter pass.  The block size
+# Bytes of float64 features per block of the fit's pass.  The block size
 # depends only on the sample shape, so a stream's chunking never changes
 # which samples one rank-B update adds, nor the codec's bits.
 _BLOCK_BYTES = 2 << 20
@@ -333,24 +333,26 @@ def _blocks(train: _Stream, block: np.ndarray) -> Iterator[np.ndarray]:
 def _fit(train: _Stream) -> Spectrum:
     """Spectrum of the samples ``train`` serves, judged from its fields first.
 
-    Two passes over the stream fill a block of a fixed number of feature
-    rows at a time, so the fit holds the scatter matrix, one block and one
-    chunk whatever the count, then the eigenvectors in the scatter's buffer
-    and ``dsyevr``'s own n x n output.  The first pass sums the rows in the
-    order ``x.sum(axis=0)`` does, the running sum in the row before the block,
-    so the mean has the bits of ``x.mean(axis=0)``.  The second adds each
-    centred block into the lower triangle of the scatter matrix, with
-    ``dsyrk`` where NumPy bundles it.
+    One pass over the stream fills a block of a fixed number of feature rows
+    at a time, so the fit holds the scatter matrix, one block and one chunk
+    whatever the count, then the eigenvectors in the scatter's buffer and
+    ``dsyevr``'s own n x n output.  Each block is summed in the order
+    ``x.sum(axis=0)`` does, the running sum in the row before the block, so
+    the mean has the bits of ``x.mean(axis=0)``.  It is then centred on a
+    fixed shift, the first block's mean, and added into the lower triangle of
+    the scatter matrix, with ``dsyrk`` where NumPy bundles it.  One rank-1
+    term moves the shifted scatter to the mean (Chan, Golub and LeVeque,
+    "Algorithms for computing the sample variance", Am. Stat. 37, 1983).
     """
     _check_train(train.domain, train.count)
     n, dim = train.count, 2 * train.rows * train.cols
     rows = np.zeros((min(n, _block_samples(dim)) + 1, dim))
+    blas, cov, shift = _blas(), np.zeros((dim, dim)), None
     for block in _blocks(train, rows[1:]):
         rows[0] = np.add.reduce(rows[:len(block) + 1], axis=0)
-    mean = rows[0] / n
-    blas, cov = _blas(), np.zeros((dim, dim))
-    for block in _blocks(train, rows[1:]):
-        block -= mean
+        if shift is None:
+            shift = rows[0] / len(block)
+        block -= shift
         if blas is None:
             cov += block.T @ block
         else:
@@ -358,7 +360,16 @@ def _fit(train: _Stream) -> Spectrum:
             # beta = 1 adds blockᵀ block to the lower triangle.
             blas.dsyrk(101, 122, 112, dim, len(block), 1.0, block.ctypes.data, dim,
                        1.0, cov.ctypes.data, dim)
+    mean = rows[0] / n
     del rows, block
+    offset = math.sqrt(n) * (mean - shift)
+    if blas is None:
+        cov -= np.outer(offset, offset)
+    else:
+        # alpha = -1 takes offset offsetᵀ from the lower triangle in place,
+        # without np.outer's d x d temporary.
+        blas.dsyrk(101, 122, 112, dim, 1, -1.0, offset.ctypes.data, dim,
+                   1.0, cov.ctypes.data, dim)
     cov /= n - 1
     values, vectors = _eigh(cov)
     del cov

@@ -30,8 +30,8 @@ dataset's own complex128 array plus one chunk, a write one float32 chunk,
 and a stream from source to file (``csiaug gen``, ``csiaug transform``,
 ``csiaug augment``) a few chunks whatever the sample count.  A reader
 serves its payload from the first sample on each call, so ``augment`` reads
-it twice in append mode.  ``csiaug fit`` reads it twice too, for the mean
-and for the scatter matrix, and holds one block of features and one chunk,
+it twice in append mode.  ``csiaug fit`` reads it once, for the mean and
+the scatter matrix together, and holds one block of features and one chunk,
 never the complex training set or its feature matrix; ``csiaug sweep`` fits
 each pass the same way, reading a training file again for each pass.
 All writes go through a temp file plus rename, so a crashed run never

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from csiaug import (
-    AugmentMethod, AugmentMode, AugmentParams, augment_dataset, channel, cli, codec,
+    AugmentMethod, AugmentMode, AugmentParams, augment, augment_dataset, channel, cli, codec,
     derive_seed, evaluate, fit_codec, generate_angular_dataset, load_scenario,
 )
 from csiaug.channel import ScenarioSpec, save_scenario
@@ -503,6 +503,9 @@ def test_summary_pins_the_trial_protocol(tmp_path, monkeypatch, capsys, name, ex
     seed, out = derive_seed(base, 101), tmp_path / "summary.json"
     calls, eigh = [], codec._eigh
     monkeypatch.setattr(codec, "_eigh", lambda m: calls.append(m.shape) or eigh(m))
+    augmented, augment_samples = [], augment._augment_samples
+    monkeypatch.setattr(augment, "_augment_samples",
+                        lambda s, *a: augmented.append(len(s)) or augment_samples(s, *a))
     if name == "file":
         files = tmp_path / "train.csia", tmp_path / "test.csia"
         write_dataset(train, files[0])
@@ -516,6 +519,9 @@ def test_summary_pins_the_trial_protocol(tmp_path, monkeypatch, capsys, name, ex
     capsys.readouterr()
     summary = json.loads(out.read_text())
     assert len(calls) == len(summary["trials"]) * (1 + len(passes))  # one eigensolve per pass
+    # One serving per augmented pass: each training sample is augmented once,
+    # in either mode (append serves the originals as they are).
+    assert sum(augmented) == len(summary["trials"]) * len(passes) * len(train)
     got = summary["trials"][-1]
     assert [got["baseline_db"], *got["nmse_db"]] == [
         evaluate(fit_codec(train if p is None else augment_dataset(

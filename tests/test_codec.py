@@ -412,12 +412,28 @@ def fit_matrices(monkeypatch, stream):
     return spectrum, seen.pop()
 
 
-@pytest.mark.parametrize("append", [False, True], ids=["plain", "append-seam"])
-def test_blocked_scatter_matches_the_whole_set(monkeypatch, append):
+def adversarial(ds, case):
+    """``ds`` with its first block moved far from the rest, or sorted by
+    sample energy: a fixed shift taken from the first block is furthest
+    from the mean of what follows."""
+    samples = ds.samples.copy()
+    if case == "offset":
+        samples[:512] += 1e6 * (1 + 1j)
+    else:
+        order = np.argsort(np.sum(np.abs(samples) ** 2, axis=(1, 2)), kind="stable")
+        samples = samples[order if case == "energy-up" else order[::-1]]
+    return angular_dataset(samples, seed=33)
+
+
+@pytest.mark.parametrize("case", ["plain", "append-seam", "offset", "energy-up", "energy-down"])
+def test_blocked_scatter_matches_the_whole_set(monkeypatch, case):
     # 1100 samples of 16 x 16 fill two 512-sample blocks and a short one;
     # appended, the seam between originals and copies falls inside a block.
     ds = random_dataset(1100, 16, 16, seed=33)
     params = AugmentParams(AugmentMethod.BUBBLE_SHIFT_DOWN, shift=1)
+    if case not in ("plain", "append-seam"):
+        ds = adversarial(ds, case)
+    append = case == "append-seam"
     x = features((augment_dataset(ds, params) if append else ds).samples)
     mean = x.mean(axis=0)
     x -= mean
