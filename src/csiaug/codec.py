@@ -363,13 +363,7 @@ def _fit(train: _Stream) -> Spectrum:
     mean = rows[0] / n
     del rows, block
     offset = math.sqrt(n) * (mean - shift)
-    if blas is None:
-        cov -= np.outer(offset, offset)
-    else:
-        # alpha = -1 takes offset offsetᵀ from the lower triangle in place,
-        # without np.outer's d x d temporary.
-        blas.dsyrk(101, 122, 112, dim, 1, -1.0, offset.ctypes.data, dim,
-                   1.0, cov.ctypes.data, dim)
+    cov -= np.outer(offset, offset)
     cov /= n - 1
     values, vectors = _eigh(cov)
     del cov

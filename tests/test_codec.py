@@ -417,18 +417,26 @@ def adversarial(ds, case):
     sample energy: a fixed shift taken from the first block is furthest
     from the mean of what follows."""
     samples = ds.samples.copy()
-    if case == "offset":
-        samples[:512] += 1e6 * (1 + 1j)
+    if case.startswith("offset"):
+        samples[:codec_module._block_samples(2 * 16 * 16)] += 1e6 * (1 + 1j)
     else:
         order = np.argsort(np.sum(np.abs(samples) ** 2, axis=(1, 2)), kind="stable")
         samples = samples[order if case == "energy-up" else order[::-1]]
     return angular_dataset(samples, seed=33)
 
 
-@pytest.mark.parametrize("case", ["plain", "append-seam", "offset", "energy-up", "energy-down"])
+@pytest.mark.parametrize("case", ["plain", "append-seam", "offset", "energy-up", "energy-down",
+                                  "offset-18-blocks", "offset-without-blas"])
 def test_blocked_scatter_matches_the_whole_set(monkeypatch, case):
     # 1100 samples of 16 x 16 fill two 512-sample blocks and a short one;
     # appended, the seam between originals and copies falls inside a block.
+    # With the first block offset, the rank-1 term the shift leaves can reach
+    # (n / B) times the scatter, so one case cuts blocks to 64 samples (18
+    # blocks) and one takes the fallback branch without BLAS.
+    if case == "offset-18-blocks":
+        monkeypatch.setattr(codec_module, "_BLOCK_BYTES", 64 * 8 * 2 * 16 * 16)
+    if case == "offset-without-blas":
+        monkeypatch.setattr(codec_module, "_blas", lambda: None)
     ds = random_dataset(1100, 16, 16, seed=33)
     params = AugmentParams(AugmentMethod.BUBBLE_SHIFT_DOWN, shift=1)
     if case not in ("plain", "append-seam"):
