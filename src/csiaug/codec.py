@@ -13,12 +13,12 @@ The fit is one eigendecomposition of the training scatter matrix, kept
 as a :class:`Spectrum`.  The mean and the scatter matrix are summed in
 one pass of the sample stream, a block of feature rows at a time, so a
 fit holds two feature_dim x feature_dim arrays whatever the sample count.
-The basis at any ratio is a prefix of its
-columns, so one eigendecomposition serves every ratio of a training set.
-:func:`fit_spectrum` remembers the spectrum of the last ``Dataset``
-object it fitted, so repeat fits of the *same* object (``fit_codec`` at
-several ratios, say) reuse it.  At most one spectrum is held, and it is
-released when that dataset is collected.
+The basis at any ratio is a prefix of its columns, so one
+eigendecomposition serves every ratio of a training set.
+:func:`fit_codec` remembers the widest codec it served for the last
+``Dataset`` object, and a repeat fit of that object at no wider a ratio
+takes a prefix of its basis.  The codec, never the spectrum, is held
+until that dataset is collected.
 
 Reconstruction quality is the usual normalized mean square error,
 ``mean ||X - X_hat||^2_F / ||X||^2_F`` over samples, reported both
@@ -216,13 +216,12 @@ class Spectrum:
         return float(self.values[:components].sum()) / total if total > 0 else 1.0
 
 
-# The last fitted (weak reference to the dataset, its spectrum), or None.
-# Sound because a Dataset is frozen and its samples are read-only; the
-# weak reference's callback empties the slot when the dataset is
-# collected, so a recycled id() never hits and no dataset is kept alive.
-# The slot is written as one tuple, so a reader never pairs a dataset
-# with another dataset's spectrum.
-_last_fit: tuple[weakref.ref, Spectrum] | None = None
+# (Weak reference to the last dataset fit_codec fitted, the widest codec it
+# served for it), or None.  Sound because a Dataset is frozen and its samples
+# are read-only; the reference's callback empties the slot when the dataset is
+# collected, so a recycled id() never hits and no dataset is kept alive.  One
+# tuple is written, so a reader never pairs a dataset with another's codec.
+_last_fit: tuple[weakref.ref, LinearCodec] | None = None
 
 
 def _forget(ref: weakref.ref) -> None:
@@ -379,19 +378,10 @@ def fit_spectrum(train: Dataset) -> Spectrum:
 
     The full eigendecomposition always yields a complete orthonormal set,
     so ratio 1 gives a lossless codec even when the training set has
-    fewer samples than features.  A repeat call on the same ``Dataset``
-    object returns the spectrum of the previous call.
+    fewer samples than features.  Each call fits afresh: hold the result
+    and call :meth:`Spectrum.codec` to take several ratios of one fit.
     """
-    global _last_fit
-    _check_train(train.domain, len(train))
-    last = _last_fit
-    if last is not None and last[0]() is train:
-        return last[1]
-    # Drop the held spectrum before computing, so two are never alive.
-    _last_fit = last = None
-    spectrum = _fit(_stream(train))
-    _last_fit = (weakref.ref(train, _forget), spectrum)
-    return spectrum
+    return _fit(_stream(train))
 
 
 def fit_codec(train: Dataset, ratio: Fraction | str | int) -> LinearCodec:
@@ -399,13 +389,22 @@ def fit_codec(train: Dataset, ratio: Fraction | str | int) -> LinearCodec:
 
     The basis holds the top ``round(ratio * feature_dim)`` eigenvectors
     of the sample covariance, in descending eigenvalue order: the
-    leading columns of :func:`fit_spectrum`'s vectors.
+    leading columns of :func:`fit_spectrum`'s vectors.  A repeat call on the
+    same ``Dataset`` object at no wider a ratio slices the codec it served.
     """
+    global _last_fit
     ratio = parse_ratio(ratio)
     rows, cols = train.sample_shape
     # Judge the ratio before a miss pays for the eigensolve.
-    check_components(ratio, 2 * rows * cols)
-    return fit_spectrum(train).codec(ratio)
+    m = check_components(ratio, 2 * rows * cols)
+    _check_train(train.domain, len(train))
+    last = _last_fit
+    if last is not None and last[0]() is train and m <= last[1].components:
+        return LinearCodec(rows, cols, ratio, last[1].mean, last[1].basis[:, :m])
+    _last_fit = last = None  # a miss holds no old codec through the eigensolve
+    codec = _fit(_stream(train)).codec(ratio)
+    _last_fit = (weakref.ref(train, _forget), codec)
+    return codec
 
 
 def encode_batch(codec: LinearCodec, samples: np.ndarray) -> np.ndarray:

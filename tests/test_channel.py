@@ -270,12 +270,16 @@ def test_generate_angular_is_batch_independent(chunk_512):
 
 
 def test_generate_angular_bytes_do_not_depend_on_blas_threads():
+    # Both paths run their per-sample products through zgemm: the angular
+    # one at 600 samples, the frequency-domain one (csiaug gen) at 64.
     code = (
         "import hashlib, sys\n"
-        "from csiaug.channel import generate_angular_dataset, load_scenario\n"
+        "from csiaug.channel import generate_angular_dataset, generate_dataset, load_scenario\n"
         "spec = load_scenario(sys.argv[1])\n"
-        "samples = generate_angular_dataset(spec, 600, 32).samples\n"
-        "print(hashlib.sha256(samples.tobytes()).hexdigest())"
+        "angular = generate_angular_dataset(spec, 600, 32).samples\n"
+        "frequency = generate_dataset(spec, 64).samples\n"
+        "print(hashlib.sha256(angular.tobytes()).hexdigest(),"
+        " hashlib.sha256(frequency.tobytes()).hexdigest())"
     )
     preset = PRESET_DIR / "motion-range-test.json"
     env = dict(os.environ)
@@ -290,9 +294,10 @@ def test_generate_angular_bytes_do_not_depend_on_blas_threads():
             text=True,
             check=True,
         )
-        digests.add(child.stdout.strip())
-    here = generate_angular_dataset(load_scenario(preset), 600, 32).samples
-    digests.add(hashlib.sha256(here.tobytes()).hexdigest())
+        digests.add(tuple(child.stdout.split()))
+    spec = load_scenario(preset)
+    here = generate_angular_dataset(spec, 600, 32).samples, generate_dataset(spec, 64).samples
+    digests.add(tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in here))
     assert len(digests) == 1
 
 

@@ -294,26 +294,75 @@ def test_spectrum_is_descending_and_read_only(empty_memo):
     assert fit_spectrum(flat).energy_share(1) == 1.0
 
 
-def test_memo_hit_gives_the_bytes_of_a_miss(empty_memo):
+def counted_eighs(monkeypatch):
+    """The shapes of the matrices ``_eigh`` solves from here on."""
+    eigh, calls = codec_module._eigh, []
+    monkeypatch.setattr(codec_module, "_eigh", lambda m: calls.append(m.shape) or eigh(m))
+    return calls
+
+
+def test_memo_hit_gives_the_bytes_of_a_miss(empty_memo, monkeypatch):
+    # 1/4, 1/8 and 1/16 in that order share one eigensolve, and the memo
+    # keeps the widest codec, not a narrower one served after it.
     ds = random_dataset(30, 4, 3, seed=23)
+    spectrum = fit_spectrum(ds)
+    calls = counted_eighs(monkeypatch)
     first = fit_codec(ds, "1/4")
-    assert fit_spectrum(ds) is fit_spectrum(ds)
-    hit = fit_codec(ds, "1/4")
+    hits = {ratio: fit_codec(ds, ratio) for ratio in ("1/4", "1/8", "1/16")}
+    assert calls == [(24, 24)]
+    assert codec_module._last_fit[1] is first
     codec_module._last_fit = None
     miss = fit_codec(ds, "1/4")
-    assert codec_bytes(hit) == codec_bytes(first) == codec_bytes(miss)
+    assert len(calls) == 2
+    assert codec_bytes(hits["1/4"]) == codec_bytes(first) == codec_bytes(miss)
+    for ratio, hit in hits.items():
+        assert codec_bytes(hit) == codec_bytes(spectrum.codec(ratio))
 
 
-def test_second_dataset_evicts_the_first(empty_memo):
+def test_a_wider_ratio_fits_again(empty_memo, monkeypatch):
+    ds = random_dataset(30, 4, 3, seed=23)
+    spectrum = fit_spectrum(ds)
+    calls = counted_eighs(monkeypatch)
+    fit_codec(ds, "1/8")
+    wide = fit_codec(ds, "1/2")
+    assert calls == [(24, 24), (24, 24)]
+    assert codec_module._last_fit[1] is wide
+    assert codec_bytes(wide) == codec_bytes(spectrum.codec("1/2"))
+    assert codec_bytes(fit_codec(ds, "1/8")) == codec_bytes(spectrum.codec("1/8"))
+    assert len(calls) == 2
+
+
+def test_second_dataset_evicts_the_first(empty_memo, monkeypatch):
     one = random_dataset(20, 3, 3, seed=24)
     two = random_dataset(20, 3, 3, seed=25)
-    spectrum_one = fit_spectrum(one)
-    fit_spectrum(two)
+    calls = counted_eighs(monkeypatch)
+    codec_one = fit_codec(one, "1/3")
+    fit_codec(two, "1/3")
     assert codec_module._last_fit[0]() is two
-    again = fit_spectrum(one)
-    assert again is not spectrum_one
-    assert again.vectors.tobytes() == spectrum_one.vectors.tobytes()
+    again = fit_codec(one, "1/3")
+    assert len(calls) == 3
+    assert again is not codec_one
+    assert codec_bytes(again) == codec_bytes(codec_one)
     assert codec_module._last_fit[0]() is one
+
+
+def test_fit_codec_keeps_no_more_than_its_codec(empty_memo):
+    # Across the call, only the returned codec (mean and 512 x 128 basis)
+    # and a few small objects stay allocated, never the 2 MiB spectrum the
+    # basis was cut from.  Measured: 1.4 KB over the codec (11.5 KB when
+    # the first fit also loads the bundled BLAS routines).
+    ds = random_dataset(100, 16, 16, seed=34)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        codec = fit_codec(ds, "1/4")
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert codec_module._last_fit[1] is codec
+    assert retained <= codec.mean.nbytes + codec.basis.nbytes + (64 << 10), retained
 
 
 def test_memo_does_not_keep_a_dataset_alive(empty_memo):
@@ -330,6 +379,7 @@ def test_slot_is_empty_when_a_miss_reaches_the_eigensolve(empty_memo, monkeypatc
     one = random_dataset(20, 3, 3, seed=27)
     two = random_dataset(20, 3, 3, seed=28)
     held = weakref.ref(fit_spectrum(one))
+    fit_codec(one, "1/2")
     eigh = codec_module._eigh
     calls = []
 
@@ -535,7 +585,6 @@ def test_fit_without_the_in_place_routine_is_the_same(empty_memo, monkeypatch):
     # spectrum to roundoff, the same memo.
     ds = random_dataset(40, 4, 3, seed=32)
     want = fit_spectrum(ds)
-    monkeypatch.setattr(codec_module, "_last_fit", None)
     monkeypatch.setattr(codec_module, "_blas", lambda: None)
     got = fit_spectrum(ds)
     assert got is not want
@@ -544,9 +593,13 @@ def test_fit_without_the_in_place_routine_is_the_same(empty_memo, monkeypatch):
     assert np.abs(got.values - want.values).max() <= 1e-12 * want.values[0]
     assert np.abs(got.vectors - want.vectors).max() <= 1e-11
     assert got.vectors.strides == want.vectors.strides
-    assert codec_module._last_fit[1] is got
-    assert fit_spectrum(ds) is got
-    assert codec_bytes(fit_codec(ds, "1/4")) == codec_bytes(got.codec("1/4"))
+    # fit_spectrum fits afresh each call and leaves the memo alone.
+    assert codec_module._last_fit is None
+    assert fit_spectrum(ds).vectors.tobytes() == got.vectors.tobytes()
+    served = fit_codec(ds, "1/4")
+    assert codec_bytes(served) == codec_bytes(got.codec("1/4"))
+    assert codec_module._last_fit[1] is served
+    assert codec_bytes(fit_codec(ds, "1/8")) == codec_bytes(got.codec("1/8"))
 
 
 def test_codec_requires_orthonormal_basis():
