@@ -13,12 +13,14 @@ The fit is one eigendecomposition of the training scatter matrix, kept
 as a :class:`Spectrum`.  The mean and the scatter matrix are summed in
 one pass of the sample stream, a block of feature rows at a time, so a
 fit holds two feature_dim x feature_dim arrays whatever the sample count.
-The basis at any ratio is a prefix of its columns, so one
-eigendecomposition serves every ratio of a training set.
-:func:`fit_codec` remembers the widest codec it served for the last
-``Dataset`` object, and a repeat fit of that object at no wider a ratio
-takes a prefix of its basis.  The codec, never the spectrum, is held
-until that dataset is collected.
+The eigenvectors stay in the column-major layout LAPACK returns, which is
+also the layout of a codec's basis and of the ``.csic`` payload, and the
+basis at any ratio is a prefix of their columns, so one eigendecomposition
+serves every ratio of a training set.  :func:`fit_codec` remembers the
+widest codec it served for the last ``Dataset`` object, and a repeat fit of
+that object at no wider a ratio serves a read-only view of that codec's
+leading columns.  The codec, never the spectrum, is held until that dataset
+is collected.
 
 Reconstruction quality is the usual normalized mean square error,
 ``mean ||X - X_hat||^2_F / ||X||^2_F`` over samples, reported both
@@ -106,7 +108,9 @@ class LinearCodec:
     ``basis`` has shape (feature_dim, components) where feature_dim =
     2 * delay_bins * antennas and components = round(ratio *
     feature_dim).  Encoding projects the centred feature vector onto
-    the basis; decoding is the transposed map plus the mean.
+    the basis; decoding is the transposed map plus the mean.  The
+    constructor keeps read-only copies of the arrays it is given, the
+    basis column-major, so any prefix of its columns is contiguous.
     """
 
     delay_bins: int
@@ -116,13 +120,26 @@ class LinearCodec:
     basis: np.ndarray
 
     def __post_init__(self) -> None:
+        self._freeze(np.array(self.mean, dtype=np.float64),
+                     np.array(self.basis, dtype=np.float64, order="F"))
+
+    @classmethod
+    def _adopt(cls, delay_bins: int, antennas: int, ratio: Fraction, mean: np.ndarray,
+               basis: np.ndarray) -> "LinearCodec":
+        """A codec that takes over ``mean`` and ``basis``, float64 arrays the
+        package has just made or holds read-only: the same checks, no copy."""
+        codec = cls.__new__(cls)
+        for name, value in zip(("delay_bins", "antennas", "ratio"), (delay_bins, antennas, ratio)):
+            object.__setattr__(codec, name, value)
+        codec._freeze(mean, basis)
+        return codec
+
+    def _freeze(self, mean: np.ndarray, basis: np.ndarray) -> None:
         for name in ("delay_bins", "antennas"):
             object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
         ratio = parse_ratio(self.ratio)
         object.__setattr__(self, "ratio", ratio)
         dim = 2 * self.delay_bins * self.antennas
-        mean = np.array(self.mean, dtype=np.float64, copy=True)
-        basis = np.array(self.basis, dtype=np.float64, copy=True)
         if mean.shape != (dim,):
             raise ValueError(f"mean must have shape ({dim},), got {mean.shape}")
         if basis.ndim != 2 or basis.shape[0] != dim:
@@ -192,7 +209,7 @@ class Spectrum:
     ``values`` holds all ``feature_dim`` eigenvalues in descending order
     and column j of ``vectors`` is the sign-fixed eigenvector of
     ``values[j]``, so the codec at any ratio keeps a leading prefix of
-    the columns.  The arrays are read-only.
+    the columns.  Each column is contiguous.  The arrays are read-only.
     """
 
     rows: int
@@ -202,7 +219,8 @@ class Spectrum:
     vectors: np.ndarray
 
     def codec(self, ratio: Fraction | str | int) -> LinearCodec:
-        """The codec keeping the top ``round(ratio * feature_dim)`` directions."""
+        """The codec keeping the top ``round(ratio * feature_dim)`` directions,
+        copied, so that it never keeps the spectrum alive."""
         ratio = parse_ratio(ratio)
         m = check_components(ratio, 2 * self.rows * self.cols)
         return LinearCodec(self.rows, self.cols, ratio, self.mean, self.vectors[:, :m])
@@ -271,21 +289,26 @@ def _blas() -> _Blas | None:
 
 
 def _eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(cov)`` of the lower triangle, overwriting a float64 ``cov``.
+    """``np.linalg.eigh(cov)`` of the lower triangle, the eigenvectors
+    column-major, using a C-ordered float64 ``cov`` as workspace.
 
-    All eigenpairs come from ``dsyevr`` in the buffer of a C-ordered matrix,
-    whose lower triangle is the upper one read column-major; the eigenvectors
-    come back in ``cov``, C-ordered, and one more n x n array and O(n) of
-    workspace are all it holds.  Any other array, a NaN or an infinity (which
-    LAPACK may not reject), and a build without the routine go to ``eigh`` as
-    they are: it fails on a non-finite entry as it always did.
+    All eigenpairs come from ``dsyevr`` in the buffer of ``cov``, whose lower
+    triangle is the upper one read column-major.  The eigenvectors are
+    returned as LAPACK writes them, a Fortran-ordered array, and one more
+    n x n array and O(n) of workspace are all it holds.  A build without the
+    routine returns ``eigh``'s eigenvectors in the same layout.  Any other
+    array, a NaN or an infinity (which LAPACK may not reject) go to ``eigh``
+    as they are: it fails on a non-finite entry as it always did.
     """
     blas, n = _blas(), len(cov)
     # LAPACK writes n * n doubles from this pointer: only a writeable,
     # aligned, C-contiguous float64 square matrix may be solved in place.
-    if (blas is None or cov.dtype != np.float64 or cov.shape != (n, n) or not cov.flags.carray
+    if (cov.dtype != np.float64 or cov.shape != (n, n) or not cov.flags.carray
             or not (np.isfinite(cov.max()) and np.isfinite(cov.min()))):
         return np.linalg.eigh(cov)
+    if blas is None:
+        values, vectors = np.linalg.eigh(cov)
+        return values, np.asfortranarray(vectors)
     values, vectors = np.empty(n), np.empty((n, n))
     found, support = ctypes.c_int64(), np.empty(2 * n, dtype=np.int64)
     # 102 is LAPACK_COL_MAJOR; range "A" keeps every eigenpair, so the bounds
@@ -295,9 +318,9 @@ def _eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                        support.ctypes.data)
     if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    # Column j of the column-major result is row j of ``vectors``.
-    np.copyto(cov, vectors.T)
-    return values, cov
+    # Row j of the C-ordered buffer is LAPACK's column j: its transpose is
+    # the column-major matrix of eigenvectors.
+    return values, vectors.T
 
 
 # Bytes of float64 features per block of the fit's pass.  The block size
@@ -334,14 +357,15 @@ def _fit(train: _Stream) -> Spectrum:
 
     One pass over the stream fills a block of a fixed number of feature rows
     at a time, so the fit holds the scatter matrix, one block and one chunk
-    whatever the count, then the eigenvectors in the scatter's buffer and
-    ``dsyevr``'s own n x n output.  Each block is summed in the order
-    ``x.sum(axis=0)`` does, the running sum in the row before the block, so
-    the mean has the bits of ``x.mean(axis=0)``.  It is then centred on a
-    fixed shift, the first block's mean, and added into the lower triangle of
-    the scatter matrix, with ``dsyrk`` where NumPy bundles it.  One rank-1
-    term moves the shifted scatter to the mean (Chan, Golub and LeVeque,
-    "Algorithms for computing the sample variance", Am. Stat. 37, 1983).
+    whatever the count, then the scatter's buffer and ``dsyevr``'s n x n
+    column-major eigenvectors, which the spectrum keeps as they are.  Each
+    block is summed in the order ``x.sum(axis=0)`` does, the running sum in
+    the row before the block, so the mean has the bits of ``x.mean(axis=0)``.
+    It is then centred on a fixed shift, the first block's mean, and added
+    into the lower triangle of the scatter matrix, with ``dsyrk`` where NumPy
+    bundles it.  One rank-1 term moves the shifted scatter to the mean (Chan,
+    Golub and LeVeque, "Algorithms for computing the sample variance",
+    Am. Stat. 37, 1983).
     """
     _check_train(train.domain, train.count)
     n, dim = train.count, 2 * train.rows * train.cols
@@ -390,7 +414,11 @@ def fit_codec(train: Dataset, ratio: Fraction | str | int) -> LinearCodec:
     The basis holds the top ``round(ratio * feature_dim)`` eigenvectors
     of the sample covariance, in descending eigenvalue order: the
     leading columns of :func:`fit_spectrum`'s vectors.  A repeat call on the
-    same ``Dataset`` object at no wider a ratio slices the codec it served.
+    same ``Dataset`` object at no wider a ratio serves a codec whose mean and
+    basis are read-only views of the widest codec it served for that object,
+    so a narrow codec held keeps that wider basis alive; copy it
+    (``LinearCodec(c.delay_bins, c.antennas, c.ratio, c.mean, c.basis)``)
+    to hold it alone.
     """
     global _last_fit
     ratio = parse_ratio(ratio)
@@ -400,7 +428,7 @@ def fit_codec(train: Dataset, ratio: Fraction | str | int) -> LinearCodec:
     _check_train(train.domain, len(train))
     last = _last_fit
     if last is not None and last[0]() is train and m <= last[1].components:
-        return LinearCodec(rows, cols, ratio, last[1].mean, last[1].basis[:, :m])
+        return LinearCodec._adopt(rows, cols, ratio, last[1].mean, last[1].basis[:, :m])
     _last_fit = last = None  # a miss holds no old codec through the eigensolve
     codec = _fit(_stream(train)).codec(ratio)
     _last_fit = (weakref.ref(train, _forget), codec)

@@ -19,7 +19,9 @@ Codec container (.csic): a 26-byte header (magic "CSIC", version u16,
 then delay_bins, antennas, component count, and the compression ratio
 as a numerator/denominator pair, all u32 little-endian), followed by
 the mean vector and then the basis in column-major order, all
-little-endian 64-bit floats.
+little-endian 64-bit floats.  A codec holds its basis in memory in the
+same column-major layout, so the writer sends it without a transposed
+copy, and the reader's codec adopts the payload buffer it read into.
 
 Storage quantizes complex values once to 32-bit floats; reading never
 re-quantizes, so write -> read -> write reproduces files byte for byte.
@@ -331,9 +333,11 @@ def read_codec(path: str | Path) -> LinearCodec:
         dim = 2 * delay_bins * antennas
         _check_extent(fh, path, 8 * (dim + dim * m))
         floats = _read_into(fh, path, np.empty(dim + dim * m, dtype="<f8"))
+    # The codec adopts the payload buffer: the basis is its column-major tail.
+    floats = floats.astype(np.float64, copy=False)
     basis = floats[dim:].reshape(m, dim).T
     try:
-        return LinearCodec(delay_bins, antennas, Fraction(num, den), floats[:dim], basis)
+        return LinearCodec._adopt(delay_bins, antennas, Fraction(num, den), floats[:dim], basis)
     except ValueError as exc:
         raise CorruptedFileError(f"{path}: codec payload invalid: {exc}") from exc
 

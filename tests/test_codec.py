@@ -303,7 +303,8 @@ def counted_eighs(monkeypatch):
 
 def test_memo_hit_gives_the_bytes_of_a_miss(empty_memo, monkeypatch):
     # 1/4, 1/8 and 1/16 in that order share one eigensolve, and the memo
-    # keeps the widest codec, not a narrower one served after it.
+    # keeps the widest codec, not a narrower one served after it.  Each hit
+    # is a read-only view of that codec's columns, which it keeps alive.
     ds = random_dataset(30, 4, 3, seed=23)
     spectrum = fit_spectrum(ds)
     calls = counted_eighs(monkeypatch)
@@ -311,10 +312,17 @@ def test_memo_hit_gives_the_bytes_of_a_miss(empty_memo, monkeypatch):
     hits = {ratio: fit_codec(ds, ratio) for ratio in ("1/4", "1/8", "1/16")}
     assert calls == [(24, 24)]
     assert codec_module._last_fit[1] is first
+    for hit in hits.values():
+        assert np.shares_memory(hit.basis, first.basis)
+        with pytest.raises(ValueError, match="read-only"):
+            hit.basis[0, 0] = 0.0
     codec_module._last_fit = None
     miss = fit_codec(ds, "1/4")
     assert len(calls) == 2
     assert codec_bytes(hits["1/4"]) == codec_bytes(first) == codec_bytes(miss)
+    del first, miss
+    codec_module._last_fit = None
+    gc.collect()
     for ratio, hit in hits.items():
         assert codec_bytes(hit) == codec_bytes(spectrum.codec(ratio))
 
@@ -347,22 +355,27 @@ def test_second_dataset_evicts_the_first(empty_memo, monkeypatch):
 
 
 def test_fit_codec_keeps_no_more_than_its_codec(empty_memo):
-    # Across the call, only the returned codec (mean and 512 x 128 basis)
-    # and a few small objects stay allocated, never the 2 MiB spectrum the
-    # basis was cut from.  Measured: 1.4 KB over the codec (11.5 KB when
-    # the first fit also loads the bundled BLAS routines).
-    ds = random_dataset(100, 16, 16, seed=34)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        codec = fit_codec(ds, "1/4")
+    # Across the calls, only the 1/4 codec (mean and 512 x 128 basis) and a
+    # few small objects stay allocated, never the 2 MiB spectrum the basis
+    # was cut from, nor copies for the narrower codecs held beside it, which
+    # would add 0.75 of it.  Measured: 1.5 KB over the codec for one ratio
+    # and 2.6 KB for three (12.3 KB when the first fit also loads the
+    # bundled BLAS routines), against 404 KB for three with copied hits.
+    for ratios in (["1/4"], ["1/4", "1/8", "1/16"]):
+        codec_module._last_fit = None
+        ds = random_dataset(100, 16, 16, seed=34)
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert codec_module._last_fit[1] is codec
-    assert retained <= codec.mean.nbytes + codec.basis.nbytes + (64 << 10), retained
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            codecs = [fit_codec(ds, ratio) for ratio in ratios]
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        codec = codecs[0]
+        assert codec_module._last_fit[1] is codec
+        assert retained <= codec.mean.nbytes + codec.basis.nbytes + (64 << 10), (ratios, retained)
 
 
 def test_memo_does_not_keep_a_dataset_alive(empty_memo):
@@ -529,7 +542,7 @@ for count, dim in [(3, 1), (5, 2), (400, 96), (20, 96), (1200, 512), (100, 512)]
     cov = (x.T @ x) / (count - 1)
     want_values, want_vectors = np.linalg.eigh(cov)
     values, vectors = codec._eigh(np.tril(cov))
-    assert values.shape == (dim,) and vectors.shape == (dim, dim) and vectors.flags.carray
+    assert values.shape == (dim,) and vectors.shape == (dim, dim) and vectors.flags.f_contiguous
     top = np.abs(want_values).max()
     assert np.abs(values - want_values).max() <= 1e-12 * top, (count, dim)
     residual = np.abs(vectors.T @ vectors - np.eye(dim)).max()

@@ -320,6 +320,10 @@ def test_codec_round_trip_bit_exact(tmp_path):
     assert back.ratio == codec.ratio
     assert np.array_equal(back.mean, codec.mean)
     assert np.array_equal(back.basis, codec.basis)
+    # Both hold the file's column-major layout; the read codec adopts the
+    # one payload buffer it read into.
+    assert codec.basis.flags.f_contiguous and back.basis.flags.f_contiguous
+    assert back.mean.base is back.basis.base is not None and not back.basis.flags.writeable
     second = tmp_path / "codec2.csic"
     write_codec(back, second)
     assert path.read_bytes() == second.read_bytes()
