@@ -9,8 +9,8 @@ a methods-by-ratios grid, and ``sweep`` runs the delay-gap studies:
 per trial, a codec fitted on the plain training set and one per value of
 the method's one parameter, evaluated on one test set, the sets read
 from ``--train``/``--test`` files (one trial) or drawn from scenarios.
-``sweep`` fits each pass from the sample stream, as ``fit`` does, so it never
-holds an augmented set.
+``fit``, ``eval`` and ``sweep`` read their files a chunk at a time; ``sweep``
+reads them again for each pass and never holds an augmented set.
 
 Exit codes: 0 on success, 2 for usage errors (bad flags, flag
 combinations, flag values out of range whatever the input holds, or an
@@ -38,12 +38,10 @@ from typing import Any, Callable, Iterator, Sequence
 
 from csiaug.augment import _augmented
 from csiaug.channel import ScenarioSpec, _source, generate_angular_dataset, load_scenario
-from csiaug.codec import (
-    EvalReport, _check_test, _fit, check_components, evaluate, parse_ratio,
-)
+from csiaug.codec import EvalReport, _check_test, _evaluate, _fit, check_components, parse_ratio
 from csiaug.core import (
-    AugmentMethod, AugmentMode, AugmentParams, Dataset, Domain, ShiftDirection, _param_field,
-    _stream, _Stream,
+    AugmentMethod, AugmentMode, AugmentParams, Domain, ShiftDirection, _param_field, _stream,
+    _Stream,
 )
 from csiaug.dataset_io import (
     _open_dataset,
@@ -51,7 +49,6 @@ from csiaug.dataset_io import (
     atomic_write_bytes,
     check_out,
     read_codec,
-    read_dataset,
     read_report,
     write_codec,
     write_record,
@@ -232,8 +229,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     codec = read_codec(args.codec)
-    test = read_dataset(args.test)
-    report = evaluate(codec, test, label=args.label)
+    with _open_dataset(args.test) as test:
+        report = _evaluate(codec, test, args.label)
     write_report(report, args.out)
     print(f"{report.label} ratio {report.ratio}: NMSE {report.nmse_db:.3f} dB -> {args.out}")
     return 0
@@ -324,16 +321,15 @@ def _sweep_scenarios(
 
 def _sweep_trials(
     args: argparse.Namespace, ratio: Fraction, specs: tuple[ScenarioSpec, ScenarioSpec] | None,
-) -> Iterator[tuple[_Stream, Dataset, int]]:
+) -> Iterator[tuple[_Stream, _Stream, int]]:
     """``(train, test, augmentation seed)`` per trial: the files once, under
     ``--seed``, or ``--trials`` draws of ``specs``, trial i training under
     ``derive_seed(seed, 2i)``, testing under ``2i + 1`` and augmenting under
-    ``100 + i``.  A training file is served from disk for each pass and stays
-    open while its trial runs; a drawn training set is collected once, since
-    drawing it again for each pass would cost more than holding it."""
+    ``100 + i``.  Files are served from disk for each pass and stay open while
+    their trial runs; drawn sets are collected once, since drawing them again
+    for each pass would cost more than holding them."""
     if specs is None:
-        with _open_dataset(args.train) as train:
-            test = read_dataset(args.test)
+        with _open_dataset(args.train) as train, _open_dataset(args.test) as test:
             check_components(ratio, 2 * train.rows * train.cols)
             yield train, test, args.seed
         return
@@ -342,8 +338,8 @@ def _sweep_trials(
         yield (
             _stream(generate_angular_dataset(
                 train_spec.with_seed(derive_seed(args.seed, 2 * i)), args.train_count, args.na)),
-            generate_angular_dataset(test_spec.with_seed(derive_seed(args.seed, 2 * i + 1)),
-                                     args.test_count, args.na),
+            _stream(generate_angular_dataset(
+                test_spec.with_seed(derive_seed(args.seed, 2 * i + 1)), args.test_count, args.na)),
             derive_seed(args.seed, 100 + i),
         )
 
@@ -364,8 +360,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _check_test(test, (train.rows, train.cols))
         # Pass 0 is the plain training set: the baseline every value is judged by.
         seeded = [None] + [replace(p, seed=seed) for p in passes]
-        base, *nmse_db = [evaluate(_fit(train if p is None else _augmented(train, p, mode))
-                                   .codec(ratio), test).nmse_db for p in seeded]
+        base, *nmse_db = [_evaluate(_fit(train if p is None else _augmented(train, p, mode))
+                                    .codec(ratio), test).nmse_db for p in seeded]
         best = values[nmse_db.index(min(nmse_db))]
         trials.append({"trial": i, "baseline_db": base, "nmse_db": nmse_db, "best_value": best})
         cells = "  ".join(f"{param}={v}: {db:.3f}" for v, db in zip(values, nmse_db))
@@ -383,7 +379,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "train_scenario": specs[0].to_dict() if specs else None,
         "test_scenario": specs[1].to_dict() if specs else None,
         "train_samples": train.count,
-        "test_samples": len(test),
+        "test_samples": test.count,
         "trials": trials,
         "mean_margin_db": margins,
     }

@@ -25,7 +25,7 @@ is collected.
 Reconstruction quality is the usual normalized mean square error,
 ``mean ||X - X_hat||^2_F / ||X||^2_F`` over samples, reported both
 linear and in dB (floored at -300 dB so perfect reconstructions stay
-finite).
+finite).  Evaluation streams too, keeping 16 bytes a sample.
 """
 
 from __future__ import annotations
@@ -458,12 +458,15 @@ def reconstruct_batch(codec: LinearCodec, samples: np.ndarray) -> np.ndarray:
     return decode_batch(codec, encode_batch(codec, samples))
 
 
-def _nmse_arrays(ref: np.ndarray, rec: np.ndarray) -> tuple[float, float]:
-    num = np.sum(np.abs(rec - ref) ** 2, axis=(1, 2))
-    den = np.sum(np.abs(ref) ** 2, axis=(1, 2))
-    if np.any(den == 0.0):
+def _errors(ref: np.ndarray, rec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's squared error ``||rec - ref||^2`` and energy ``||ref||^2``."""
+    return np.sum(np.abs(rec - ref) ** 2, axis=(1, 2)), np.sum(np.abs(ref) ** 2, axis=(1, 2))
+
+
+def _nmse(error: np.ndarray, energy: np.ndarray) -> tuple[float, float]:
+    if np.any(energy == 0.0):
         raise ValueError("reference contains an all-zero sample; NMSE is undefined")
-    linear = float(np.mean(num / den))
+    linear = float(np.mean(error / energy))
     return linear, to_db(linear)
 
 
@@ -479,7 +482,7 @@ def nmse(ref: Dataset, rec: Dataset) -> tuple[float, float]:
         raise ValueError(f"sample shapes differ: {ref.sample_shape} vs {rec.sample_shape}")
     if len(ref) == 0:
         raise ValueError("NMSE of an empty dataset is undefined")
-    return _nmse_arrays(ref.samples, rec.samples)
+    return _nmse(*_errors(ref.samples, rec.samples))
 
 
 @dataclass(frozen=True)
@@ -514,26 +517,37 @@ class EvalReport(Record):
             object.__setattr__(self, "test_provenance", provenance)
 
 
-def _check_test(test: Dataset, shape: tuple[int, int]) -> None:
+def _check_test(test: _Stream, shape: tuple[int, int]) -> None:
     if test.domain is not Domain.ANGULAR_DELAY:
         raise ValueError(f"evaluation expects angular-delay samples, got {test.domain.value}")
-    if len(test) == 0:
+    if test.count == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    if test.sample_shape != shape:
-        raise ValueError(f"sample shape {test.sample_shape} does not match codec {shape}")
+    if (test.rows, test.cols) != shape:
+        raise ValueError(f"sample shape {(test.rows, test.cols)} does not match codec {shape}")
+
+
+def _sample_errors(codec: LinearCodec, test: _Stream) -> tuple[np.ndarray, np.ndarray]:
+    """Each served sample's squared reconstruction error and energy.  A short
+    chunk is padded with zeros to a full one's height: a product's rows can
+    take other bits at another height (one row is a matrix-vector product)."""
+    error, energy = np.empty(test.count), np.empty(test.count)
+    height = min(test.count, test.step)
+    for span, chunk in test.spans(test.step):
+        n = len(chunk)
+        padded = np.pad(chunk, ((0, height - n), (0, 0), (0, 0))) if n < height else chunk
+        error[span], energy[span] = _errors(chunk, reconstruct_batch(codec, padded)[:n])
+    return error, energy
+
+
+def _evaluate(codec: LinearCodec, test: _Stream, label: str = "unlabeled") -> EvalReport:
+    """The NMSE report of ``codec`` on the samples ``test`` serves, judged from its fields first."""
+    _check_test(test, (codec.delay_bins, codec.antennas))
+    linear, db = _nmse(*_sample_errors(codec, test))
+    return EvalReport(label=label, ratio=str(codec.ratio), nmse_linear=linear, nmse_db=db,
+                      sample_count=test.count, codec_info=codec.info(),
+                      test_provenance=test.meta.to_dict())
 
 
 def evaluate(codec: LinearCodec, test: Dataset, label: str = "unlabeled") -> EvalReport:
     """Encode and decode every test sample, returning the NMSE report."""
-    _check_test(test, (codec.delay_bins, codec.antennas))
-    recon = reconstruct_batch(codec, test.samples)
-    linear, db = _nmse_arrays(test.samples, recon)
-    return EvalReport(
-        label=label,
-        ratio=str(codec.ratio),
-        nmse_linear=linear,
-        nmse_db=db,
-        sample_count=len(test),
-        codec_info=codec.info(),
-        test_provenance=test.meta.to_dict(),
-    )
+    return _evaluate(codec, _stream(test), label)

@@ -34,8 +34,8 @@ and a stream from source to file (``csiaug gen``, ``csiaug transform``,
 serves its payload from the first sample on each call, so ``augment`` reads
 it twice in append mode.  ``csiaug fit`` reads it once, for the mean and
 the scatter matrix together, and holds one block of features and one chunk,
-never the complex training set or its feature matrix; ``csiaug sweep`` fits
-each pass the same way, reading a training file again for each pass.
+never the complex training set or its feature matrix; ``csiaug eval`` holds
+one chunk, and ``csiaug sweep`` reads both its files again for each pass.
 All writes go through a temp file plus rename, so a crashed run never
 leaves a half-written artifact at the target path.
 

@@ -716,3 +716,28 @@ def test_eval_report_dict_round_trip():
         {**report.to_dict(), "test_provenance": None}
     )
     assert no_prov.test_provenance is None
+
+
+@pytest.mark.parametrize("ratio", ["1/4", "1/8", "1/16"])
+def test_streamed_evaluation_errors_equal_one_whole_batch(ratio):
+    # 32 x 32 samples are served 512 to a chunk, so counts 513-515 and
+    # 1025-1027 end in a chunk of 1, 2 or 3 samples. Reconstructed at their
+    # own height, 1-sample tails (a matrix-vector product) and, at 1/16, 2- and
+    # 3-sample tails took other bits than in one batch; the evaluation pads
+    # them to a full chunk. The samples lie within 1e-6 of the codec's span,
+    # as a fitted codec's test set does, so a last-bit change of the
+    # reconstruction moves the error. A QR basis needs no eigensolve.
+    rows = cols = 32
+    dim, g = 2 * rows * cols, np.random.default_rng(30)
+    m = check_components(parse_ratio(ratio), dim)
+    codec = LinearCodec(rows, cols, ratio, g.standard_normal(dim),
+                        np.linalg.qr(g.standard_normal((dim, m)))[0])
+    near = g.standard_normal((1027, m)) @ codec.basis.T + codec.mean
+    samples = unfeatures(near + 1e-6 * g.standard_normal((1027, dim)), rows, cols)
+    for count in (513, 514, 515, 1025, 1026, 1027):
+        test = angular_dataset(samples[:count])
+        ref = test.samples
+        error, energy = codec_module._sample_errors(codec, _stream(test))
+        whole = np.sum(np.abs(reconstruct_batch(codec, ref) - ref) ** 2, axis=(1, 2))
+        assert error.tobytes() == whole.tobytes(), count
+        assert energy.tobytes() == np.sum(np.abs(ref) ** 2, axis=(1, 2)).tobytes(), count

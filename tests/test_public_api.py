@@ -75,12 +75,11 @@ BENCHMARK_NAMES = (
 # Stage functions the benchmark swaps into ``csiaug.cli`` to trace the CLI:
 # those the CLI calls.  ``gen``, ``transform`` and ``augment`` stream their
 # chunks from source to file without generate_dataset, transform_dataset,
-# augment_dataset or write_dataset, and ``fit`` fills its features from the
-# file's chunks without read_dataset or fit_codec.
+# augment_dataset or write_dataset, ``fit`` fills its features from the
+# file's chunks without read_dataset or fit_codec, and ``eval`` reconstructs
+# the test file's chunks without read_dataset or evaluate.
 CLI_STAGES = (
-    "evaluate",
     "read_codec",
-    "read_dataset",
     "write_codec",
 )
 

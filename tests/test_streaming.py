@@ -1,7 +1,8 @@
-"""Streamed gen, transform, augment, fit and sweep: the bytes of the in-memory
-path, every check per chunk, no file or handle left behind, and memory flat in
-the count (gen, transform, fit, sweep), no complex copy of the set (augment,
-fit, sweep) and no eigensolver copies (the fit child's peak resident size)."""
+"""Streamed gen, transform, augment, fit, eval and sweep: the bytes of the
+in-memory path, every check per chunk, no file or handle left behind, and
+memory flat in the count (gen, transform, fit, eval, sweep), no complex copy of
+the set (augment, fit, sweep) and no eigensolver copies (the fit child's peak
+resident size)."""
 
 import os
 import struct
@@ -148,6 +149,8 @@ def test_every_sink_rejects_a_short_stream(tmp_path):
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(ValueError, match="chunks hold 4 samples, expected 5"):
         codec._fit(stream)
+    with pytest.raises(ValueError, match="chunks hold 4 samples, expected 5"):
+        codec._evaluate(codec.LinearCodec(2, 3, 1, np.zeros(12), np.eye(12)), stream)
     # The fit serves its stream once: the mean and the scatter come from one read.
     calls = []
     whole = stream._replace(
@@ -196,6 +199,27 @@ def test_fit_and_sweep_memory_does_not_grow_with_count(tmp_path, monkeypatch, ca
                         "--values", "1", "--ratio", "1/4", "--out", tmp_path / "s.json"])
         assert (fit[0], sweep[0]) == (0, 0)
         peaks[count] = fit[1], sweep[1]
+    for small, large in zip(peaks[600], peaks[4800]):
+        assert large <= 1.1 * small, peaks
+
+
+def test_eval_and_sweep_memory_does_not_grow_with_test_count(tmp_path, monkeypatch, capsys):
+    # 16 x 16 samples in 64-sample chunks: an evaluation holds one chunk and
+    # 16 bytes per sample whatever the count, and a file sweep also its fixed
+    # training fits. Holding the test set, each grew 7.5 times from 600 to
+    # 4800 test samples.
+    rows = cols = 16
+    monkeypatch.setattr(core, "_CHUNK_BYTES", 64 * 16 * rows * cols)
+    train, c = random_file(tmp_path / "train.csia", 200, rows=rows, cols=cols), tmp_path / "c.csic"
+    assert run("fit", "--train", train, "--ratio", "1/4", "--out", c) == 0
+    peaks = {}
+    for count in (600, 4800):
+        test = random_file(tmp_path / "test.csia", count, rows=rows, cols=cols, seed=1)
+        ev = traced(["eval", "--codec", c, "--test", test, "--out", tmp_path / "r.json"])
+        sweep = traced(["sweep", "--train", train, "--test", test, "--method", "bs-down",
+                        "--values", "1", "--ratio", "1/4", "--out", tmp_path / "s.json"])
+        assert (ev[0], sweep[0]) == (0, 0)
+        peaks[count] = ev[1], sweep[1]
     for small, large in zip(peaks[600], peaks[4800]):
         assert large <= 1.1 * small, peaks
 
@@ -280,20 +304,22 @@ def test_cli_fit_rejects_bad_input_and_leaves_nothing(
 
 
 def test_sweep_closes_its_training_file_however_it_ends(tmp_path, monkeypatch, capsys):
-    # The file is read again for each pass and stays open only while its
-    # trial runs: after a summary, and after a NaN found by the first fit.
+    # Both files are read again for each pass and stay open only while their
+    # trial runs: after a summary, after a NaN in the training file found by
+    # the first fit, and after one in the test file found by the first
+    # evaluation.
     monkeypatch.setattr(core, "_CHUNK_BYTES", 3 * SAMPLE_BYTES)
     good, bad = random_file(tmp_path / "good.csia", 17), tmp_path / "bad.csia"
     nan_in_last_chunk(bad)
     test, out = random_file(tmp_path / "test.csia", 5, seed=5), tmp_path / "s.json"
     fds = open_fds()
-    for train, code in ((good, 0), (bad, 1)):
+    for train, test, code in ((good, test, 0), (bad, test, 1), (good, bad, 1)):
         out.unlink(missing_ok=True)
         assert run("sweep", "--train", train, "--test", test, "--method", "bs-down",
                    "--values", "1", "--ratio", "1/4", "--out", out) == code
         assert out.exists() == (code == 0)
         assert open_fds() == fds
-    assert capsys.readouterr().err == (
+    assert capsys.readouterr().err == 2 * (
         f"error: {bad}: dataset payload invalid: dataset samples must be finite\n")
 
 
