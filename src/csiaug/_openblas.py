@@ -1,0 +1,78 @@
+"""The routines of the OpenBLAS build NumPy bundles, found once for every module.
+
+They are found through the symbols of NumPy's linear-algebra extension, so
+they are the OpenBLAS build ``np.linalg.eigh`` and ``@`` run on: the fit's
+scatter and eigensolver, and the thread count every matrix product reads.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import threading
+from typing import Callable, Iterator, NamedTuple
+
+import numpy as np
+
+
+class _Blas(NamedTuple):
+    """NumPy's own bundled ``cblas_dsyrk``, ``LAPACKE_dsyevr`` and thread count."""
+
+    dsyrk: Callable[..., None]
+    dsyevr: Callable[..., int]
+    get_num_threads: Callable[[], int]
+    set_num_threads: Callable[[int], None]
+
+
+@functools.cache
+def _blas() -> _Blas | None:
+    """The bundled routines, or ``None`` on a NumPy build that does not
+    bundle scipy-openblas or lacks one of them."""
+    config = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
+    if config.get("lapack", {}).get("name") != "scipy-openblas":
+        return None
+    from numpy.linalg import _umath_linalg
+    try:
+        library = ctypes.CDLL(_umath_linalg.__file__)
+        dsyrk, dsyevr = library.scipy_cblas_dsyrk64_, library.scipy_LAPACKE_dsyevr64_
+        get_threads = library.scipy_openblas_get_num_threads64_
+        set_threads = library.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    enum, i64, f64, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    dsyrk.restype = None
+    dsyrk.argtypes = [enum, enum, enum, i64, i64, f64, ptr, i64, f64, ptr, i64]
+    dsyevr.restype = i64
+    dsyevr.argtypes = [enum, ctypes.c_char, ctypes.c_char, ctypes.c_char, i64, ptr, i64,
+                       f64, f64, i64, i64, f64, ptr, ptr, ptr, i64, ptr]
+    get_threads.restype, get_threads.argtypes = ctypes.c_int, []
+    set_threads.restype, set_threads.argtypes = None, [ctypes.c_int]
+    return _Blas(dsyrk, dsyevr, get_threads, set_threads)
+
+
+# Held while a block runs pinned: a pin that read another thread's pinned
+# count would restore one thread for good.
+_pin = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_thread() -> Iterator[None]:
+    """Run the block's matrix products on one OpenBLAS thread, then restore
+    the count it found; a build without the controls runs it as it is.
+
+    The count is process-global: BLAS work in other Python threads also runs
+    on one thread until the block exits, and pinned blocks in several
+    threads take turns.
+    """
+    blas = _blas()
+    if blas is None:
+        yield
+        return
+    with _pin:
+        threads = blas.get_num_threads()
+        blas.set_num_threads(1)
+        try:
+            yield
+        finally:
+            blas.set_num_threads(threads)

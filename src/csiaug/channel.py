@@ -29,6 +29,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
+from csiaug._openblas import _one_thread
 from csiaug.core import Dataset, Domain, Provenance, Record, _Stream
 from csiaug.dataset_io import read_record, write_record
 from csiaug.rng import RNG_SCHEME, check_int, check_real, check_seed, make_generator
@@ -162,7 +163,13 @@ def _source(spec: ScenarioSpec, count: int, rows: int, domain: Domain) -> _Strea
             if domain is Domain.ANGULAR_DELAY:
                 yield _synthesize_angular(spec, rows, *draws)
             else:
-                yield _synthesize(spec, *draws)
+                # Each sample's small product would wake a second BLAS thread
+                # that then spins between products.  The pin never spans a
+                # yield: the consumer's products run at the caller's count.
+                with _one_thread():
+                    chunk = _synthesize(spec, *draws)
+                yield chunk
+                del chunk  # else it stays alive while the next chunk is made
 
     meta = Provenance(scenario=spec.to_dict(), seed=spec.seed, rng=RNG_SCHEME)
     return _Stream(domain, count, rows, spec.antennas, meta, chunks)
@@ -174,6 +181,12 @@ def generate_dataset(spec: ScenarioSpec, count: int) -> Dataset:
     Sample ``i`` draws its paths from stream ``(spec.seed, i)`` (see
     :mod:`csiaug.rng`), so any sample can be regenerated in isolation
     and the dataset is independent of batching.
+
+    The per-sample products run on one OpenBLAS thread, and the caller's
+    thread count is restored after each chunk.  That count is process-global
+    and NumPy's OpenBLAS has no thread-local setter, so BLAS work in another
+    Python thread also runs single-threaded while a chunk is synthesised, and
+    calls in several threads synthesise their chunks in turn.
     """
     return _source(spec, count, spec.subcarriers, Domain.SPATIAL_FREQUENCY).collect()
 

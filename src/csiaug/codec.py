@@ -31,15 +31,15 @@ finite).  Evaluation streams too, keeping 16 bytes a sample.
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Mapping, NamedTuple
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
+from csiaug._openblas import _blas
 from csiaug.core import Dataset, Domain, Record, _stream, _Stream, check_object
 from csiaug.rng import check_int, check_real, check_str
 
@@ -253,39 +253,6 @@ def _check_train(domain: Domain, n: int) -> None:
         raise ValueError(f"codec training expects angular-delay samples, got {domain.value}")
     if n < 2:
         raise ValueError(f"codec training needs at least 2 samples, got {n}")
-
-
-class _Blas(NamedTuple):
-    """NumPy's own bundled ``cblas_dsyrk`` and ``LAPACKE_dsyevr``."""
-
-    dsyrk: Callable[..., None]
-    dsyevr: Callable[..., int]
-
-
-@functools.cache
-def _blas() -> _Blas | None:
-    """The scatter and eigensolver routines of the library ``np.linalg``
-    calls, or ``None`` on a NumPy build that does not bundle scipy-openblas.
-
-    They are found through the symbols of NumPy's linear-algebra extension,
-    so they are the OpenBLAS build ``np.linalg.eigh`` and ``@`` run on.
-    """
-    config = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
-    if config.get("lapack", {}).get("name") != "scipy-openblas":
-        return None
-    from numpy.linalg import _umath_linalg
-    try:
-        library = ctypes.CDLL(_umath_linalg.__file__)
-        dsyrk, dsyevr = library.scipy_cblas_dsyrk64_, library.scipy_LAPACKE_dsyevr64_
-    except (OSError, AttributeError):
-        return None
-    enum, i64, f64, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    dsyrk.restype = None
-    dsyrk.argtypes = [enum, enum, enum, i64, i64, f64, ptr, i64, f64, ptr, i64]
-    dsyevr.restype = i64
-    dsyevr.argtypes = [enum, ctypes.c_char, ctypes.c_char, ctypes.c_char, i64, ptr, i64,
-                       f64, f64, i64, i64, f64, ptr, ptr, ptr, i64, ptr]
-    return _Blas(dsyrk, dsyevr)
 
 
 def _eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,19 +6,21 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from csiaug import _openblas, channel, core
 from csiaug.channel import (
     ScenarioSpec,
+    _source,
     generate_angular_dataset,
     generate_dataset,
     load_scenario,
     save_scenario,
 )
-from csiaug import core
 from csiaug.core import Domain
 from csiaug.rng import make_generator
 from csiaug.transform import transform_dataset
@@ -299,6 +301,87 @@ def test_generate_angular_bytes_do_not_depend_on_blas_threads():
     here = generate_angular_dataset(spec, 600, 32).samples, generate_dataset(spec, 64).samples
     digests.add(tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in here))
     assert len(digests) == 1
+
+
+@pytest.fixture
+def blas_threads():
+    """NumPy's OpenBLAS, set to two threads so that a pin to one shows."""
+    blas = _openblas._blas()
+    if blas is None:
+        pytest.skip("NumPy does not bundle scipy-openblas's thread controls")
+    before = blas.get_num_threads()
+    blas.set_num_threads(2)
+    yield blas
+    blas.set_num_threads(before)
+
+
+def record_threads(monkeypatch, blas, name, fail=False):
+    """Thread counts seen by each call of ``channel.<name>``."""
+    seen, original = [], getattr(channel, name)
+
+    def wrapped(*args):
+        seen.append(blas.get_num_threads())
+        if fail:
+            raise RuntimeError("synthesis failed")
+        return original(*args)
+
+    monkeypatch.setattr(channel, name, wrapped)
+    return seen
+
+
+def test_frequency_synthesis_runs_on_one_blas_thread(monkeypatch, blas_threads):
+    seen = record_threads(monkeypatch, blas_threads, "_synthesize")
+    generate_dataset(small_spec(), 40)
+    assert seen == [1]
+    assert blas_threads.get_num_threads() == 2
+
+
+def test_failed_frequency_synthesis_restores_blas_threads(monkeypatch, blas_threads):
+    seen = record_threads(monkeypatch, blas_threads, "_synthesize", fail=True)
+    with pytest.raises(RuntimeError, match="synthesis failed"):
+        generate_dataset(small_spec(), 4)
+    assert seen == [1]
+    assert blas_threads.get_num_threads() == 2
+
+
+def test_frequency_stream_consumer_runs_at_the_callers_blas_threads(monkeypatch, blas_threads):
+    seen = record_threads(monkeypatch, blas_threads, "_synthesize")
+    stream = _source(small_spec(), 12, 32, Domain.SPATIAL_FREQUENCY)
+    between = [blas_threads.get_num_threads() for _ in stream.chunks(4)]
+    assert seen == [1, 1, 1] and between == [2, 2, 2]
+    # A consumer that stops after the first chunk closes the generator.
+    chunks = stream.chunks(4)
+    next(chunks)
+    chunks.close()
+    assert seen == [1, 1, 1, 1]
+    assert blas_threads.get_num_threads() == 2
+
+
+def test_concurrent_frequency_synthesis_restores_blas_threads(blas_threads):
+    # A pin that read another thread's one-thread count would restore it.
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(generate_dataset, small_spec(), 40) for _ in range(200)]
+            done = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(done) == 200
+    assert blas_threads.get_num_threads() == 2
+
+
+def test_angular_synthesis_runs_at_the_callers_blas_threads(monkeypatch, blas_threads):
+    seen = record_threads(monkeypatch, blas_threads, "_synthesize_angular")
+    generate_angular_dataset(small_spec(), 40, 8)
+    assert seen == [2]
+    assert blas_threads.get_num_threads() == 2
+
+
+def test_generation_without_thread_controls_is_the_same(monkeypatch):
+    want = generate_dataset(small_spec(), 40).samples
+    monkeypatch.setattr(_openblas, "_blas", lambda: None)
+    assert generate_dataset(small_spec(), 40).samples.tobytes() == want.tobytes()
 
 
 def test_single_integer_delay_concentrates_energy():
