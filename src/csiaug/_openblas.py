@@ -2,7 +2,8 @@
 
 They are found through the symbols of NumPy's linear-algebra extension, so
 they are the OpenBLAS build ``np.linalg.eigh`` and ``@`` run on: the fit's
-scatter and eigensolver, and the thread count every matrix product reads.
+scatter, the three steps of its eigensolver, and the thread count every
+matrix product reads.
 """
 
 from __future__ import annotations
@@ -17,10 +18,13 @@ import numpy as np
 
 
 class _Blas(NamedTuple):
-    """NumPy's own bundled ``cblas_dsyrk``, ``LAPACKE_dsyevr`` and thread count."""
+    """NumPy's own bundled ``cblas_dsyrk``, the ``LAPACKE`` routines ``dsytrd``,
+    ``dstemr`` and ``dormtr``, and the thread count."""
 
     dsyrk: Callable[..., None]
-    dsyevr: Callable[..., int]
+    dsytrd: Callable[..., int]
+    dstemr: Callable[..., int]
+    dormtr: Callable[..., int]
     get_num_threads: Callable[[], int]
     set_num_threads: Callable[[int], None]
 
@@ -35,20 +39,25 @@ def _blas() -> _Blas | None:
     from numpy.linalg import _umath_linalg
     try:
         library = ctypes.CDLL(_umath_linalg.__file__)
-        dsyrk, dsyevr = library.scipy_cblas_dsyrk64_, library.scipy_LAPACKE_dsyevr64_
+        dsyrk = library.scipy_cblas_dsyrk64_
+        dsytrd, dstemr = library.scipy_LAPACKE_dsytrd64_, library.scipy_LAPACKE_dstemr64_
+        dormtr = library.scipy_LAPACKE_dormtr64_
         get_threads = library.scipy_openblas_get_num_threads64_
         set_threads = library.scipy_openblas_set_num_threads64_
     except (OSError, AttributeError):
         return None
-    enum, i64, f64, ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    enum, char, i64 = ctypes.c_int, ctypes.c_char, ctypes.c_int64
+    f64, ptr = ctypes.c_double, ctypes.c_void_p
     dsyrk.restype = None
     dsyrk.argtypes = [enum, enum, enum, i64, i64, f64, ptr, i64, f64, ptr, i64]
-    dsyevr.restype = i64
-    dsyevr.argtypes = [enum, ctypes.c_char, ctypes.c_char, ctypes.c_char, i64, ptr, i64,
-                       f64, f64, i64, i64, f64, ptr, ptr, ptr, i64, ptr]
+    dsytrd.restype = dstemr.restype = dormtr.restype = i64
+    dsytrd.argtypes = [enum, char, i64, ptr, i64, ptr, ptr, ptr]
+    dstemr.argtypes = [enum, char, char, i64, ptr, ptr, f64, f64, i64, i64, ptr, ptr, ptr, i64,
+                       i64, ptr, ptr]
+    dormtr.argtypes = [enum, char, char, char, i64, i64, ptr, i64, ptr, ptr, i64]
     get_threads.restype, get_threads.argtypes = ctypes.c_int, []
     set_threads.restype, set_threads.argtypes = None, [ctypes.c_int]
-    return _Blas(dsyrk, dsyevr, get_threads, set_threads)
+    return _Blas(dsyrk, dsytrd, dstemr, dormtr, get_threads, set_threads)
 
 
 # Held while a block runs pinned: a pin that read another thread's pinned

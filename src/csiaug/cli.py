@@ -217,8 +217,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         # Ratio, domain and count are judged before the payload is read; the
         # fit reads the file's chunks once, a block of features at a time,
         # never the complex set or its feature matrix.
-        check_components(ratio, 2 * train.rows * train.cols)
-        spectrum = _fit(train)
+        spectrum = _fit(train, check_components(ratio, 2 * train.rows * train.cols))
     codec = spectrum.codec(ratio)
     write_codec(codec, args.out)
     share = spectrum.energy_share(codec.components)
@@ -360,7 +359,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _check_test(test, (train.rows, train.cols))
         # Pass 0 is the plain training set: the baseline every value is judged by.
         seeded = [None] + [replace(p, seed=seed) for p in passes]
-        base, *nmse_db = [_evaluate(_fit(train if p is None else _augmented(train, p, mode))
+        m = check_components(ratio, 2 * train.rows * train.cols)
+        base, *nmse_db = [_evaluate(_fit(train if p is None else _augmented(train, p, mode), m)
                                     .codec(ratio), test).nmse_db for p in seeded]
         best = values[nmse_db.index(min(nmse_db))]
         trials.append({"trial": i, "baseline_db": base, "nmse_db": nmse_db, "best_value": best})

@@ -10,16 +10,19 @@ training-set augmentation close a train/test distribution gap?) only
 needs a compressor whose quality depends on its training distribution.
 
 The fit is one eigendecomposition of the training scatter matrix, kept
-as a :class:`Spectrum`.  The mean and the scatter matrix are summed in
-one pass of the sample stream, a block of feature rows at a time, so a
-fit holds two feature_dim x feature_dim arrays whatever the sample count.
-The eigenvectors stay in the column-major layout LAPACK returns, which is
-also the layout of a codec's basis and of the ``.csic`` payload, and the
-basis at any ratio is a prefix of their columns, so one eigendecomposition
-serves every ratio of a training set.  :func:`fit_codec` remembers the
-widest codec it served for the last ``Dataset`` object, and a repeat fit of
-that object at no wider a ratio serves a read-only view of that codec's
-leading columns.  The codec, never the spectrum, is held until that dataset
+as a :class:`Spectrum`: dsyevr's own steps, with the back-transformation
+cut to the blocks of eigenvectors a codec keeps.  The mean and the scatter
+matrix are summed in one pass of the sample stream, a block of feature rows
+at a time, so a fit holds two feature_dim x feature_dim arrays whatever the
+sample count.  The eigenvectors stay in the column-major layout LAPACK
+returns, which is also the layout of a codec's basis and of the ``.csic``
+payload, and the basis at any ratio is a prefix of their columns, so one
+eigendecomposition serves every ratio of a training set.  Each block of
+columns is back-transformed in its own call, so a column has the same bits
+however many the fit keeps.  :func:`fit_codec` remembers the widest codec
+it served for the last ``Dataset`` object, and a repeat fit of that object
+at no wider a ratio serves a read-only view of that codec's leading
+columns.  The codec, never the spectrum, is held until that dataset
 is collected.
 
 Reconstruction quality is the usual normalized mean square error,
@@ -204,12 +207,14 @@ def _fix_signs(basis: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Training mean plus the full eigendecomposition of the covariance.
+    """Training mean plus the eigendecomposition of the covariance.
 
     ``values`` holds all ``feature_dim`` eigenvalues in descending order
     and column j of ``vectors`` is the sign-fixed eigenvector of
     ``values[j]``, so the codec at any ratio keeps a leading prefix of
     the columns.  Each column is contiguous.  The arrays are read-only.
+    :func:`fit_spectrum` keeps every column; a fit inside the package may
+    keep only the top blocks of them, whose bits are the same.
     """
 
     rows: int
@@ -223,6 +228,9 @@ class Spectrum:
         copied, so that it never keeps the spectrum alive."""
         ratio = parse_ratio(ratio)
         m = check_components(ratio, 2 * self.rows * self.cols)
+        if m > self.vectors.shape[1]:
+            raise ValueError(f"ratio {ratio} keeps {m} components but this spectrum holds "
+                             f"only the top {self.vectors.shape[1]} eigenvectors")
         return LinearCodec(self.rows, self.cols, ratio, self.mean, self.vectors[:, :m])
 
     def energy_share(self, components: int) -> float:
@@ -255,39 +263,74 @@ def _check_train(domain: Domain, n: int) -> None:
         raise ValueError(f"codec training needs at least 2 samples, got {n}")
 
 
-def _eigh(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(cov)`` of the lower triangle, the eigenvectors
-    column-major, using a C-ordered float64 ``cov`` as workspace.
+# The eigenvectors are back-transformed in blocks of this many columns,
+# counted from the top.  A column's bits depend on the width of the ``dormtr``
+# call it is in, so each block is its own call of one width, and a column has
+# the same bits however many columns a caller keeps.
+_VECTOR_BLOCK = 512
 
-    All eigenpairs come from ``dsyevr`` in the buffer of ``cov``, whose lower
-    triangle is the upper one read column-major.  The eigenvectors are
-    returned as LAPACK writes them, a Fortran-ordered array, and one more
-    n x n array and O(n) of workspace are all it holds.  A build without the
-    routine returns ``eigh``'s eigenvectors in the same layout.  Any other
-    array, a NaN or an infinity (which LAPACK may not reject) go to ``eigh``
-    as they are: it fails on a non-finite entry as it always did.
+# dsyevr's RMIN and RMAX (about 1e-146 and 8e76): it scales a matrix whose
+# largest entry lies outside them before it reduces it.
+_RMIN = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
+_RMAX = min(1 / _RMIN, 1 / math.sqrt(math.sqrt(np.finfo(np.float64).tiny)))
+
+
+def _eigh(cov: np.ndarray, columns: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(cov)`` of the lower triangle: all eigenvalues in
+    ascending order and the eigenvectors of the top ``columns`` (all if
+    ``None``), rounded up to whole blocks of ``_VECTOR_BLOCK`` counted from
+    the top, column-major.  A C-ordered float64 ``cov`` is the workspace.
+
+    These are dsyevr's own steps, run in the buffer of ``cov``, whose lower
+    triangle is the upper one read column-major: ``dsytrd`` reduces it to
+    tridiagonal form, ``dstemr`` (MRRR) finds every eigenpair of that, and
+    one ``dormtr`` per kept block back-transforms its columns.  The
+    eigenvectors are a view of the n x n array ``dstemr`` writes, so one
+    more n x n array and O(n) of workspace are all it holds.  A build
+    without the routines, or a matrix whose largest entry lies outside the
+    bounds within which dsyevr solves a matrix unscaled, returns ``eigh``'s
+    eigenvectors in the same layout.  Any other array, a NaN or an infinity
+    (which LAPACK may not reject) go to ``eigh`` as they are: it fails on a
+    non-finite entry as it always did.  A step that fails raises
+    ``LinAlgError``.
     """
     blas, n = _blas(), len(cov)
+    kept = n if columns is None else min(n, -(-columns // _VECTOR_BLOCK) * _VECTOR_BLOCK)
     # LAPACK writes n * n doubles from this pointer: only a writeable,
     # aligned, C-contiguous float64 square matrix may be solved in place.
-    if (cov.dtype != np.float64 or cov.shape != (n, n) or not cov.flags.carray
-            or not (np.isfinite(cov.max()) and np.isfinite(cov.min()))):
-        return np.linalg.eigh(cov)
-    if blas is None:
+    if cov.dtype != np.float64 or cov.shape != (n, n) or not cov.flags.carray:
         values, vectors = np.linalg.eigh(cov)
-        return values, np.asfortranarray(vectors)
+        return values, vectors[:, n - kept:]
+    # The largest entry of the buffer bounds that of the triangle.  A NaN or
+    # an infinity lies outside the bounds too.
+    largest = np.maximum(cov.max(), -cov.min())
+    if blas is None or not (largest == 0 or _RMIN <= largest <= _RMAX):
+        values, vectors = np.linalg.eigh(cov)
+        return values, np.asfortranarray(vectors[:, n - kept:])
+    # dsytrd writes n - 1 off-diagonal entries; dstemr reads n, and LAPACKE
+    # rejects a NaN in any of them.
+    diagonal, off, tau = np.empty(n), np.zeros(n), np.empty(max(n - 1, 1))
     values, vectors = np.empty(n), np.empty((n, n))
-    found, support = ctypes.c_int64(), np.empty(2 * n, dtype=np.int64)
-    # 102 is LAPACK_COL_MAJOR; range "A" keeps every eigenpair, so the bounds
-    # and the tolerance are not read.
-    info = blas.dsyevr(102, b"V", b"A", b"U", n, cov.ctypes.data, n, 0.0, 0.0, 0, 0, 0.0,
-                       ctypes.byref(found), values.ctypes.data, vectors.ctypes.data, n,
-                       support.ctypes.data)
+    # 102 is LAPACK_COL_MAJOR.  Range "A" keeps every eigenpair, so the
+    # bounds are not read; tryrac asks dstemr for high relative accuracy
+    # where the matrix allows it, as dsyevr does.  Each step runs only if
+    # every one before it returned 0.
+    found, tryrac, support = ctypes.c_int64(), ctypes.c_int64(1), np.empty(2 * n, np.int64)
+    info = blas.dsytrd(102, b"U", n, cov.ctypes.data, n, diagonal.ctypes.data,
+                       off.ctypes.data, tau.ctypes.data)
+    info = info or blas.dstemr(102, b"V", b"A", n, diagonal.ctypes.data, off.ctypes.data,
+                               0.0, 0.0, 0, 0, ctypes.byref(found), values.ctypes.data,
+                               vectors.ctypes.data, n, n, support.ctypes.data,
+                               ctypes.byref(tryrac))
+    # Row j of the C-ordered buffer is LAPACK's column j, the eigenvector of
+    # values[j], so a block of columns is a run of rows.
+    for top in range(n, n - kept, -_VECTOR_BLOCK):
+        bottom = max(top - _VECTOR_BLOCK, 0)
+        info = info or blas.dormtr(102, b"L", b"U", b"N", n, top - bottom, cov.ctypes.data, n,
+                                   tau.ctypes.data, vectors[bottom].ctypes.data, n)
     if info != 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    # Row j of the C-ordered buffer is LAPACK's column j: its transpose is
-    # the column-major matrix of eigenvectors.
-    return values, vectors.T
+    return values, vectors[n - kept:].T
 
 
 # Bytes of float64 features per block of the fit's pass.  The block size
@@ -319,13 +362,16 @@ def _blocks(train: _Stream, block: np.ndarray) -> Iterator[np.ndarray]:
         yield block[:filled]
 
 
-def _fit(train: _Stream) -> Spectrum:
-    """Spectrum of the samples ``train`` serves, judged from its fields first.
+def _fit(train: _Stream, columns: int | None = None) -> Spectrum:
+    """Spectrum of the samples ``train`` serves, judged from its fields first,
+    keeping the eigenvectors of the top ``columns`` in whole blocks (all if
+    ``None``).
 
     One pass over the stream fills a block of a fixed number of feature rows
     at a time, so the fit holds the scatter matrix, one block and one chunk
-    whatever the count, then the scatter's buffer and ``dsyevr``'s n x n
-    column-major eigenvectors, which the spectrum keeps as they are.  Each
+    whatever the count, then the scatter's buffer and the n x n column-major
+    eigenvectors ``dstemr`` writes, whose kept columns the spectrum keeps as
+    they are.  Each
     block is summed in the order ``x.sum(axis=0)`` does, the running sum in
     the row before the block, so the mean has the bits of ``x.mean(axis=0)``.
     It is then centred on a fixed shift, the first block's mean, and added
@@ -355,7 +401,7 @@ def _fit(train: _Stream) -> Spectrum:
     offset = math.sqrt(n) * (mean - shift)
     cov -= np.outer(offset, offset)
     cov /= n - 1
-    values, vectors = _eigh(cov)
+    values, vectors = _eigh(cov, columns)
     del cov
     values, vectors = values[::-1], vectors[:, ::-1]
     _fix_signs(vectors)
@@ -371,6 +417,8 @@ def fit_spectrum(train: Dataset) -> Spectrum:
     so ratio 1 gives a lossless codec even when the training set has
     fewer samples than features.  Each call fits afresh: hold the result
     and call :meth:`Spectrum.codec` to take several ratios of one fit.
+    It back-transforms every block of eigenvectors, each in its own call,
+    so each column has the bits a fit of fewer columns gives it.
     """
     return _fit(_stream(train))
 
@@ -380,7 +428,8 @@ def fit_codec(train: Dataset, ratio: Fraction | str | int) -> LinearCodec:
 
     The basis holds the top ``round(ratio * feature_dim)`` eigenvectors
     of the sample covariance, in descending eigenvalue order: the
-    leading columns of :func:`fit_spectrum`'s vectors.  A repeat call on the
+    leading columns of :func:`fit_spectrum`'s vectors, bit for bit.  A miss
+    back-transforms only the blocks of eigenvectors that hold them.  A repeat call on the
     same ``Dataset`` object at no wider a ratio serves a codec whose mean and
     basis are read-only views of the widest codec it served for that object,
     so a narrow codec held keeps that wider basis alive; copy it
@@ -397,7 +446,7 @@ def fit_codec(train: Dataset, ratio: Fraction | str | int) -> LinearCodec:
     if last is not None and last[0]() is train and m <= last[1].components:
         return LinearCodec._adopt(rows, cols, ratio, last[1].mean, last[1].basis[:, :m])
     _last_fit = last = None  # a miss holds no old codec through the eigensolve
-    codec = _fit(_stream(train)).codec(ratio)
+    codec = _fit(_stream(train), m).codec(ratio)
     _last_fit = (weakref.ref(train, _forget), codec)
     return codec
 

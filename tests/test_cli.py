@@ -431,7 +431,7 @@ def test_sweep_judges_the_test_file_before_any_fit(
         test = workspace / test
     calls = []
     eigh, augmented = codec._eigh, cli._augmented
-    monkeypatch.setattr(codec, "_eigh", lambda m: calls.append("eigh") or eigh(m))
+    monkeypatch.setattr(codec, "_eigh", lambda m, k: calls.append("eigh") or eigh(m, k))
     monkeypatch.setattr(cli, "_augmented", lambda *a: calls.append("augment") or augmented(*a))
     out = tmp_path / "sweep.json"
     assert cli.run(["sweep", "--train", str(workspace / "train_ang.csia"), "--test", str(test),
@@ -502,7 +502,7 @@ def test_summary_pins_the_trial_protocol(tmp_path, monkeypatch, capsys, name, ex
     test = generate_angular_dataset(test_spec.with_seed(derive_seed(base, 3)), 20, 4)
     seed, out = derive_seed(base, 101), tmp_path / "summary.json"
     calls, eigh = [], codec._eigh
-    monkeypatch.setattr(codec, "_eigh", lambda m: calls.append(m.shape) or eigh(m))
+    monkeypatch.setattr(codec, "_eigh", lambda m, k: calls.append(m.shape) or eigh(m, k))
     augmented, augment_samples = [], augment._augment_samples
     monkeypatch.setattr(augment, "_augment_samples",
                         lambda s, *a: augmented.append(len(s)) or augment_samples(s, *a))

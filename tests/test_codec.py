@@ -297,7 +297,7 @@ def test_spectrum_is_descending_and_read_only(empty_memo):
 def counted_eighs(monkeypatch):
     """The shapes of the matrices ``_eigh`` solves from here on."""
     eigh, calls = codec_module._eigh, []
-    monkeypatch.setattr(codec_module, "_eigh", lambda m: calls.append(m.shape) or eigh(m))
+    monkeypatch.setattr(codec_module, "_eigh", lambda m, k: calls.append(m.shape) or eigh(m, k))
     return calls
 
 
@@ -396,12 +396,12 @@ def test_slot_is_empty_when_a_miss_reaches_the_eigensolve(empty_memo, monkeypatc
     eigh = codec_module._eigh
     calls = []
 
-    def checked_eigh(matrix):
+    def checked_eigh(matrix, columns):
         # Neither the slot nor anything else still holds the old spectrum.
         assert codec_module._last_fit is None
         assert held() is None
         calls.append(matrix.shape)
-        return eigh(matrix)
+        return eigh(matrix, columns)
 
     monkeypatch.setattr(codec_module, "_eigh", checked_eigh)
     for ratio in ("1/4", "1/8", "1/16"):
@@ -454,7 +454,7 @@ def test_fit_peak_memory_does_not_grow(empty_memo, ratio):
 
 def test_fit_memory_does_not_grow_with_count(empty_memo):
     # The fit holds the scatter matrix and one block of features, then the
-    # scatter's buffer and dsyevr's eigenvectors: two d x d arrays whatever
+    # scatter's buffer and dstemr's eigenvectors: two d x d arrays whatever
     # the count. Holding the 4800 x 512 float64 features, 19.7 MB, it peaked
     # at 21.8 MB here, 4.8 times its peak at 600 samples.
     dim = 2 * 16 * 16
@@ -469,7 +469,8 @@ def fit_matrices(monkeypatch, stream):
     """The spectrum ``_fit`` gives ``stream`` and the lower triangle of the
     scatter matrix it handed to the eigensolver."""
     eigh, seen = codec_module._eigh, []
-    monkeypatch.setattr(codec_module, "_eigh", lambda m: seen.append(np.tril(m)) or eigh(m))
+    monkeypatch.setattr(codec_module, "_eigh",
+                        lambda m, k: seen.append(np.tril(m)) or eigh(m, k))
     spectrum = codec_module._fit(stream)
     monkeypatch.setattr(codec_module, "_eigh", eigh)
     return spectrum, seen.pop()
@@ -525,7 +526,11 @@ def test_blocked_scatter_matches_the_whole_set(monkeypatch, case):
 # the largest, orthonormal eigenvectors, and the sign-fixed eigenvectors of
 # eigenvalues at least 1e-3 of the largest from their neighbours within 1e-11.
 # Measured at one and two threads: 1.3e-15, 1.0e-12 (100 * dim * eps allows
-# 1.1e-11 at 512) and 6.8e-14.
+# 1.1e-11 at 512) and 6.8e-14.  Each matrix is also solved in 40-column
+# blocks, whose last is narrower, and scaled by 1e-160 and by 1e80, beyond
+# the bounds within which dsyevr solves a matrix unscaled.  A call for fewer
+# columns returns the top whole blocks of the full call's eigenvectors, bit
+# for bit.
 EIGH_CHILD = """
 import numpy as np
 from csiaug import codec
@@ -539,32 +544,98 @@ g = np.random.default_rng(5)
 for count, dim in [(3, 1), (5, 2), (400, 96), (20, 96), (1200, 512), (100, 512)]:
     x = g.standard_normal((count, dim))
     x -= x.mean(axis=0)
-    cov = (x.T @ x) / (count - 1)
-    want_values, want_vectors = np.linalg.eigh(cov)
-    values, vectors = codec._eigh(np.tril(cov))
-    assert values.shape == (dim,) and vectors.shape == (dim, dim) and vectors.flags.f_contiguous
-    top = np.abs(want_values).max()
-    assert np.abs(values - want_values).max() <= 1e-12 * top, (count, dim)
-    residual = np.abs(vectors.T @ vectors - np.eye(dim)).max()
-    assert residual <= 100 * dim * np.finfo(float).eps, (count, dim, residual)
-    gaps = np.diff(want_values)
-    gap = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
-    apart = gap >= 1e-3 * top
-    assert apart.sum() >= min(dim, count - 1) // 3, (count, dim)
-    assert np.abs(fixed(vectors)[:, apart] - fixed(want_vectors)[:, apart]).max() <= 1e-11
+    for block, scale in [(512, 1.0), (40, 1.0), (512, 1e-160), (512, 1e80)]:
+        codec._VECTOR_BLOCK = block
+        cov = scale * (x.T @ x) / (count - 1)
+        want_values, want_vectors = np.linalg.eigh(cov)
+        values, vectors = codec._eigh(np.tril(cov))
+        assert values.shape == (dim,) and vectors.shape == (dim, dim)
+        assert vectors.flags.f_contiguous
+        top = np.abs(want_values).max()
+        assert np.abs(values - want_values).max() <= 1e-12 * top, (count, dim, block, scale)
+        residual = np.abs(vectors.T @ vectors - np.eye(dim)).max()
+        assert residual <= 100 * dim * np.finfo(float).eps, (count, dim, block, scale, residual)
+        gaps = np.diff(want_values)
+        gap = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
+        apart = gap >= 1e-3 * top
+        assert apart.sum() >= min(dim, count - 1) // 3, (count, dim, block, scale)
+        assert np.abs(fixed(vectors)[:, apart] - fixed(want_vectors)[:, apart]).max() <= 1e-11
+        for k in (1, dim // 2 or 1, dim):
+            part_values, part = codec._eigh(np.tril(cov), k)
+            kept = min(dim, -(-k // block) * block)
+            assert part.shape == (dim, kept) and part.flags.f_contiguous, (dim, k, part.shape)
+            assert part_values.tobytes() == values.tobytes(), (count, dim, block, scale, k)
+            assert part.tobytes() == vectors[:, dim - kept:].tobytes(), (count, dim, block, k)
+print(codec._blas() is not None)
+"""
+
+
+def child_output(code, threads):
+    """The words ``code`` prints, run on this tree's package in a child at
+    ``threads`` OpenBLAS threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_eigh_agrees_with_numpy_eigh(threads):
+    # The child compared the bundled routines wherever this process resolves them.
+    assert child_output(EIGH_CHILD, threads) == [str(codec_module._blas() is not None)]
+
+
+# Fits one set of 192 features at 1/8, 1/4, 1/2 and 1 with 16-column blocks,
+# so that the fits keep 2, 3, 6 and 12 blocks, above and below the scatter's
+# rank.  A fresh fit at each ratio, each widening refit after a narrower fit
+# and the full spectrum give each ratio the same codec bytes.  Back-transformed
+# in one call of all kept columns, 16 to all 176 of a narrower call's columns
+# took other bits than the full call's, at one and at two BLAS threads.
+BLOCKS_CHILD = """
+import numpy as np
+from csiaug import codec
+from csiaug.core import Dataset, Domain
+
+codec._VECTOR_BLOCK = 16
+ratios = ["1/8", "1/4", "1/2", "1"]
+solved, eigh = [], codec._eigh
+codec._eigh = lambda m, k: solved.append(k) or eigh(m, k)
+
+def bytes_of(c):
+    return c.mean.tobytes(), c.basis.tobytes()
+
+g = np.random.default_rng(41)
+for count in (400, 60):
+    samples = g.standard_normal((count, 8, 12)) + 1j * g.standard_normal((count, 8, 12))
+    ds = Dataset(samples, Domain.ANGULAR_DELAY)
+    spectrum = codec.fit_spectrum(ds)
+    assert spectrum.vectors.shape == (192, 192)
+    want = {r: bytes_of(spectrum.codec(r)) for r in ratios}
+    for r in ratios:
+        codec._last_fit = None
+        assert bytes_of(codec.fit_codec(ds, r)) == want[r], (count, r)
+    codec._last_fit = None
+    del solved[:]
+    for r in ratios:
+        assert bytes_of(codec.fit_codec(ds, r)) == want[r], (count, r)
+    assert solved == [24, 48, 96, 192], solved
 print(codec._blas() is not None)
 """
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_eigh_agrees_with_numpy_eigh(threads):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", EIGH_CHILD], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    # The child compared the bundled routine wherever this process resolves it.
-    assert proc.stdout.split() == [str(codec_module._blas() is not None)]
+def test_a_column_has_the_bits_of_its_block_however_many_are_kept(threads):
+    assert child_output(BLOCKS_CHILD, threads) == [str(codec_module._blas() is not None)]
+
+
+def test_a_narrow_spectrum_refuses_a_wider_codec(monkeypatch):
+    monkeypatch.setattr(codec_module, "_VECTOR_BLOCK", 8)
+    spectrum = codec_module._fit(_stream(random_dataset(40, 4, 4, seed=35)), 5)
+    assert spectrum.values.shape == (32,) and spectrum.vectors.shape == (32, 8)
+    assert spectrum.codec("1/4").components == 8
+    with pytest.raises(ValueError, match="holds only the top 8 eigenvectors"):
+        spectrum.codec("1/2")
 
 
 def test_eigh_leaves_a_matrix_it_cannot_solve_in_place_to_numpy():

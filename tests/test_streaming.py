@@ -325,7 +325,7 @@ def test_sweep_closes_its_training_file_however_it_ends(tmp_path, monkeypatch, c
 
 def test_cli_fit_holds_no_complex_copy_of_the_training_set(tmp_path, monkeypatch, capsys):
     # 2000 samples of 16 x 16: the complex128 set is 8.2 MB; the scatter
-    # matrix, dsyevr's eigenvectors and a block 2.1 MB each, a 64-sample
+    # matrix, dstemr's eigenvectors and a block 2.1 MB each, a 64-sample
     # chunk 0.4 MB. 4.7 MB measured here.
     count, rows, cols, step = 2000, 16, 16, 64
     train = random_file(tmp_path / "train.csia", count, rows=rows, cols=cols)
@@ -361,7 +361,7 @@ LAUNCHER = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
 @pytest.mark.skipif(os.name != "posix", reason="needs resource.getrusage")
 def test_fit_child_rss_holds_features_scatter_and_a_chunk(tmp_path, capsys):
     # 2048 samples of 16 x 32: 8.4 MB d x d arrays and a 2.1 MB block. The fit
-    # holds the scatter matrix and dsyevr's eigenvectors, never the 16.8 MB
+    # holds the scatter matrix and dstemr's eigenvectors, never the 16.8 MB
     # of features, dsyevd's 16.8 MB workspace or NumPy's copies of the
     # input and output: growth was 20.6-20.9 MB here, and 30.0-30.9 MB
     # holding the features beside dsyevd. The slack covers BLAS buffers and
