@@ -18,10 +18,10 @@ Three families:
   them it destroys the phase structure.
 
 All of these leave the complex samples' phase untouched except the
-baseline.  The seeded operations draw matrix k of a flattened
-(..., rows, cols) batch from random stream ``(seed, k)`` (see
-:mod:`csiaug.rng`), so any sample's result can be reproduced in
-isolation, and a single 2-D call draws from stream ``(seed, 0)``.
+baseline.  A public function judges and copies its input for its method's
+kernel, which a dataset pass runs once per chunk.  Matrix k of a batch, or
+sample k of a pass, draws from random stream ``(seed, k)`` (see
+:mod:`csiaug.rng`), so any sample's result can be reproduced in isolation.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from csiaug.core import (
 from csiaug.rng import RNG_SCHEME, check_int, make_generator
 
 
-def _bubble_shift(amplitude: np.ndarray, shift: int, up: bool) -> np.ndarray:
-    """Either bubble shift on every column of a (..., rows, cols) batch at once.
+def _bubble_shift(amp: np.ndarray, shift: int, up: bool) -> np.ndarray:
+    """Either bubble shift on every column of a judged (..., rows, cols) batch at once.
 
     A column takes ``min(shift, room)`` steps, room counted from its first
     maximum.  Each step rolls the stepping columns one row, then walks a
@@ -57,8 +57,6 @@ def _bubble_shift(amplitude: np.ndarray, shift: int, up: bool) -> np.ndarray:
     at its first failed compare.  Must match, bitwise, the list kernels
     kept in ``tests/test_augment.py``.
     """
-    amp = _check_amplitude(amplitude)
-    shift = check_int(shift, "shift", 0)
     rows = amp.shape[-2]
     peak = np.argmax(amp, axis=-2)
     steps = np.minimum(shift, peak if up else rows - 1 - peak)
@@ -94,7 +92,7 @@ def bubble_shift_up(amplitude: np.ndarray, shift: int) -> np.ndarray:
     ``amplitude`` is one (rows, cols) matrix or a (..., rows, cols)
     batch; every matrix is shifted on its own, all columns in one pass.
     """
-    return _bubble_shift(amplitude, shift, up=True)
+    return _bubble_shift(_check_amplitude(amplitude), check_int(shift, "shift", 0), up=True)
 
 
 def bubble_shift_down(amplitude: np.ndarray, shift: int) -> np.ndarray:
@@ -106,12 +104,10 @@ def bubble_shift_down(amplitude: np.ndarray, shift: int) -> np.ndarray:
     between the top entry and the runner-up slot.  Accepts the same
     matrix or batch shapes.
     """
-    return _bubble_shift(amplitude, shift, up=False)
+    return _bubble_shift(_check_amplitude(amplitude), check_int(shift, "shift", 0), up=False)
 
 
-def random_generation(
-    amplitude: np.ndarray, block_size: int, seed: int, *, _first: int = 0
-) -> np.ndarray:
+def random_generation(amplitude: np.ndarray, block_size: int, seed: int) -> np.ndarray:
     """Redraw a square block of the amplitude matrix uniformly at random.
 
     The block nominally spans ``block_size`` rows and columns, centred
@@ -123,18 +119,21 @@ def random_generation(
     (computed before any redraw); everything outside the clipped block
     is left bit-identical.  ``amplitude`` is one (rows, cols) matrix or
     a (..., rows, cols) batch; matrix k of the flattened batch draws its
-    centre column and then its block from stream ``(seed, k)``
-    (``(seed, _first + k)`` for a batch that starts at sample ``_first``).
+    centre column and then its block from stream ``(seed, k)``.
     """
     amp = _check_amplitude(amplitude)
-    block_size = check_int(block_size, "block size", 1)
+    return _random_generation(amp, check_int(block_size, "block size", 1), seed, 0)
+
+
+def _random_generation(amp: np.ndarray, block_size: int, seed: int, first: int) -> np.ndarray:
+    """:func:`random_generation` of a judged batch whose matrix k is sample ``first + k``."""
+    amp = np.ascontiguousarray(amp)  # so each matrix below is a view to redraw in
     before = (block_size - 1) // 2
     rows, cols = amp.shape[-2:]
     for k, matrix in enumerate(amp.reshape(-1, rows, cols)):
         peak_row = int(np.argmax(matrix)) // cols
-        low = float(np.min(matrix))
-        high = float(np.max(matrix))
-        rng = make_generator(seed, _first + k)
+        low, high = float(np.min(matrix)), float(np.max(matrix))
+        rng = make_generator(seed, first + k)
         centre_col = int(rng.integers(0, cols))
         r0 = max(peak_row - before, 0)
         r1 = min(peak_row - before + block_size, rows)
@@ -145,7 +144,7 @@ def random_generation(
 
 
 def md_baseline(
-    amplitude: np.ndarray, shift: int, direction: ShiftDirection, seed: int, *, _first: int = 0
+    amplitude: np.ndarray, shift: int, direction: ShiftDirection, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic-shift baseline: rigid column shift, phase fully redrawn.
 
@@ -153,42 +152,43 @@ def md_baseline(
     given direction with no repair pass; the new phase is i.i.d. uniform
     on [-pi, pi), so the input phase plays no part.  ``amplitude`` is one
     (rows, cols) matrix or a (..., rows, cols) batch; matrix k of the
-    flattened batch draws its phase from stream ``(seed, k)`` (``(seed,
-    _first + k)`` for a batch that starts at sample ``_first``).
+    flattened batch draws its phase from stream ``(seed, k)``.
     """
-    amp = _check_amplitude(amplitude)
-    shift = check_int(shift, "shift", 0)
+    amp, shift = _check_amplitude(amplitude), check_int(shift, "shift", 0)
     if not isinstance(direction, ShiftDirection):
         raise TypeError("direction must be a ShiftDirection")
-    offset = -shift if direction is ShiftDirection.UP else shift
-    shifted = np.roll(amp, offset, axis=-2)
-    rows, cols = amp.shape[-2:]
-    new_phase = np.empty_like(amp)
-    for k, matrix in enumerate(new_phase.reshape(-1, rows, cols)):
-        matrix[...] = make_generator(seed, _first + k).uniform(-np.pi, np.pi, size=(rows, cols))
-    return shifted, new_phase
+    return _md_baseline(amp, shift, direction, seed, 0)
+
+
+def _md_baseline(
+    amp: np.ndarray, shift: int, direction: ShiftDirection, seed: int, first: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`md_baseline` of a judged batch whose matrix k is sample ``first + k``."""
+    new_phase = np.empty(amp.shape)  # C-ordered, so each matrix below is a view
+    for k, matrix in enumerate(new_phase.reshape(-1, *amp.shape[-2:])):
+        matrix[...] = make_generator(seed, first + k).uniform(-np.pi, np.pi, size=matrix.shape)
+    return np.roll(amp, -shift if direction is ShiftDirection.UP else shift, axis=-2), new_phase
 
 
 def _augment_samples(samples: np.ndarray, params: AugmentParams, first: int) -> np.ndarray:
-    """Augmented copy of a (count, rows, cols) complex batch of a dataset's
-    samples starting at sample ``first``.
+    """Augmented copy of a dataset's (count, rows, cols) samples from ``first`` on.
 
-    The whole batch is split into polar form, passed through one batch
-    primitive and recomposed once; sample ``i`` of the dataset draws from
-    stream ``(params.seed, i)`` in a seeded method.
+    The batch is split into polar form, passed through the method's kernel
+    and recomposed once, sample ``i`` drawing from stream ``(params.seed, i)``.
+    Flags and samples come judged, but a finite sample's modulus may overflow.
     """
     amplitude, phase = polar_parts(samples)
+    if amplitude.max(initial=0.0) == np.inf:
+        raise ValueError("amplitude entries must be finite")
     if params.method is AugmentMethod.BUBBLE_SHIFT_UP:
-        amplitude = bubble_shift_up(amplitude, params.shift)
+        amplitude = _bubble_shift(amplitude, params.shift, up=True)
     elif params.method is AugmentMethod.BUBBLE_SHIFT_DOWN:
-        amplitude = bubble_shift_down(amplitude, params.shift)
+        amplitude = _bubble_shift(amplitude, params.shift, up=False)
     elif params.method is AugmentMethod.RANDOM_GENERATION:
-        amplitude = random_generation(amplitude, params.block_size, params.seed, _first=first)
-    elif params.method is AugmentMethod.MODEL_DRIVEN:
-        amplitude, phase = md_baseline(
-            amplitude, params.shift, params.direction, params.seed, _first=first)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown method {params.method!r}")
+        amplitude = _random_generation(amplitude, params.block_size, params.seed, first)
+    else:  # AugmentMethod.MODEL_DRIVEN, the last of the closed enum
+        amplitude, phase = _md_baseline(
+            amplitude, params.shift, params.direction, params.seed, first)
     return combine_polar(amplitude, phase)
 
 

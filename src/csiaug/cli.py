@@ -30,6 +30,7 @@ and seeds are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import replace
@@ -164,6 +165,8 @@ def _check_flags(args: argparse.Namespace) -> None:
             _usage(check_int, getattr(args, flag), "--" + flag.replace("_", "-"), low, high)
     if args.out is not None:
         _usage(check_out, args.out)
+    if getattr(args, "gap_bins", None) is not None and not math.isfinite(args.gap_bins):
+        raise UsageError(f"--gap-bins must be finite, got {args.gap_bins}")
 
 
 def _usage(build: Callable[..., Any], *args: Any) -> Any:

@@ -286,25 +286,21 @@ def _eigh(cov: np.ndarray, columns: int | None = None) -> tuple[np.ndarray, np.n
     tridiagonal form, ``dstemr`` (MRRR) finds every eigenpair of that, and
     one ``dormtr`` per kept block back-transforms its columns.  The
     eigenvectors are a view of the n x n array ``dstemr`` writes, so one
-    more n x n array and O(n) of workspace are all it holds.  A build
-    without the routines, or a matrix whose largest entry lies outside the
-    bounds within which dsyevr solves a matrix unscaled, returns ``eigh``'s
-    eigenvectors in the same layout.  Any other array, a NaN or an infinity
-    (which LAPACK may not reject) go to ``eigh`` as they are: it fails on a
-    non-finite entry as it always did.  A step that fails raises
-    ``LinAlgError``.
+    more n x n array and O(n) of workspace are all it holds.  Any other
+    array, a build without the routines, and a matrix whose largest entry
+    lies outside the bounds within which dsyevr solves a matrix unscaled (a
+    NaN or an infinity, which LAPACK may not reject, among them) go to
+    ``eigh`` as they are, its eigenvectors made column-major too: it fails on a
+    non-finite entry as it always did.  A step that fails raises ``LinAlgError``.
     """
     blas, n = _blas(), len(cov)
     kept = n if columns is None else min(n, -(-columns // _VECTOR_BLOCK) * _VECTOR_BLOCK)
-    # LAPACK writes n * n doubles from this pointer: only a writeable,
-    # aligned, C-contiguous float64 square matrix may be solved in place.
-    if cov.dtype != np.float64 or cov.shape != (n, n) or not cov.flags.carray:
-        values, vectors = np.linalg.eigh(cov)
-        return values, vectors[:, n - kept:]
-    # The largest entry of the buffer bounds that of the triangle.  A NaN or
-    # an infinity lies outside the bounds too.
+    # LAPACK writes n * n doubles from this pointer: only a writeable, aligned,
+    # C-contiguous float64 square matrix may be solved in place.  The largest
+    # entry of the buffer bounds that of the triangle; a NaN or an infinity lies outside.
     largest = np.maximum(cov.max(), -cov.min())
-    if blas is None or not (largest == 0 or _RMIN <= largest <= _RMAX):
+    if (blas is None or cov.dtype != np.float64 or cov.shape != (n, n) or not cov.flags.carray
+            or not (largest == 0 or _RMIN <= largest <= _RMAX)):
         values, vectors = np.linalg.eigh(cov)
         return values, np.asfortranarray(vectors[:, n - kept:])
     # dsytrd writes n - 1 off-diagonal entries; dstemr reads n, and LAPACKE

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from csiaug import augment as augment_module
+from csiaug import core
 from csiaug.augment import (
     augment_dataset,
     bubble_shift_down,
@@ -514,6 +516,53 @@ def test_seeded_sample_ignores_the_rest_of_the_batch():
         assert a[2].tobytes() == augment_dataset(
             Dataset(ds.samples[:3], Domain.ANGULAR_DELAY), params, AugmentMode.REPLACE
         ).samples[2].tobytes()
+
+
+def counting_check(monkeypatch):
+    """The amplitudes ``augment``'s ``_check_amplitude`` judges from here on."""
+    judged, check = [], augment_module._check_amplitude
+    monkeypatch.setattr(augment_module, "_check_amplitude",
+                        lambda amp: judged.append(amp) or check(amp))
+    return judged
+
+
+@pytest.mark.parametrize("params", pass_params(shift=2, block_size=3, seed=17)[:4],
+                         ids=["bs-up", "bs-down", "rg", "md"])
+def test_a_pass_hands_each_chunk_to_the_kernel_unjudged(monkeypatch, params):
+    # Params judged the flags and the stream serves finite samples, so no
+    # chunk's fresh amplitude is copied and judged by _check_amplitude again;
+    # sample i still draws from stream (seed, i) whatever chunk it lands in.
+    ds = make_dataset(count=7, seed=5)
+    whole = augment_dataset(ds, params, AugmentMode.REPLACE).samples
+    judged, chunks, augment = counting_check(monkeypatch), [], augment_module._augment_samples
+    monkeypatch.setattr(augment_module, "_augment_samples",
+                        lambda batch, *rest: chunks.append(len(batch)) or augment(batch, *rest))
+    monkeypatch.setattr(core, "_CHUNK_BYTES", 3 * 16 * 6 * 4)  # 3 samples of 6 x 4
+    chunked = augment_dataset(ds, params, AugmentMode.REPLACE).samples
+    assert chunks == [3, 3, 1] and judged == []
+    assert chunked.tobytes() == whole.tobytes()
+    expect = [per_sample_reference(v, params, i) for i, v in enumerate(ds.samples)]
+    assert chunked.tobytes() == np.array(expect).tobytes()
+
+
+def test_a_pass_rejects_a_finite_sample_whose_modulus_overflows():
+    # Both parts are finite, but the modulus lies above the float64 range.
+    ds = Dataset(np.full((2, 4, 3), 1.5e308 + 1.5e308j), Domain.ANGULAR_DELAY)
+    for params in pass_params(shift=1, block_size=2, seed=0):
+        with pytest.raises(ValueError, match="amplitude entries must be finite"):
+            augment_dataset(ds, params)
+
+
+def test_a_direct_call_judges_its_amplitude_once(monkeypatch):
+    judged = counting_check(monkeypatch)
+    amp = np.abs(make_dataset(count=2).samples)
+    random_generation(amp, 3, 17)
+    assert len(judged) == 1
+    md_baseline(amp, 1, ShiftDirection.DOWN, 17)
+    assert len(judged) == 2
+    for fn in (bubble_shift_up, bubble_shift_down):
+        fn(amp, 1)
+    assert len(judged) == 4
 
 
 def test_augment_dataset_append_keeps_originals_first():

@@ -338,6 +338,14 @@ RANGE_CASES = [
          message="--trials must be at most 50"),
     case(study(SHIFT, "--values", "a,b"), 2, id="shift-values-not-integers",
          message="--values must be comma-separated integers"),
+    # a shift that is not finite puts every delay out of range, whatever the
+    # scenario; argparse reads a bare -inf as a flag
+    case(study(["--gap-bins", "nan"]), 2, id="shift-gap-bins-nan",
+         message="--gap-bins must be finite, got nan"),
+    case(study(["--gap-bins", "inf"]), 2, id="shift-gap-bins-inf",
+         message="--gap-bins must be finite, got inf"),
+    case(study(["--gap-bins=-inf"]), 2, id="shift-gap-bins-minus-inf",
+         message="--gap-bins must be finite, got -inf"),
     # valid flag values that conflict with the input: runtime errors
     case(["transform", "--in", "f.csia", "--na", "2000", "--out", "y.csia"], 1,
          id="transform-na-above-subcarriers",

@@ -1,5 +1,7 @@
 """The package's public surface, pinned so removals are deliberate."""
 
+import inspect
+
 import csiaug
 import csiaug.cli
 
@@ -96,3 +98,13 @@ def test_benchmark_names_stay_exported():
         assert name in csiaug.__all__ and callable(getattr(csiaug, name)), name
     for name in CLI_STAGES:
         assert getattr(csiaug.cli, name) is getattr(csiaug, name), name
+
+
+def test_no_public_function_takes_a_private_parameter():
+    # A knob only the package's own code may turn belongs to a private
+    # function, not to the signature every caller reads.
+    for name in csiaug.__all__:
+        obj = getattr(csiaug, name)
+        if inspect.isfunction(obj):
+            private = [p for p in inspect.signature(obj).parameters if p.startswith("_")]
+            assert not private, (name, private)
