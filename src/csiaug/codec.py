@@ -13,11 +13,14 @@ The fit is one eigendecomposition of the training scatter matrix, kept
 as a :class:`Spectrum`: dsyevr's own steps, with the back-transformation
 cut to the blocks of eigenvectors a codec keeps.  The mean and the scatter
 matrix are summed in one pass of the sample stream, a block of feature rows
-at a time, so a fit holds two feature_dim x feature_dim arrays whatever the
-sample count.  The eigenvectors stay in the column-major layout LAPACK
-returns, which is also the layout of a codec's basis and of the ``.csic``
-payload, and the basis at any ratio is a prefix of their columns, so one
-eigendecomposition serves every ratio of a training set.  Each block of
+at a time, so whatever the sample count a fit holds the scatter matrix's
+lower triangle, the half LAPACK reads, on 4 KiB pages (about 5/8 of a
+feature_dim x feature_dim array), then the feature_dim x feature_dim
+eigenvectors ``dstemr`` writes.  The eigenvectors stay in the column-major
+layout LAPACK returns, which is also the layout of a codec's basis and of
+the ``.csic`` payload, and the basis at any ratio is a prefix of their
+columns, so one eigendecomposition serves every ratio of a training set.
+Each block of
 columns is back-transformed in its own call, so a column has the same bits
 however many the fit keeps.  :func:`fit_codec` remembers the widest codec
 it served for the last ``Dataset`` object, and a repeat fit of that object
@@ -34,11 +37,13 @@ finite).  Evaluation streams too, keeping 16 bytes a sample.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
+import mmap
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -297,7 +302,9 @@ def _eigh(cov: np.ndarray, columns: int | None = None) -> tuple[np.ndarray, np.n
     kept = n if columns is None else min(n, -(-columns // _VECTOR_BLOCK) * _VECTOR_BLOCK)
     # LAPACK writes n * n doubles from this pointer: only a writeable, aligned,
     # C-contiguous float64 square matrix may be solved in place.  The largest
-    # entry of the buffer bounds that of the triangle; a NaN or an infinity lies outside.
+    # entry of the buffer bounds that of the triangle, since _fit leaves the
+    # other half zero (reading its unwritten pages maps no memory); a NaN or an
+    # infinity lies outside.
     largest = np.maximum(cov.max(), -cov.min())
     if (blas is None or cov.dtype != np.float64 or cov.shape != (n, n) or not cov.flags.carray
             or not (largest == 0 or _RMIN <= largest <= _RMAX)):
@@ -358,6 +365,35 @@ def _blocks(train: _Stream, block: np.ndarray) -> Iterator[np.ndarray]:
         yield block[:filled]
 
 
+@functools.cache
+def _madvise() -> Callable[[int, int, int], int] | None:
+    """libc's ``madvise``, or None on a platform without it or without
+    ``MADV_NOHUGEPAGE`` (macOS, Windows)."""
+    if not hasattr(mmap, "MADV_NOHUGEPAGE"):
+        return None
+    try:
+        madvise = ctypes.CDLL(None).madvise
+    except (AttributeError, OSError, TypeError):
+        return None
+    madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    madvise.restype = ctypes.c_int
+    return madvise
+
+
+def _small_pages(array: np.ndarray) -> None:
+    """Advise the whole pages of ``array``'s buffer to stay small, before
+    anything writes them, so that writing one triangle of a matrix leaves the
+    pages wholly above it unmapped.  NumPy asks for 2 MiB pages for every
+    large array, and one write makes a whole such page resident.  This is
+    only advice: without the call, or if it fails, nothing changes but the
+    resident size."""
+    madvise = _madvise()
+    start = -(-array.ctypes.data // mmap.PAGESIZE) * mmap.PAGESIZE
+    end = (array.ctypes.data + array.nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
+    if madvise is not None and end > start:
+        madvise(start, end - start, mmap.MADV_NOHUGEPAGE)
+
+
 def _fit(train: _Stream, columns: int | None = None) -> Spectrum:
     """Spectrum of the samples ``train`` serves, judged from its fields first,
     keeping the eigenvectors of the top ``columns`` in whole blocks (all if
@@ -367,19 +403,24 @@ def _fit(train: _Stream, columns: int | None = None) -> Spectrum:
     at a time, so the fit holds the scatter matrix, one block and one chunk
     whatever the count, then the scatter's buffer and the n x n column-major
     eigenvectors ``dstemr`` writes, whose kept columns the spectrum keeps as
-    they are.  Each
-    block is summed in the order ``x.sum(axis=0)`` does, the running sum in
-    the row before the block, so the mean has the bits of ``x.mean(axis=0)``.
+    they are.  Only the scatter's lower triangle is ever written, and its
+    buffer is advised onto 4 KiB pages first, so the pages wholly above the
+    diagonal, about 3/8 of them, stay unmapped.  Each block is summed in the
+    order ``x.sum(axis=0)`` does, the running sum in the row before the
+    block, so the mean has the bits of ``x.mean(axis=0)``.
     It is then centred on a fixed shift, the first block's mean, and added
     into the lower triangle of the scatter matrix, with ``dsyrk`` where NumPy
-    bundles it.  One rank-1 term moves the shifted scatter to the mean (Chan,
-    Golub and LeVeque, "Algorithms for computing the sample variance",
-    Am. Stat. 37, 1983).
+    bundles it.  One rank-1 term, taken away row by row within the triangle,
+    moves the shifted scatter to the mean (Chan, Golub and LeVeque,
+    "Algorithms for computing the sample variance", Am. Stat. 37, 1983).
+    Without ``dsyrk``, block products add to both triangles, and
+    ``np.linalg.eigh`` reads the lower one.
     """
     _check_train(train.domain, train.count)
     n, dim = train.count, 2 * train.rows * train.cols
     rows = np.zeros((min(n, _block_samples(dim)) + 1, dim))
     blas, cov, shift = _blas(), np.zeros((dim, dim)), None
+    _small_pages(cov)
     for block in _blocks(train, rows[1:]):
         rows[0] = np.add.reduce(rows[:len(block) + 1], axis=0)
         if shift is None:
@@ -395,10 +436,13 @@ def _fit(train: _Stream, columns: int | None = None) -> Spectrum:
     mean = rows[0] / n
     del rows, block
     offset = math.sqrt(n) * (mean - shift)
-    cov -= np.outer(offset, offset)
-    cov /= n - 1
+    # Row by row within the triangle, so no write reaches the pages above it.
+    for i in range(dim):
+        row = cov[i, :i + 1]
+        row -= offset[i] * offset[:i + 1]
+        row /= n - 1
     values, vectors = _eigh(cov, columns)
-    del cov
+    del cov, row  # row is a view that keeps the buffer alive
     values, vectors = values[::-1], vectors[:, ::-1]
     _fix_signs(vectors)
     for array in (mean, values, vectors):

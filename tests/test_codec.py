@@ -454,9 +454,11 @@ def test_fit_peak_memory_does_not_grow(empty_memo, ratio):
 
 def test_fit_memory_does_not_grow_with_count(empty_memo):
     # The fit holds the scatter matrix and one block of features, then the
-    # scatter's buffer and dstemr's eigenvectors: two d x d arrays whatever
-    # the count. Holding the 4800 x 512 float64 features, 19.7 MB, it peaked
-    # at 21.8 MB here, 4.8 times its peak at 600 samples.
+    # scatter's buffer and dstemr's eigenvectors: two d x d arrays allocated
+    # whatever the count (tracemalloc counts the scatter's whole buffer,
+    # though only its lower triangle is written). Holding the 4800 x 512
+    # float64 features, 19.7 MB, it peaked at 21.8 MB here, 4.8 times its
+    # peak at 600 samples.
     dim = 2 * 16 * 16
     small, large = traced_fit_peak("1/4"), traced_fit_peak("1/4", 4800)
     assert large <= 1.1 * small, (small, large)
@@ -519,6 +521,22 @@ def test_blocked_scatter_matches_the_whole_set(monkeypatch, case):
         assert np.abs(cov - scatter).max() <= 1e-13 * np.abs(scatter).max()
         got.append(codec_bytes(spectrum.codec(1)))
     assert got[0] == got[1] == got[2]
+
+
+@pytest.mark.skipif(codec_module._blas() is None, reason="needs the bundled BLAS and LAPACK")
+def test_fit_writes_no_scatter_entry_above_the_diagonal(monkeypatch):
+    # dsyrk adds to the lower triangle and dsytrd reads only it; the rank-1
+    # downdate and the scaling stay inside it too, so no page wholly above
+    # it is ever written. Blocks of 8 of the 40 samples give a shift other
+    # than the mean, so the downdate is not zero.
+    dim = 2 * 4 * 3
+    monkeypatch.setattr(codec_module, "_BLOCK_BYTES", 8 * 8 * dim)
+    eigh, seen = codec_module._eigh, []
+    monkeypatch.setattr(codec_module, "_eigh", lambda m, k: seen.append(m.copy()) or eigh(m, k))
+    codec_module._fit(_stream(random_dataset(40, 4, 3, seed=34)))
+    (cov,) = seen
+    assert not np.triu(cov, 1).any()
+    assert cov[np.tril_indices(dim)].all()
 
 
 # Compares _eigh with np.linalg.eigh on scatter matrices of full rank and
