@@ -9,8 +9,8 @@ a methods-by-ratios grid, and ``sweep`` runs the delay-gap studies:
 per trial, a codec fitted on the plain training set and one per value of
 the method's one parameter, evaluated on one test set, the sets read
 from ``--train``/``--test`` files (one trial) or drawn from scenarios.
-``fit``, ``eval`` and ``sweep`` read their files a chunk at a time; ``sweep``
-reads them again for each pass and never holds an augmented set.
+``sweep`` reads its files again for each pass and never holds an augmented
+set.
 
 Exit codes: 0 on success, 2 for usage errors (bad flags, flag
 combinations, flag values out of range whatever the input holds, or an
@@ -22,9 +22,8 @@ read, so a shift or block size it rejects is a usage error even where the
 method ignores it; a file source mixed with a scenario source is a usage
 error too.  ``sweep`` judges its scenarios against the flags before the
 first draw, and its test set against its training set and the ratio
-against the feature dimension before the first fit.  Artifacts are
-written atomically without timestamps, so reruns with the same inputs
-and seeds are byte-identical.
+against the feature dimension before the first fit.  Reruns with the
+same inputs and seeds write byte-identical artifacts.
 """
 
 from __future__ import annotations

@@ -9,29 +9,23 @@ comparable to theirs, but the question the toolkit asks (does a
 training-set augmentation close a train/test distribution gap?) only
 needs a compressor whose quality depends on its training distribution.
 
-The fit is one eigendecomposition of the training scatter matrix, kept
-as a :class:`Spectrum`: dsyevr's own steps, with the back-transformation
-cut to the blocks of eigenvectors a codec keeps.  The mean and the scatter
-matrix are summed in one pass of the sample stream, a block of feature rows
-at a time, so whatever the sample count a fit holds the scatter matrix's
-lower triangle, the half LAPACK reads, on 4 KiB pages (about 5/8 of a
-feature_dim x feature_dim array), then the feature_dim x feature_dim
-eigenvectors ``dstemr`` writes.  The eigenvectors stay in the column-major
-layout LAPACK returns, which is also the layout of a codec's basis and of
-the ``.csic`` payload, and the basis at any ratio is a prefix of their
-columns, so one eigendecomposition serves every ratio of a training set.
-Each block of
-columns is back-transformed in its own call, so a column has the same bits
-however many the fit keeps.  :func:`fit_codec` remembers the widest codec
-it served for the last ``Dataset`` object, and a repeat fit of that object
-at no wider a ratio serves a read-only view of that codec's leading
-columns.  The codec, never the spectrum, is held until that dataset
-is collected.
+A fit computes the training mean and the sign-fixed eigenvectors of the
+training covariance in descending eigenvalue order (a :class:`Spectrum`);
+the basis at any ratio is a prefix of their columns.  The eigenvectors are
+back-transformed in blocks of a fixed width, so a codec has the same bytes
+at every ratio and in any call order.  Whatever the sample count, a fit
+holds the scatter matrix's lower triangle on 4 KiB pages, one block of
+features and one chunk, then the feature_dim x feature_dim eigenvectors,
+never the complex training set.  :func:`fit_codec` holds only the widest
+codec it served for the last ``Dataset`` object, and serves a repeat fit of
+that object at no wider a ratio as a read-only view of it, with the bytes
+of a fresh fit.
 
 Reconstruction quality is the usual normalized mean square error,
 ``mean ||X - X_hat||^2_F / ||X||^2_F`` over samples, reported both
 linear and in dB (floored at -300 dB so perfect reconstructions stay
-finite).  Evaluation streams too, keeping 16 bytes a sample.
+finite); one that overflows float64 is an error, never a NaN or an
+infinity.  Evaluation streams, keeping 16 bytes a sample.
 """
 
 from __future__ import annotations
@@ -82,6 +76,8 @@ def parse_ratio(value: Fraction | str | int) -> Fraction:
 
 def to_db(linear: float) -> float:
     """10*log10 with the report floor applied; 0 maps to the floor."""
+    if not math.isfinite(linear):
+        raise ValueError(f"linear NMSE must be finite, got {linear}")
     if linear < 0:
         raise ValueError(f"linear NMSE cannot be negative, got {linear}")
     if linear == 0:
@@ -515,14 +511,23 @@ def reconstruct_batch(codec: LinearCodec, samples: np.ndarray) -> np.ndarray:
 
 
 def _errors(ref: np.ndarray, rec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each sample's squared error ``||rec - ref||^2`` and energy ``||ref||^2``."""
-    return np.sum(np.abs(rec - ref) ** 2, axis=(1, 2)), np.sum(np.abs(ref) ** 2, axis=(1, 2))
+    """Each sample's squared error ``||rec - ref||^2`` and energy ``||ref||^2``;
+    one that overflows is inf, which :func:`_nmse` rejects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sum(np.abs(rec - ref) ** 2, axis=(1, 2)), np.sum(np.abs(ref) ** 2, axis=(1, 2))
 
 
 def _nmse(error: np.ndarray, energy: np.ndarray) -> tuple[float, float]:
+    """The (linear, dB) NMSE of per-sample errors and energies, the last step
+    of every evaluation; a ``ValueError`` rather than a NaN or an infinity."""
+    if not (np.all(np.isfinite(error)) and np.all(np.isfinite(energy))):
+        raise ValueError("a sample's squared error or energy overflows float64; NMSE is undefined")
     if np.any(energy == 0.0):
         raise ValueError("reference contains an all-zero sample; NMSE is undefined")
-    linear = float(np.mean(error / energy))
+    with np.errstate(over="ignore"):
+        linear = float(np.mean(error / energy))
+    if not math.isfinite(linear):
+        raise ValueError("NMSE overflows float64: a sample's error is too large for its energy")
     return linear, to_db(linear)
 
 
@@ -566,7 +571,10 @@ class EvalReport(Record):
             raise ValueError(f"ratio must be in lowest terms, like '1/4', got {self.ratio!r}")
         object.__setattr__(self, "sample_count", check_int(self.sample_count, "sample_count"))
         for name in ("nmse_linear", "nmse_db", "db_floor"):
-            object.__setattr__(self, name, check_real(getattr(self, name), name))
+            value = check_real(getattr(self, name), name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "codec_info", check_object(self.codec_info, "codec_info"))
         if self.test_provenance is not None:
             provenance = check_object(self.test_provenance, "test_provenance")

@@ -9,6 +9,7 @@ read-only NumPy arrays, so instances can be shared freely.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
@@ -66,8 +67,7 @@ class AngularDelayMatrix:
             raise ValueError(
                 f"angular-delay matrix must have at least one row and column, got {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("angular-delay matrix entries must be finite")
+        _check_entries(vals, "angular-delay matrix entries")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -87,6 +87,27 @@ class AngularDelayMatrix:
         if not isinstance(other, AngularDelayMatrix):
             return NotImplemented
         return _same_bits(self.values, other.values)
+
+
+# A complex entry's modulus is at most √2 times its larger part, so below this
+# bound on every part no modulus overflows float64.
+_MODULUS_BOUND = np.finfo(np.float64).max / math.sqrt(2)
+
+
+def _check_entries(vals: np.ndarray, name: str) -> None:
+    """``ValueError`` naming ``name`` unless every entry of the complex128
+    array ``vals``, contiguous in some axis order, is finite and so is its
+    modulus, which the polar split of an augmentation takes.  The bound test
+    reads the parts without a temporary and a NaN fails it; only an entry
+    above it pays for the exact one."""
+    parts = np.ravel(vals, order="K").view(np.float64)
+    if parts.max(initial=0.0) <= _MODULUS_BOUND and -parts.min(initial=0.0) <= _MODULUS_BOUND:
+        return
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{name} must be finite")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(np.abs(vals))):
+            raise ValueError(f"{name} must have a modulus that float64 holds")
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -282,8 +303,7 @@ class Dataset:
             raise ValueError(f"samples must be a (count, rows, cols) array, got shape {vals.shape}")
         if vals.shape[1] < 1 or vals.shape[2] < 1:
             raise ValueError(f"sample shape must be at least 1x1, got {vals.shape[1:]}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("dataset samples must be finite")
+        _check_entries(vals, "dataset samples")
         vals.flags.writeable = False
         object.__setattr__(self, "samples", vals)
         if not isinstance(self.domain, Domain):

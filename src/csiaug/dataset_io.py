@@ -26,18 +26,11 @@ copy, and the reader's codec adopts the payload buffer it read into.
 Storage quantizes complex values once to 32-bit floats; reading never
 re-quantizes, so write -> read -> write reproduces files byte for byte.
 The reader is a source and the writer a sink of the one sample stream
-(``core._Stream``), whose chunks hold about 8 MiB of complex128 samples
-and pass through one reused float32 buffer: a dataset read holds the
-dataset's own complex128 array plus one chunk, a write one float32 chunk,
-and a stream from source to file (``csiaug gen``, ``csiaug transform``,
-``csiaug augment``) a few chunks whatever the sample count.  A reader
-serves its payload from the first sample on each call, so ``augment`` reads
-it twice in append mode.  ``csiaug fit`` reads it once, for the mean and
-the scatter matrix together, and holds one block of features and one chunk,
-never the complex training set or its feature matrix; ``csiaug eval`` holds
-one chunk, and ``csiaug sweep`` reads both its files again for each pass.
-All writes go through a temp file plus rename, so a crashed run never
-leaves a half-written artifact at the target path.
+(``core._Stream``), and each chunk passes through one reused float32
+buffer: a dataset read holds the dataset's own complex128 array plus one
+chunk, and a write one float32 chunk.  A reader serves its payload from the
+first sample on each call.  All writes go through a temp file plus rename,
+so a crashed run never leaves a half-written artifact at the target path.
 
 Every JSON artifact (provenance sidecars, eval reports, scenario files,
 sweep and study summaries) is one object written by :func:`write_record`

@@ -86,6 +86,9 @@ def test_to_db():
     assert to_db(1e-40) == DB_FLOOR
     with pytest.raises(ValueError, match="negative"):
         to_db(-1e-9)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="must be finite"):
+            to_db(value)
 
 
 def test_features_layout_and_inverse():
@@ -771,6 +774,21 @@ def test_nmse_validation():
     empty = angular_dataset(np.zeros((0, 2, 2)))
     with pytest.raises(ValueError, match="empty"):
         nmse(empty, empty)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nmse_rejects_an_error_or_energy_that_overflows():
+    # Squares of entries near 1e160 overflow float64: NaN or inf, never a report.
+    ds = random_dataset(20, 4, 4, seed=16)
+    codec = fit_codec(ds, "1/4")
+    with pytest.raises(ValueError, match="overflows float64"):
+        evaluate(codec, angular_dataset(ds.samples[:5] * 1e160))
+    big = angular_dataset(ds.samples * 1e155)
+    with pytest.raises(ValueError, match="overflows float64"):
+        nmse(big, angular_dataset(1.5 * big.samples))
+    # Each sum is finite, but the error is too large for a subnormal energy.
+    with pytest.raises(ValueError, match="overflows float64"):
+        nmse(angular_dataset(ds.samples * 1e-160), ds)
 
 
 def test_evaluate_produces_full_report():

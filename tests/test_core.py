@@ -51,6 +51,20 @@ def test_matrix_validation_rejects_non_finite():
         AngularDelayMatrix(np.array([[np.inf + 0j]]))
 
 
+def test_constructors_reject_an_entry_whose_modulus_overflows():
+    # Each part is finite, but |1.5e308 + 1.5e308j| lies above the float64 range.
+    big = np.full((2, 2), 1.5e308 + 1.5e308j)
+    with pytest.raises(ValueError, match="angular-delay matrix entries must have a modulus"):
+        AngularDelayMatrix(big)
+    with pytest.raises(ValueError, match="dataset samples must have a modulus"):
+        Dataset(big[None], Domain.ANGULAR_DELAY)
+    # Above the bound on the parts but with a modulus float64 holds: accepted,
+    # and the polar split is finite.
+    amplitude, _ = decompose(AngularDelayMatrix(np.full((2, 2), 1.3e308 + 1e308j)))
+    assert np.all(np.isfinite(amplitude))
+    Dataset(np.full((1, 2, 2), -1.7e308 + 0j), Domain.ANGULAR_DELAY)
+
+
 def test_matrices_are_immutable_copies():
     src = np.ones((2, 2), dtype=complex)
     m = AngularDelayMatrix(src)

@@ -1,6 +1,8 @@
 """Tests for the binary dataset/codec containers and JSON artifacts."""
 
+import dataclasses
 import json
+import math
 import os
 import re
 import stat
@@ -569,6 +571,14 @@ def test_report_round_trip(tmp_path):
         path.write_text(json.dumps({**report.to_dict(), field: value}))
         with pytest.raises(FileFormatError, match=f"{field} must be a number"):
             read_report(path)
+    # json reads NaN and Infinity, which are not standard JSON; a report rejects them.
+    for field in ("nmse_linear", "nmse_db", "db_floor"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                dataclasses.replace(report, **{field: value})
+            path.write_text(json.dumps({**report.to_dict(), field: value}))
+            with pytest.raises(FileFormatError, match=f"{field} must be finite"):
+                read_report(path)
     write_report(report, path)
     path.write_text(path.read_text()[:-10])
     with pytest.raises(FileFormatError, match="not UTF-8 JSON"):
