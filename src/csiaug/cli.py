@@ -71,6 +71,9 @@ _FLAG_RANGES = (
     ("test_count", 1, _U32),
     ("trials", 1, 50),
 )
+# The flags only a scenario sweep reads, with their defaults; a file sweep
+# given any of them is a usage error.
+_SCENARIO_FLAGS = {"train_count": 2000, "test_count": 500, "na": 32, "trials": 5}
 
 
 class UsageError(Exception):
@@ -142,10 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
     test.add_argument("--test-scenario", help="test scenario JSON, drawn per trial")
     test.add_argument("--gap-bins", type=float,
                       help="test scenario: the training one, delay range shifted by this")
-    sw.add_argument("--train-count", type=int, default=2000, help="training samples (scenario)")
-    sw.add_argument("--test-count", type=int, default=500, help="test samples (scenario)")
-    sw.add_argument("--na", type=int, default=32, help="delay rows kept (scenario)")
-    sw.add_argument("--trials", type=int, default=5, help="independent trials (scenario)")
+    for flag, what in (("train_count", "training samples"), ("test_count", "test samples"),
+                       ("na", "delay rows kept"), ("trials", "independent trials")):
+        sw.add_argument("--" + flag.replace("_", "-"), type=int,
+                        help=f"{what} (scenario only, default {_SCENARIO_FLAGS[flag]})")
     sw.add_argument("--method", required=True, choices=[m.value for m in AugmentMethod])
     sw.add_argument("--values", required=True, help="block sizes (rg) or shifts, e.g. 0,1,2,3")
     sw.add_argument("--ratio", required=True, help="compression ratio, e.g. 1/4")
@@ -354,6 +357,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if (args.train is None) != (args.test is None):
         raise UsageError("--train and --test are files; a --train-scenario takes "
                          "--test-scenario or --gap-bins")
+    for flag, default in _SCENARIO_FLAGS.items():
+        if args.train is None and getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif args.train is not None and getattr(args, flag) is not None:
+            raise UsageError(f"--{flag.replace('_', '-')} sizes a scenario sweep; "
+                             "a sweep of --train and --test files takes them as they are")
     specs = None if args.train is not None else _sweep_scenarios(args, ratio)
     mode = AugmentMode(args.mode)
     trials: list[dict[str, Any]] = []

@@ -24,8 +24,9 @@ of a fresh fit.
 Reconstruction quality is the usual normalized mean square error,
 ``mean ||X - X_hat||^2_F / ||X||^2_F`` over samples, reported both
 linear and in dB (floored at -300 dB so perfect reconstructions stay
-finite); one that overflows float64 is an error, never a NaN or an
-infinity.  Evaluation streams, keeping 16 bytes a sample.
+finite) and exact at any scale of the data; one that overflows float64
+is an error, never a NaN or an infinity.  Evaluation streams, keeping 16
+bytes a sample.
 """
 
 from __future__ import annotations
@@ -511,10 +512,20 @@ def reconstruct_batch(codec: LinearCodec, samples: np.ndarray) -> np.ndarray:
 
 
 def _errors(ref: np.ndarray, rec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each sample's squared error ``||rec - ref||^2`` and energy ``||ref||^2``;
-    one that overflows is inf, which :func:`_nmse` rejects."""
+    """Each sample's squared error ``||rec - ref||^2`` and energy ``||ref||^2``,
+    both scaled by ``4^-k``, where ``2^k`` bounds the sample's largest
+    ``|ref|``.  A power of two scales exactly, so each error/energy ratio is
+    the unscaled one, and neither squares of tiny nor of huge samples leave
+    float64; an error that still overflows is inf, which :func:`_nmse` rejects."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.sum(np.abs(rec - ref) ** 2, axis=(1, 2)), np.sum(np.abs(ref) ** 2, axis=(1, 2))
+        magnitude = np.abs(ref)
+        k = np.frexp(magnitude.max(axis=(1, 2)))[1][:, None, None]
+        np.square(np.ldexp(magnitude, -k, out=magnitude), out=magnitude)
+        energy = np.sum(magnitude, axis=(1, 2))
+        del magnitude  # freed before the difference: as many chunk-sized arrays at once as before
+        deviation = np.abs(rec - ref)
+        np.square(np.ldexp(deviation, -k, out=deviation), out=deviation)
+        return np.sum(deviation, axis=(1, 2)), energy
 
 
 def _nmse(error: np.ndarray, energy: np.ndarray) -> tuple[float, float]:

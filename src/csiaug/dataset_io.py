@@ -45,7 +45,6 @@ import itertools
 import json
 import os
 import struct
-import tempfile
 import warnings
 from contextlib import contextmanager
 from fractions import Fraction
@@ -87,16 +86,15 @@ def atomic_write_bytes(path: str | Path, chunks: Iterable[Any]) -> None:
     ``chunks`` may be a generator: an exception it raises removes the temp
     file and leaves the target as it was.
 
-    The file gets the mode ``open(path, "wb")`` would give a new file,
-    ``0o666`` less the umask, not the temp file's ``0o600``.
+    The temp file, beside the target under a random name, is created
+    exclusively by ``open(tmp, "xb")``, so the file gets the mode
+    ``open(path, "wb")`` would give a new file: ``0o666`` less the umask.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)

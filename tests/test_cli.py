@@ -20,7 +20,7 @@ from csiaug import (
 from csiaug.channel import ScenarioSpec, save_scenario
 from csiaug.codec import EvalReport, features
 from csiaug.core import Dataset, Domain, Provenance
-from csiaug.dataset_io import read_dataset, read_report, write_dataset, write_report
+from csiaug.dataset_io import read_codec, read_dataset, read_report, write_dataset, write_report
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +120,10 @@ def test_reruns_are_byte_identical(workspace, tmp_path):
     )
     assert code == 0
     assert (tmp_path / "sweep.json").read_bytes() == (workspace / "sweep.json").read_bytes()
+    # The library evaluation writes the report csiaug eval wrote, byte for byte.
+    aug, test = read_codec(workspace / "aug.csic"), read_dataset(workspace / "test_ang.csia")
+    write_report(evaluate(aug, test, label="bs-down"), tmp_path / "lib.json")
+    assert (tmp_path / "lib.json").read_bytes() == (workspace / "aug.json").read_bytes()
 
 
 def report_file(tmp_path, name, label, ratio, db):
@@ -209,6 +213,12 @@ USAGE_CASES = [
     ["transform", "--in", "x.csia", "--out", "y.csia"],  # angular-delay input without --nc
     ["augment", "--in", "x.csia", "--method", "bs-up", "--out", "y.csia"],  # no --shift
     ["augment", "--in", "x.csia", "--method", "rg", "--out", "y.csia"],  # no --block
+    # a file sweep takes its sets as they are: a scenario-only flag, judged
+    # before the missing training file is read
+    *(["sweep", "--train", "missing.csia", "--test", "x.csia", "--method", "bs-down",
+       "--values", "1", "--ratio", "1/4", flag, value, "--out", "y.csia"]
+      for flag, value in (("--trials", "7"), ("--train-count", "99"),
+                          ("--test-count", "9"), ("--na", "9"))),
 ]
 
 
@@ -403,7 +413,8 @@ def test_transform_inverse_requires_nc(workspace, capsys):
 
 
 @pytest.mark.parametrize(
-    "method,values,param", [("rg", "2,3", "block"), ("bs-up", "0,1", "shift")])
+    "method,values,param",
+    [("rg", "2,3", "block"), ("bs-up", "0,1", "shift"), ("md", "0,1", "shift")])
 def test_sweep_param_follows_method(workspace, tmp_path, capsys, method, values, param):
     out = tmp_path / "sweep.json"
     argv = ["sweep", "--train", str(workspace / "train_ang.csia"),

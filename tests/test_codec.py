@@ -760,6 +760,12 @@ def test_nmse_analytic_values():
     linear, db = nmse(ds, halved)
     assert abs(linear - 0.25) < 1e-12
     assert abs(db + 6.0206) < 1e-4
+    # Exact at any scale, even where the entries' squares are subnormal
+    # (1e-160) or zero (1e-170).
+    x = random_dataset(4, 3, 3, seed=13).samples
+    for scale in (1e-160, 1e-170):
+        linear, _ = nmse(angular_dataset(x * scale), angular_dataset(1.5 * x * scale))
+        assert linear == pytest.approx(0.25, rel=1e-12), scale
 
 
 def test_nmse_validation():
@@ -778,15 +784,18 @@ def test_nmse_validation():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nmse_rejects_an_error_or_energy_that_overflows():
-    # Squares of entries near 1e160 overflow float64: NaN or inf, never a report.
+    # Squares of entries near 1e160 overflow float64, but each sample is
+    # scaled by a power of two before squaring: the NMSE is the one at scale 1.
     ds = random_dataset(20, 4, 4, seed=16)
     codec = fit_codec(ds, "1/4")
-    with pytest.raises(ValueError, match="overflows float64"):
-        evaluate(codec, angular_dataset(ds.samples[:5] * 1e160))
+    huge = evaluate(codec, angular_dataset(ds.samples[:5] * 1e160)).nmse_linear
+    # At 1e160 the mean lies below one ulp of every entry: only the basis acts.
+    centred = LinearCodec(4, 4, "1/4", np.zeros_like(codec.mean), codec.basis)
+    plain = evaluate(centred, angular_dataset(ds.samples[:5])).nmse_linear
+    assert huge == pytest.approx(plain, rel=1e-12)
     big = angular_dataset(ds.samples * 1e155)
-    with pytest.raises(ValueError, match="overflows float64"):
-        nmse(big, angular_dataset(1.5 * big.samples))
-    # Each sum is finite, but the error is too large for a subnormal energy.
+    assert nmse(big, angular_dataset(1.5 * big.samples))[0] == pytest.approx(0.25, rel=1e-12)
+    # The energy is subnormal and the error near 1: their ratio overflows.
     with pytest.raises(ValueError, match="overflows float64"):
         nmse(angular_dataset(ds.samples * 1e-160), ds)
 
@@ -848,6 +857,6 @@ def test_streamed_evaluation_errors_equal_one_whole_batch(ratio):
         test = angular_dataset(samples[:count])
         ref = test.samples
         error, energy = codec_module._sample_errors(codec, _stream(test))
-        whole = np.sum(np.abs(reconstruct_batch(codec, ref) - ref) ** 2, axis=(1, 2))
-        assert error.tobytes() == whole.tobytes(), count
-        assert energy.tobytes() == np.sum(np.abs(ref) ** 2, axis=(1, 2)).tobytes(), count
+        whole = codec_module._errors(ref, reconstruct_batch(codec, ref))
+        assert error.tobytes() == whole[0].tobytes(), count
+        assert energy.tobytes() == whole[1].tobytes(), count

@@ -435,13 +435,20 @@ def test_atomic_writes_leave_no_temp_files(tmp_path):
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
-def test_new_artifacts_get_the_umask_default_mode(tmp_path, umask, mode):
-    # As open(path, "wb") would create them, not with the temp file's 0o600.
+def test_new_artifacts_get_the_umask_default_mode(tmp_path, monkeypatch, umask, mode):
+    # As open(path, "wb") would create them, and without reading the umask:
+    # os.umask sets it too, so reading it leaves the process a window
+    # in which files another thread creates are not masked.
+    def no_umask(mask):
+        raise AssertionError("a write must not call os.umask")
+
     old = os.umask(umask)
     try:
-        write_dataset(float32_dataset(), tmp_path / "new.csia")
-        write_codec(fitted_codec(), tmp_path / "new.csic")
-        write_record(tmp_path / "new.json", {"a": 1})
+        with monkeypatch.context() as m:
+            m.setattr(os, "umask", no_umask)
+            write_dataset(float32_dataset(), tmp_path / "new.csia")
+            write_codec(fitted_codec(), tmp_path / "new.csic")
+            write_record(tmp_path / "new.json", {"a": 1})
     finally:
         os.umask(old)
     for path in tmp_path.iterdir():

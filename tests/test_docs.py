@@ -1,7 +1,11 @@
-"""The README cites only files that exist in the checkout."""
+"""The README cites only files that exist in the checkout, and its quick
+tour is the one the package docstring shows."""
 
 import re
+import textwrap
 from pathlib import Path
+
+import csiaug
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -42,3 +46,10 @@ def test_every_repository_path_the_readme_cites_exists():
     cited = cited_paths(README)
     assert cited, "the README cites no repository path"
     assert sorted(path for path in cited if not (ROOT / path).exists()) == []
+
+
+def test_package_docstring_quick_tour_is_the_readmes():
+    # CI runs the README's first python block; the docstring carries a copy.
+    readme = re.search(r"^```python\n(.*?)^```", README, re.S | re.M).group(1)
+    doc = re.search(r"::\n\n((?:    .*\n|\n)+)", csiaug.__doc__).group(1)
+    assert textwrap.dedent(doc).strip() == readme.strip()
