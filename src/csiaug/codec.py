@@ -16,10 +16,10 @@ back-transformed in blocks of a fixed width, so a codec has the same bytes
 at every ratio and in any call order.  Whatever the sample count, a fit
 holds the scatter matrix's lower triangle on 4 KiB pages, one block of
 features and one chunk, then the feature_dim x feature_dim eigenvectors,
-never the complex training set.  :func:`fit_codec` holds only the widest
-codec it served for the last ``Dataset`` object, and serves a repeat fit of
-that object at no wider a ratio as a read-only view of it, with the bytes
-of a fresh fit.
+never the complex training set.  A ``Dataset`` that :func:`fit_codec`
+fitted holds the widest codec fitted on it, never the spectrum, until it is
+collected; a repeat fit of that object at no wider a ratio is a read-only
+view of that codec, with the bytes of a fresh fit.
 
 Reconstruction quality is the usual normalized mean square error,
 ``mean ||X - X_hat||^2_F / ||X||^2_F`` over samples, reported both
@@ -35,7 +35,6 @@ import ctypes
 import functools
 import math
 import mmap
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterator, Mapping
@@ -244,20 +243,6 @@ class Spectrum:
         return float(self.values[:components].sum()) / total if total > 0 else 1.0
 
 
-# (Weak reference to the last dataset fit_codec fitted, the widest codec it
-# served for it), or None.  Sound because a Dataset is frozen and its samples
-# are read-only; the reference's callback empties the slot when the dataset is
-# collected, so a recycled id() never hits and no dataset is kept alive.  One
-# tuple is written, so a reader never pairs a dataset with another's codec.
-_last_fit: tuple[weakref.ref, LinearCodec] | None = None
-
-
-def _forget(ref: weakref.ref) -> None:
-    global _last_fit
-    if _last_fit is not None and _last_fit[0] is ref:
-        _last_fit = None
-
-
 def _check_train(domain: Domain, n: int) -> None:
     if domain is not Domain.ANGULAR_DELAY:
         raise ValueError(f"codec training expects angular-delay samples, got {domain.value}")
@@ -277,11 +262,11 @@ _RMIN = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 _RMAX = min(1 / _RMIN, 1 / math.sqrt(math.sqrt(np.finfo(np.float64).tiny)))
 
 
-def _eigh(cov: np.ndarray, columns: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _eigh(cov: np.ndarray, columns: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh(cov)`` of the lower triangle: all eigenvalues in
-    ascending order and the eigenvectors of the top ``columns`` (all if
-    ``None``), rounded up to whole blocks of ``_VECTOR_BLOCK`` counted from
-    the top, column-major.  A C-ordered float64 ``cov`` is the workspace.
+    ascending order and the eigenvectors of the top ``columns``, rounded up
+    to whole blocks of ``_VECTOR_BLOCK`` counted from the top, column-major.
+    A C-ordered float64 ``cov`` is the workspace.
 
     These are dsyevr's own steps, run in the buffer of ``cov``, whose lower
     triangle is the upper one read column-major: ``dsytrd`` reduces it to
@@ -296,7 +281,7 @@ def _eigh(cov: np.ndarray, columns: int | None = None) -> tuple[np.ndarray, np.n
     non-finite entry as it always did.  A step that fails raises ``LinAlgError``.
     """
     blas, n = _blas(), len(cov)
-    kept = n if columns is None else min(n, -(-columns // _VECTOR_BLOCK) * _VECTOR_BLOCK)
+    kept = min(n, -(-columns // _VECTOR_BLOCK) * _VECTOR_BLOCK)
     # LAPACK writes n * n doubles from this pointer: only a writeable, aligned,
     # C-contiguous float64 square matrix may be solved in place.  The largest
     # entry of the buffer bounds that of the triangle, since _fit leaves the
@@ -391,10 +376,9 @@ def _small_pages(array: np.ndarray) -> None:
         madvise(start, end - start, mmap.MADV_NOHUGEPAGE)
 
 
-def _fit(train: _Stream, columns: int | None = None) -> Spectrum:
+def _fit(train: _Stream, columns: int) -> Spectrum:
     """Spectrum of the samples ``train`` serves, judged from its fields first,
-    keeping the eigenvectors of the top ``columns`` in whole blocks (all if
-    ``None``).
+    keeping the eigenvectors of the top ``columns`` in whole blocks.
 
     One pass over the stream fills a block of a fixed number of feature rows
     at a time, so the fit holds the scatter matrix, one block and one chunk
@@ -457,7 +441,8 @@ def fit_spectrum(train: Dataset) -> Spectrum:
     It back-transforms every block of eigenvectors, each in its own call,
     so each column has the bits a fit of fewer columns gives it.
     """
-    return _fit(_stream(train))
+    rows, cols = train.sample_shape
+    return _fit(_stream(train), 2 * rows * cols)
 
 
 def fit_codec(train: Dataset, ratio: Fraction | str | int) -> LinearCodec:
@@ -465,26 +450,29 @@ def fit_codec(train: Dataset, ratio: Fraction | str | int) -> LinearCodec:
 
     The basis holds the top ``round(ratio * feature_dim)`` eigenvectors
     of the sample covariance, in descending eigenvalue order: the
-    leading columns of :func:`fit_spectrum`'s vectors, bit for bit.  A miss
-    back-transforms only the blocks of eigenvectors that hold them.  A repeat call on the
-    same ``Dataset`` object at no wider a ratio serves a codec whose mean and
-    basis are read-only views of the widest codec it served for that object,
-    so a narrow codec held keeps that wider basis alive; copy it
+    leading columns of :func:`fit_spectrum`'s vectors, bit for bit.  A fit
+    back-transforms only the blocks of eigenvectors that hold them.  ``train``
+    then holds the widest codec fitted on it until it is collected, and a
+    repeat call on that object at no wider a ratio runs no eigensolve: its
+    mean and basis are read-only views of that codec's, with the bytes of a
+    fresh fit, so a narrow codec held keeps the wider basis alive; copy it
     (``LinearCodec(c.delay_bins, c.antennas, c.ratio, c.mean, c.basis)``)
-    to hold it alone.
+    to hold it alone.  A wider ratio, or any other object, even an equal
+    one, is fitted afresh.
     """
-    global _last_fit
     ratio = parse_ratio(ratio)
     rows, cols = train.sample_shape
     # Judge the ratio before a miss pays for the eigensolve.
     m = check_components(ratio, 2 * rows * cols)
     _check_train(train.domain, len(train))
-    last = _last_fit
-    if last is not None and last[0]() is train and m <= last[1].components:
-        return LinearCodec._adopt(rows, cols, ratio, last[1].mean, last[1].basis[:, :m])
-    _last_fit = last = None  # a miss holds no old codec through the eigensolve
+    widest = getattr(train, "_widest", None)
+    if widest is not None and m <= widest.components:
+        return LinearCodec._adopt(rows, cols, ratio, widest.mean, widest.basis[:, :m])
+    # A wider refit holds no narrower codec of this set through the eigensolve.
+    del widest
+    object.__setattr__(train, "_widest", None)
     codec = _fit(_stream(train), m).codec(ratio)
-    _last_fit = (weakref.ref(train, _forget), codec)
+    object.__setattr__(train, "_widest", codec)
     return codec
 
 
@@ -538,7 +526,8 @@ def _nmse(error: np.ndarray, energy: np.ndarray) -> tuple[float, float]:
     with np.errstate(over="ignore"):
         linear = float(np.mean(error / energy))
     if not math.isfinite(linear):
-        raise ValueError("NMSE overflows float64: a sample's error is too large for its energy")
+        raise ValueError("NMSE overflows float64: the mean of the samples' error/energy ratios "
+                         "is too large")
     return linear, to_db(linear)
 
 

@@ -278,7 +278,8 @@ class Dataset:
     ``samples`` is a read-only complex128 array of shape
     ``(count, rows, cols)``; the stacked layout enforces the equal-shape
     invariant.  ``domain`` says what the rows/cols mean, ``meta`` records
-    provenance.
+    provenance.  Once :func:`csiaug.codec.fit_codec` has fitted it, it also
+    holds the widest codec fitted on it, which serves narrower repeat fits.
     """
 
     samples: np.ndarray

@@ -549,6 +549,28 @@ def test_summary_pins_the_trial_protocol(tmp_path, monkeypatch, capsys, name, ex
         for p in [None, *passes]]
 
 
+def test_scenario_sweep_defaults_reach_the_trial_loop(tmp_path, monkeypatch):
+    # Without --trials, --train-count, --test-count and --na a scenario sweep
+    # runs 5 trials of 2000 training and 500 test samples at 32 delay bins.
+    # The stub stops it at the trial loop, before any set is drawn.
+    class Stop(Exception):
+        pass
+
+    seen, draws = [], []
+
+    def trials(args, ratio, specs):
+        seen.append((args.trials, args.train_count, args.test_count, args.na))
+        raise Stop
+
+    monkeypatch.setattr(cli, "_sweep_trials", trials)
+    monkeypatch.setattr(channel, "_batch_draws", lambda *a: draws.append(a))
+    out = tmp_path / "summary.json"
+    with pytest.raises(Stop):
+        cli.run([str(a) for a in ["sweep", *STUDIES["gap"], "--out", out]])
+    assert seen == [(5, 2000, 500, 32)]
+    assert draws == [] and not out.exists()
+
+
 @pytest.mark.parametrize(
     "name,extra,message",
     [

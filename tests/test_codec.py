@@ -62,6 +62,8 @@ def test_parse_ratio():
         parse_ratio(0.25)
     with pytest.raises(TypeError):
         parse_ratio(True)
+    with pytest.raises(TypeError, match="got list"):
+        parse_ratio([1, 4])
     with pytest.raises(ValueError, match="positive"):
         parse_ratio("-1/4")
     with pytest.raises(ValueError, match="positive"):
@@ -260,17 +262,11 @@ def test_fit_codec_validation():
         fit_codec(ds, 2)
 
 
-@pytest.fixture
-def empty_memo(monkeypatch):
-    """Start and end with no remembered spectrum."""
-    monkeypatch.setattr(codec_module, "_last_fit", None)
-
-
 def codec_bytes(codec):
     return codec.mean.tobytes(), codec.basis.tobytes()
 
 
-def test_ratio_bases_are_prefixes_of_the_full_basis(empty_memo):
+def test_ratio_bases_are_prefixes_of_the_full_basis():
     ds = random_dataset(40, 4, 4, seed=21)
     full = fit_codec(ds, 1)
     for ratio in ("1/16", "1/8", "1/4"):
@@ -281,7 +277,7 @@ def test_ratio_bases_are_prefixes_of_the_full_basis(empty_memo):
         assert codec.mean.tobytes() == full.mean.tobytes()
 
 
-def test_spectrum_is_descending_and_read_only(empty_memo):
+def test_spectrum_is_descending_and_read_only():
     ds = random_dataset(12, 3, 2, seed=22)
     spectrum = fit_spectrum(ds)
     assert (spectrum.rows, spectrum.cols) == (3, 2)
@@ -304,60 +300,65 @@ def counted_eighs(monkeypatch):
     return calls
 
 
-def test_memo_hit_gives_the_bytes_of_a_miss(empty_memo, monkeypatch):
-    # 1/4, 1/8 and 1/16 in that order share one eigensolve, and the memo
+def test_memo_hit_gives_the_bytes_of_a_miss(monkeypatch):
+    # 1/4, 1/8 and 1/16 in that order share one eigensolve, and the dataset
     # keeps the widest codec, not a narrower one served after it.  Each hit
-    # is a read-only view of that codec's columns, which it keeps alive.
+    # is a read-only view of that codec's columns, which it keeps alive.  An
+    # equal but distinct dataset is fitted afresh.
     ds = random_dataset(30, 4, 3, seed=23)
     spectrum = fit_spectrum(ds)
     calls = counted_eighs(monkeypatch)
     first = fit_codec(ds, "1/4")
     hits = {ratio: fit_codec(ds, ratio) for ratio in ("1/4", "1/8", "1/16")}
     assert calls == [(24, 24)]
-    assert codec_module._last_fit[1] is first
-    for hit in hits.values():
+    for hit in [fit_codec(ds, "1/4"), *hits.values()]:
         assert np.shares_memory(hit.basis, first.basis)
         with pytest.raises(ValueError, match="read-only"):
             hit.basis[0, 0] = 0.0
-    codec_module._last_fit = None
-    miss = fit_codec(ds, "1/4")
+    assert len(calls) == 1
+    equal = Dataset(ds.samples, ds.domain, ds.meta)
+    assert equal == ds
+    miss = fit_codec(equal, "1/4")
     assert len(calls) == 2
+    assert not np.shares_memory(miss.basis, first.basis)
     assert codec_bytes(hits["1/4"]) == codec_bytes(first) == codec_bytes(miss)
-    del first, miss
-    codec_module._last_fit = None
+    del first, miss, ds, equal
     gc.collect()
     for ratio, hit in hits.items():
         assert codec_bytes(hit) == codec_bytes(spectrum.codec(ratio))
 
 
-def test_a_wider_ratio_fits_again(empty_memo, monkeypatch):
+def test_a_wider_ratio_fits_again(monkeypatch):
     ds = random_dataset(30, 4, 3, seed=23)
     spectrum = fit_spectrum(ds)
     calls = counted_eighs(monkeypatch)
     fit_codec(ds, "1/8")
     wide = fit_codec(ds, "1/2")
     assert calls == [(24, 24), (24, 24)]
-    assert codec_module._last_fit[1] is wide
     assert codec_bytes(wide) == codec_bytes(spectrum.codec("1/2"))
-    assert codec_bytes(fit_codec(ds, "1/8")) == codec_bytes(spectrum.codec("1/8"))
+    narrow = fit_codec(ds, "1/8")
+    assert np.shares_memory(narrow.basis, wide.basis)
+    assert codec_bytes(narrow) == codec_bytes(spectrum.codec("1/8"))
     assert len(calls) == 2
 
 
-def test_second_dataset_evicts_the_first(empty_memo, monkeypatch):
+def test_a_second_dataset_does_not_evict_the_first(monkeypatch):
+    # One, two, one: each dataset keeps its own codec, so the third fit is a
+    # view of the first's.
     one = random_dataset(20, 3, 3, seed=24)
     two = random_dataset(20, 3, 3, seed=25)
     calls = counted_eighs(monkeypatch)
     codec_one = fit_codec(one, "1/3")
-    fit_codec(two, "1/3")
-    assert codec_module._last_fit[0]() is two
+    codec_two = fit_codec(two, "1/3")
     again = fit_codec(one, "1/3")
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert again is not codec_one
+    assert np.shares_memory(again.basis, codec_one.basis)
+    assert not np.shares_memory(again.basis, codec_two.basis)
     assert codec_bytes(again) == codec_bytes(codec_one)
-    assert codec_module._last_fit[0]() is one
 
 
-def test_fit_codec_keeps_no_more_than_its_codec(empty_memo):
+def test_fit_codec_keeps_no_more_than_its_codec():
     # Across the calls, only the 1/4 codec (mean and 512 x 128 basis) and a
     # few small objects stay allocated, never the 2 MiB spectrum the basis
     # was cut from, nor copies for the narrower codecs held beside it, which
@@ -365,7 +366,6 @@ def test_fit_codec_keeps_no_more_than_its_codec(empty_memo):
     # and 2.6 KB for three (12.3 KB when the first fit also loads the
     # bundled BLAS routines), against 404 KB for three with copied hits.
     for ratios in (["1/4"], ["1/4", "1/8", "1/16"]):
-        codec_module._last_fit = None
         ds = random_dataset(100, 16, 16, seed=34)
         gc.collect()
         tracemalloc.start()
@@ -377,42 +377,50 @@ def test_fit_codec_keeps_no_more_than_its_codec(empty_memo):
         finally:
             tracemalloc.stop()
         codec = codecs[0]
-        assert codec_module._last_fit[1] is codec
+        assert all(np.shares_memory(c.basis, codec.basis) for c in codecs)
         assert retained <= codec.mean.nbytes + codec.basis.nbytes + (64 << 10), (ratios, retained)
 
 
-def test_memo_does_not_keep_a_dataset_alive(empty_memo):
+def test_memo_does_not_keep_a_dataset_alive():
+    # The dataset holds its codec and nothing holds the dataset, so the two
+    # are collected together, with no cycle left for the collector.
     ds = random_dataset(20, 3, 3, seed=26)
-    fit_codec(ds, "1/2")
+    held = weakref.ref(fit_codec(ds, "1/2"))
     ref = weakref.ref(ds)
-    del ds
     gc.collect()
-    assert ref() is None
-    assert codec_module._last_fit is None
+    assert held() is not None
+    del ds
+    assert ref() is None and held() is None
 
 
-def test_slot_is_empty_when_a_miss_reaches_the_eigensolve(empty_memo, monkeypatch):
+def test_a_wider_refit_holds_no_narrower_codec_through_the_eigensolve(monkeypatch):
     one = random_dataset(20, 3, 3, seed=27)
     two = random_dataset(20, 3, 3, seed=28)
     held = weakref.ref(fit_spectrum(one))
-    fit_codec(one, "1/2")
+    narrow = weakref.ref(fit_codec(one, "1/8"))
+    kept = fit_codec(two, "1/2")
     eigh = codec_module._eigh
     calls = []
 
     def checked_eigh(matrix, columns):
-        # Neither the slot nor anything else still holds the old spectrum.
-        assert codec_module._last_fit is None
+        # Neither the dataset nor anything else still holds its narrower
+        # codec or the old spectrum.
+        assert narrow() is None
         assert held() is None
         calls.append(matrix.shape)
         return eigh(matrix, columns)
 
+    assert narrow() is not None
     monkeypatch.setattr(codec_module, "_eigh", checked_eigh)
-    for ratio in ("1/4", "1/8", "1/16"):
-        fit_codec(two, ratio)
+    for ratio in ("1/2", "1/4", "1/8"):
+        fit_codec(one, ratio)
+    assert calls == [(18, 18)]
+    # The other dataset still serves its codec.
+    assert np.shares_memory(fit_codec(two, "1/4").basis, kept.basis)
     assert calls == [(18, 18)]
 
 
-def test_a_hit_still_judges_its_inputs(empty_memo):
+def test_a_hit_still_judges_its_inputs():
     ds = random_dataset(10, 4, 3, seed=29)
     fit_codec(ds, "1/4")
     with pytest.raises(ValueError, match="positive"):
@@ -451,11 +459,11 @@ def traced_fit_peak(ratio, count=600):
 
 
 @pytest.mark.parametrize("ratio", sorted(PER_RATIO_FIT_PEAK))
-def test_fit_peak_memory_does_not_grow(empty_memo, ratio):
+def test_fit_peak_memory_does_not_grow(ratio):
     assert traced_fit_peak(ratio) <= PER_RATIO_FIT_PEAK[ratio]
 
 
-def test_fit_memory_does_not_grow_with_count(empty_memo):
+def test_fit_memory_does_not_grow_with_count():
     # The fit holds the scatter matrix and one block of features, then the
     # scatter's buffer and dstemr's eigenvectors: two d x d arrays allocated
     # whatever the count (tracemalloc counts the scatter's whole buffer,
@@ -476,7 +484,7 @@ def fit_matrices(monkeypatch, stream):
     eigh, seen = codec_module._eigh, []
     monkeypatch.setattr(codec_module, "_eigh",
                         lambda m, k: seen.append(np.tril(m)) or eigh(m, k))
-    spectrum = codec_module._fit(stream)
+    spectrum = codec_module._fit(stream, 2 * stream.rows * stream.cols)
     monkeypatch.setattr(codec_module, "_eigh", eigh)
     return spectrum, seen.pop()
 
@@ -536,7 +544,7 @@ def test_fit_writes_no_scatter_entry_above_the_diagonal(monkeypatch):
     monkeypatch.setattr(codec_module, "_BLOCK_BYTES", 8 * 8 * dim)
     eigh, seen = codec_module._eigh, []
     monkeypatch.setattr(codec_module, "_eigh", lambda m, k: seen.append(m.copy()) or eigh(m, k))
-    codec_module._fit(_stream(random_dataset(40, 4, 3, seed=34)))
+    codec_module._fit(_stream(random_dataset(40, 4, 3, seed=34)), dim)
     (cov,) = seen
     assert not np.triu(cov, 1).any()
     assert cov[np.tril_indices(dim)].all()
@@ -569,7 +577,7 @@ for count, dim in [(3, 1), (5, 2), (400, 96), (20, 96), (1200, 512), (100, 512)]
         codec._VECTOR_BLOCK = block
         cov = scale * (x.T @ x) / (count - 1)
         want_values, want_vectors = np.linalg.eigh(cov)
-        values, vectors = codec._eigh(np.tril(cov))
+        values, vectors = codec._eigh(np.tril(cov), dim)
         assert values.shape == (dim,) and vectors.shape == (dim, dim)
         assert vectors.flags.f_contiguous
         top = np.abs(want_values).max()
@@ -633,10 +641,10 @@ for count in (400, 60):
     spectrum = codec.fit_spectrum(ds)
     assert spectrum.vectors.shape == (192, 192)
     want = {r: bytes_of(spectrum.codec(r)) for r in ratios}
+    # A fresh Dataset of the same samples is always a miss.
     for r in ratios:
-        codec._last_fit = None
-        assert bytes_of(codec.fit_codec(ds, r)) == want[r], (count, r)
-    codec._last_fit = None
+        fresh = Dataset(samples, Domain.ANGULAR_DELAY)
+        assert bytes_of(codec.fit_codec(fresh, r)) == want[r], (count, r)
     del solved[:]
     for r in ratios:
         assert bytes_of(codec.fit_codec(ds, r)) == want[r], (count, r)
@@ -666,7 +674,7 @@ def test_eigh_leaves_a_matrix_it_cannot_solve_in_place_to_numpy():
     readonly.flags.writeable = False
     for matrix in (np.asfortranarray(cov), readonly, cov.astype(np.float32), cov[::2, ::2]):
         before = matrix.copy()
-        values, vectors = codec_module._eigh(matrix)
+        values, vectors = codec_module._eigh(matrix, len(matrix))
         for a, b in zip((values, vectors), np.linalg.eigh(matrix)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         # Column-major, as every other return of _eigh is.
@@ -679,15 +687,15 @@ def test_eigh_fails_on_a_non_finite_scatter_as_numpy_does():
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             np.linalg.eigh(np.full((3, 3), value))
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            codec_module._eigh(np.full((3, 3), value))
+            codec_module._eigh(np.full((3, 3), value), 3)
         # One entry in the triangle the solver reads is enough.
         matrix = np.eye(3)
         matrix[2, 0] = value
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            codec_module._eigh(matrix)
+            codec_module._eigh(matrix, 3)
 
 
-def test_fit_without_the_in_place_routine_is_the_same(empty_memo, monkeypatch):
+def test_fit_without_the_in_place_routine_is_the_same(monkeypatch):
     # Without the bundled routines the scatter is a NumPy sum of full block
     # products and the eigensolve np.linalg.eigh: the same mean, the same
     # spectrum to roundoff, the same memo.
@@ -702,12 +710,14 @@ def test_fit_without_the_in_place_routine_is_the_same(empty_memo, monkeypatch):
     assert np.abs(got.vectors - want.vectors).max() <= 1e-11
     assert got.vectors.strides == want.vectors.strides
     # fit_spectrum fits afresh each call and leaves the memo alone.
-    assert codec_module._last_fit is None
+    calls = counted_eighs(monkeypatch)
     assert fit_spectrum(ds).vectors.tobytes() == got.vectors.tobytes()
     served = fit_codec(ds, "1/4")
     assert codec_bytes(served) == codec_bytes(got.codec("1/4"))
-    assert codec_module._last_fit[1] is served
-    assert codec_bytes(fit_codec(ds, "1/8")) == codec_bytes(got.codec("1/8"))
+    assert len(calls) == 2
+    hit = fit_codec(ds, "1/8")
+    assert len(calls) == 2 and np.shares_memory(hit.basis, served.basis)
+    assert codec_bytes(hit) == codec_bytes(got.codec("1/8"))
 
 
 def test_codec_requires_orthonormal_basis():
@@ -718,6 +728,8 @@ def test_codec_requires_orthonormal_basis():
         LinearCodec(2, 2, Fraction(1, 2), codec.mean, codec.basis * 1.001)
     with pytest.raises(ValueError, match="mean"):
         LinearCodec(2, 2, Fraction(1, 2), codec.mean[:-1], codec.basis)
+    with pytest.raises(ValueError, match=r"basis must have shape \(8, m\), got \(8,\)"):
+        LinearCodec(2, 2, Fraction(1, 2), codec.mean, codec.basis[:, 0])
     bad_mean = codec.mean.copy()
     bad_mean[0] = np.nan
     with pytest.raises(ValueError, match="finite"):
@@ -798,6 +810,10 @@ def test_nmse_rejects_an_error_or_energy_that_overflows():
     # The energy is subnormal and the error near 1: their ratio overflows.
     with pytest.raises(ValueError, match="overflows float64"):
         nmse(angular_dataset(ds.samples * 1e-160), ds)
+    # Two finite error/energy ratios of about 1e308 whose mean overflows.
+    ref = angular_dataset(np.ones((2, 1, 1)))
+    with pytest.raises(ValueError, match="the mean of the samples' error/energy ratios"):
+        nmse(ref, angular_dataset(np.full((2, 1, 1), 1e154)))
 
 
 def test_evaluate_produces_full_report():

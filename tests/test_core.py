@@ -228,6 +228,8 @@ def test_augment_params_validation():
         AugmentParams(AugmentMethod.MODEL_DRIVEN, shift=1, seed=-5)
     with pytest.raises(TypeError):
         AugmentParams("bs-up", shift=1)
+    with pytest.raises(TypeError, match="direction must be a ShiftDirection"):
+        AugmentParams(AugmentMethod.MODEL_DRIVEN, shift=1, direction="up")
     with pytest.raises(ValueError, match="shift must be an integer"):
         AugmentParams(AugmentMethod.BUBBLE_SHIFT_UP, shift=1.5)
     with pytest.raises(ValueError, match="block size must be an integer"):

@@ -148,14 +148,14 @@ def test_every_sink_rejects_a_short_stream(tmp_path):
         dataset_io._write(tmp_path / "short.csia", stream)
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(ValueError, match="chunks hold 4 samples, expected 5"):
-        codec._fit(stream)
+        codec._fit(stream, 12)
     with pytest.raises(ValueError, match="chunks hold 4 samples, expected 5"):
         codec._evaluate(codec.LinearCodec(2, 3, 1, np.zeros(12), np.eye(12)), stream)
     # The fit serves its stream once: the mean and the scatter come from one read.
     calls = []
     whole = stream._replace(
         chunks=lambda step: calls.append(step) or iter([np.ones((5, 2, 3), dtype=complex)]))
-    codec._fit(whole)
+    codec._fit(whole, 12)
     assert len(calls) == 1
 
 
