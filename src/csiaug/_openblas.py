@@ -14,8 +14,6 @@ import functools
 import threading
 from typing import Callable, Iterator, NamedTuple
 
-import numpy as np
-
 
 class _Blas(NamedTuple):
     """NumPy's own bundled ``cblas_dsyrk``, the ``LAPACKE`` routines ``dsytrd``,
@@ -31,11 +29,9 @@ class _Blas(NamedTuple):
 
 @functools.cache
 def _blas() -> _Blas | None:
-    """The bundled routines, or ``None`` on a NumPy build that does not
-    bundle scipy-openblas or lacks one of them."""
-    config = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
-    if config.get("lapack", {}).get("name") != "scipy-openblas":
-        return None
+    """The bundled routines, or ``None`` where NumPy's linear-algebra extension
+    and the libraries it links lack one of them, as every build but a
+    scipy-openblas one does: only it exports these ``scipy_..._64_`` names."""
     from numpy.linalg import _umath_linalg
     try:
         library = ctypes.CDLL(_umath_linalg.__file__)

@@ -21,9 +21,9 @@ augmentation flags (one pass per distinct sweep value) before any file is
 read, so a shift or block size it rejects is a usage error even where the
 method ignores it; a file source mixed with a scenario source is a usage
 error too.  ``sweep`` judges its scenarios against the flags before the
-first draw, and its test set against its training set and the ratio
-against the feature dimension before the first fit.  Reruns with the
-same inputs and seeds write byte-identical artifacts.
+first draw, and its test set against its training set, then the ratio
+against the feature dimension, before the first fit reads a sample.  Reruns
+with the same inputs and seeds write byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         # Ratio, domain and count are judged before the payload is read; the
         # fit reads the file's chunks once, a block of features at a time,
         # never the complex set or its feature matrix.
-        spectrum = _fit(train, check_components(ratio, 2 * train.rows * train.cols))
+        spectrum = _fit(train, ratio)
     codec = spectrum.codec(ratio)
     write_codec(codec, args.out)
     share = spectrum.energy_share(codec.components)
@@ -272,8 +272,8 @@ def render_report_grid(reports: Sequence[EvalReport], fmt: str) -> str:
         "| " + " | ".join("---" for _ in header) + " |",
     ]
     for row in rows:
-        cells = (_md_cell(cell) if cell else "-" for cell in row)
-        lines.append("| " + " | ".join(cells) + " |")
+        shown = (_md_cell(cell) if cell else "-" for cell in row)
+        lines.append("| " + " | ".join(shown) + " |")
     return "\n".join(lines) + "\n"
 
 
@@ -324,7 +324,7 @@ def _sweep_scenarios(
 
 
 def _sweep_trials(
-    args: argparse.Namespace, ratio: Fraction, specs: tuple[ScenarioSpec, ScenarioSpec] | None,
+    args: argparse.Namespace, specs: tuple[ScenarioSpec, ScenarioSpec] | None,
 ) -> Iterator[tuple[_Stream, _Stream, int]]:
     """``(train, test, augmentation seed)`` per trial: the files once, under
     ``--seed``, or ``--trials`` draws of ``specs``, trial i training under
@@ -334,7 +334,6 @@ def _sweep_trials(
     for each pass would cost more than holding them."""
     if specs is None:
         with _open_dataset(args.train) as train, _open_dataset(args.test) as test:
-            check_components(ratio, 2 * train.rows * train.cols)
             yield train, test, args.seed
         return
     train_spec, test_spec = specs
@@ -366,13 +365,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     specs = None if args.train is not None else _sweep_scenarios(args, ratio)
     mode = AugmentMode(args.mode)
     trials: list[dict[str, Any]] = []
-    for i, (train, test, seed) in enumerate(_sweep_trials(args, ratio, specs)):
+    for i, (train, test, seed) in enumerate(_sweep_trials(args, specs)):
         _check_test(test, (train.rows, train.cols))
         # Pass 0 is the plain training set: the baseline every value is judged by.
         seeded = [None] + [replace(p, seed=seed) for p in passes]
-        m = check_components(ratio, 2 * train.rows * train.cols)
-        base, *nmse_db = [_evaluate(_fit(train if p is None else _augmented(train, p, mode), m)
-                                    .codec(ratio), test).nmse_db for p in seeded]
+        base, *nmse_db = [_evaluate(_fit(train if p is None else _augmented(train, p, mode),
+                                         ratio).codec(ratio), test).nmse_db for p in seeded]
         best = values[nmse_db.index(min(nmse_db))]
         trials.append({"trial": i, "baseline_db": base, "nmse_db": nmse_db, "best_value": best})
         cells = "  ".join(f"{param}={v}: {db:.3f}" for v, db in zip(values, nmse_db))

@@ -277,8 +277,8 @@ def _eigh(cov: np.ndarray, columns: int) -> tuple[np.ndarray, np.ndarray]:
     array, a build without the routines, and a matrix whose largest entry
     lies outside the bounds within which dsyevr solves a matrix unscaled (a
     NaN or an infinity, which LAPACK may not reject, among them) go to
-    ``eigh`` as they are, its eigenvectors made column-major too: it fails on a
-    non-finite entry as it always did.  A step that fails raises ``LinAlgError``.
+    ``eigh`` as they are, its eigenvectors made column-major too.  A step that
+    fails, and ``eigh`` on a non-finite entry, raise ``LinAlgError``.
     """
     blas, n = _blas(), len(cov)
     kept = min(n, -(-columns // _VECTOR_BLOCK) * _VECTOR_BLOCK)
@@ -376,9 +376,10 @@ def _small_pages(array: np.ndarray) -> None:
         madvise(start, end - start, mmap.MADV_NOHUGEPAGE)
 
 
-def _fit(train: _Stream, columns: int) -> Spectrum:
+def _fit(train: _Stream, ratio: Fraction) -> Spectrum:
     """Spectrum of the samples ``train`` serves, judged from its fields first,
-    keeping the eigenvectors of the top ``columns`` in whole blocks.
+    the ratio before the domain and the count, keeping the eigenvectors of the
+    top ``round(ratio * feature_dim)`` in whole blocks.
 
     One pass over the stream fills a block of a fixed number of feature rows
     at a time, so the fit holds the scatter matrix, one block and one chunk
@@ -397,8 +398,9 @@ def _fit(train: _Stream, columns: int) -> Spectrum:
     Without ``dsyrk``, block products add to both triangles, and
     ``np.linalg.eigh`` reads the lower one.
     """
-    _check_train(train.domain, train.count)
     n, dim = train.count, 2 * train.rows * train.cols
+    columns = check_components(ratio, dim)
+    _check_train(train.domain, n)
     rows = np.zeros((min(n, _block_samples(dim)) + 1, dim))
     blas, cov, shift = _blas(), np.zeros((dim, dim)), None
     _small_pages(cov)
@@ -436,13 +438,12 @@ def fit_spectrum(train: Dataset) -> Spectrum:
 
     The full eigendecomposition always yields a complete orthonormal set,
     so ratio 1 gives a lossless codec even when the training set has
-    fewer samples than features.  Each call fits afresh: hold the result
-    and call :meth:`Spectrum.codec` to take several ratios of one fit.
+    fewer samples than features.  Each call fits afresh, at ratio 1: hold the
+    result and call :meth:`Spectrum.codec` to take several ratios of one fit.
     It back-transforms every block of eigenvectors, each in its own call,
     so each column has the bits a fit of fewer columns gives it.
     """
-    rows, cols = train.sample_shape
-    return _fit(_stream(train), 2 * rows * cols)
+    return _fit(_stream(train), Fraction(1))
 
 
 def fit_codec(train: Dataset, ratio: Fraction | str | int) -> LinearCodec:
@@ -471,7 +472,7 @@ def fit_codec(train: Dataset, ratio: Fraction | str | int) -> LinearCodec:
     # A wider refit holds no narrower codec of this set through the eigensolve.
     del widest
     object.__setattr__(train, "_widest", None)
-    codec = _fit(_stream(train), m).codec(ratio)
+    codec = _fit(_stream(train), ratio).codec(ratio)
     object.__setattr__(train, "_widest", codec)
     return codec
 
@@ -510,7 +511,7 @@ def _errors(ref: np.ndarray, rec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k = np.frexp(magnitude.max(axis=(1, 2)))[1][:, None, None]
         np.square(np.ldexp(magnitude, -k, out=magnitude), out=magnitude)
         energy = np.sum(magnitude, axis=(1, 2))
-        del magnitude  # freed before the difference: as many chunk-sized arrays at once as before
+        del magnitude  # freed first, so this holds at most two chunk-sized arrays at once
         deviation = np.abs(rec - ref)
         np.square(np.ldexp(deviation, -k, out=deviation), out=deviation)
         return np.sum(deviation, axis=(1, 2)), energy

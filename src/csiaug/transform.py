@@ -46,8 +46,7 @@ def transform_values(values: np.ndarray, delay_bins: int) -> np.ndarray:
 def inverse_transform_values(values: np.ndarray, subcarriers: int) -> np.ndarray:
     """Raw-array inverse transform; zero-pads the delay axis to ``subcarriers`` rows."""
     angle = np.fft.fft(values, axis=-1, norm="ortho")
-    pad = [(0, 0)] * (values.ndim - 2) + [(0, subcarriers - values.shape[-2]), (0, 0)]
-    return np.fft.fft(np.pad(angle, pad), axis=-2, norm="ortho")
+    return np.fft.fft(angle, n=subcarriers, axis=-2, norm="ortho")
 
 
 def _transform(source: _Stream, new_rows: int) -> _Stream:

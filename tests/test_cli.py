@@ -434,8 +434,10 @@ def test_sweep_param_follows_method(workspace, tmp_path, capsys, method, values,
     [("narrow", "1/4", "does not match codec"),
      ("test.csia", "1/4", "angular-delay"),
      ("empty", "1/4", "cannot evaluate on an empty dataset"),
-     ("test_ang.csia", "2", "exceeds feature dim")],
-    ids=["fewer-delay-rows", "spatial-frequency", "empty", "ratio-above-one"],
+     ("test_ang.csia", "2", "exceeds feature dim"),
+     ("narrow", "2", "does not match codec")],
+    ids=["fewer-delay-rows", "spatial-frequency", "empty", "ratio-above-one",
+         "fewer-delay-rows-before-ratio"],
 )
 def test_sweep_judges_the_test_file_before_any_fit(
         workspace, tmp_path, monkeypatch, capsys, test, ratio, message):
@@ -558,7 +560,7 @@ def test_scenario_sweep_defaults_reach_the_trial_loop(tmp_path, monkeypatch):
 
     seen, draws = [], []
 
-    def trials(args, ratio, specs):
+    def trials(args, specs):
         seen.append((args.trials, args.train_count, args.test_count, args.na))
         raise Stop
 

@@ -1,6 +1,8 @@
 """Tests for the linear subspace codec and the NMSE harness."""
 
+import ctypes
 import gc
+import mmap
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from csiaug import _openblas
 from csiaug import codec as codec_module
 from csiaug import core
 from csiaug.augment import _augmented, augment_dataset
@@ -484,7 +488,7 @@ def fit_matrices(monkeypatch, stream):
     eigh, seen = codec_module._eigh, []
     monkeypatch.setattr(codec_module, "_eigh",
                         lambda m, k: seen.append(np.tril(m)) or eigh(m, k))
-    spectrum = codec_module._fit(stream, 2 * stream.rows * stream.cols)
+    spectrum = codec_module._fit(stream, Fraction(1))
     monkeypatch.setattr(codec_module, "_eigh", eigh)
     return spectrum, seen.pop()
 
@@ -544,7 +548,7 @@ def test_fit_writes_no_scatter_entry_above_the_diagonal(monkeypatch):
     monkeypatch.setattr(codec_module, "_BLOCK_BYTES", 8 * 8 * dim)
     eigh, seen = codec_module._eigh, []
     monkeypatch.setattr(codec_module, "_eigh", lambda m, k: seen.append(m.copy()) or eigh(m, k))
-    codec_module._fit(_stream(random_dataset(40, 4, 3, seed=34)), dim)
+    codec_module._fit(_stream(random_dataset(40, 4, 3, seed=34)), Fraction(1))
     (cov,) = seen
     assert not np.triu(cov, 1).any()
     assert cov[np.tril_indices(dim)].all()
@@ -660,7 +664,7 @@ def test_a_column_has_the_bits_of_its_block_however_many_are_kept(threads):
 
 def test_a_narrow_spectrum_refuses_a_wider_codec(monkeypatch):
     monkeypatch.setattr(codec_module, "_VECTOR_BLOCK", 8)
-    spectrum = codec_module._fit(_stream(random_dataset(40, 4, 4, seed=35)), 5)
+    spectrum = codec_module._fit(_stream(random_dataset(40, 4, 4, seed=35)), Fraction(5, 32))
     assert spectrum.values.shape == (32,) and spectrum.vectors.shape == (32, 8)
     assert spectrum.codec("1/4").components == 8
     with pytest.raises(ValueError, match="holds only the top 8 eigenvectors"):
@@ -718,6 +722,32 @@ def test_fit_without_the_in_place_routine_is_the_same(monkeypatch):
     hit = fit_codec(ds, "1/8")
     assert len(calls) == 2 and np.shares_memory(hit.basis, served.basis)
     assert codec_bytes(hit) == codec_bytes(got.codec("1/8"))
+
+
+def test_blas_is_none_where_the_library_lacks_the_routines(monkeypatch):
+    # A NumPy build on another BLAS links no scipy_..._64_ symbols.
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
+    assert _openblas._blas.__wrapped__() is None
+
+
+def test_madvise_is_none_without_the_advice_or_libc(monkeypatch):
+    def refuse(name):
+        raise OSError("cannot load libc")
+
+    monkeypatch.setattr(ctypes, "CDLL", refuse)
+    assert codec_module._madvise.__wrapped__() is None
+    monkeypatch.undo()
+    monkeypatch.delattr(mmap, "MADV_NOHUGEPAGE", raising=False)
+    assert codec_module._madvise.__wrapped__() is None
+
+
+def test_fit_without_madvise_is_the_same(monkeypatch):
+    # The advice changes which pages are resident, never a bit. The 128 KiB
+    # scatter of 8 x 8 samples spans whole pages, so a normal fit advises it.
+    ds = random_dataset(40, 8, 8, seed=36)
+    want = codec_bytes(fit_spectrum(ds).codec("1/4"))
+    monkeypatch.setattr(codec_module, "_madvise", lambda: None)
+    assert codec_bytes(fit_spectrum(ds).codec("1/4")) == want
 
 
 def test_codec_requires_orthonormal_basis():

@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -148,15 +149,28 @@ def test_every_sink_rejects_a_short_stream(tmp_path):
         dataset_io._write(tmp_path / "short.csia", stream)
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(ValueError, match="chunks hold 4 samples, expected 5"):
-        codec._fit(stream, 12)
+        codec._fit(stream, Fraction(1))
     with pytest.raises(ValueError, match="chunks hold 4 samples, expected 5"):
         codec._evaluate(codec.LinearCodec(2, 3, 1, np.zeros(12), np.eye(12)), stream)
     # The fit serves its stream once: the mean and the scatter come from one read.
     calls = []
     whole = stream._replace(
         chunks=lambda step: calls.append(step) or iter([np.ones((5, 2, 3), dtype=complex)]))
-    codec._fit(whole, 12)
+    codec._fit(whole, Fraction(1))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_writer_rejects_a_non_finite_chunk(tmp_path, value):
+    # Neither a Dataset nor a reader serves one, so only a raw stream reaches
+    # the check; its second chunk fails after the first was written.
+    good, bad = np.ones((4, 2, 3), dtype=complex), np.ones((4, 2, 3), dtype=complex)
+    bad[3, 1, 2] = value
+    stream = core._Stream(Domain.ANGULAR_DELAY, 8, 2, 3, Provenance(),
+                          lambda step: iter([good, bad]))
+    with pytest.raises(ValueError, match="dataset samples must be finite"):
+        dataset_io._write(tmp_path / "bad.csia", stream)
+    assert list(tmp_path.iterdir()) == []
 
 
 def traced(argv):
@@ -286,8 +300,10 @@ def truncated(path):
         (nan_in_last_chunk, "1/4", "dataset samples must be finite"),
         (truncated, "1/4", "payload length mismatch"),
         (lambda p: random_file(p, 17), "3/2", "exceeds feature dim 64"),
+        (lambda p: random_file(p, 1), "3/2", "exceeds feature dim 64"),
     ],
-    ids=["frequency-domain", "one-sample", "nan-in-last-chunk", "truncated", "ratio-above-1"],
+    ids=["frequency-domain", "one-sample", "nan-in-last-chunk", "truncated", "ratio-above-1",
+         "ratio-before-count"],
 )
 def test_cli_fit_rejects_bad_input_and_leaves_nothing(
         tmp_path, monkeypatch, capsys, make, ratio, message):
