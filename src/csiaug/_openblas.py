@@ -68,7 +68,8 @@ def _one_thread() -> Iterator[None]:
 
     The count is process-global: BLAS work in other Python threads also runs
     on one thread until the block exits, and pinned blocks in several
-    threads take turns.
+    threads take turns.  The build's ``openblas_set_num_threads_local`` sets
+    the count every thread reads too, so it would need the lock as well.
     """
     blas = _blas()
     if blas is None:

@@ -124,7 +124,10 @@ def _synthesize(
         (-2j * np.pi / spec.subcarriers) * n[..., :, None] * tau[..., None, :]
     )
     steer = np.exp(-1j * np.pi * np.sin(theta)[..., :, None] * a[..., None, :])
-    return (delay_resp * coef[..., None, :]) @ steer
+    # Each sample's small product would wake a second BLAS thread that then
+    # spins between products.
+    with _one_thread():
+        return (delay_resp * coef[..., None, :]) @ steer
 
 
 def _batch_draws(spec: ScenarioSpec, start: int, stop: int) -> tuple[np.ndarray, ...]:
@@ -163,13 +166,7 @@ def _source(spec: ScenarioSpec, count: int, rows: int, domain: Domain) -> _Strea
             if domain is Domain.ANGULAR_DELAY:
                 yield _synthesize_angular(spec, rows, *draws)
             else:
-                # Each sample's small product would wake a second BLAS thread
-                # that then spins between products.  The pin never spans a
-                # yield: the consumer's products run at the caller's count.
-                with _one_thread():
-                    chunk = _synthesize(spec, *draws)
-                yield chunk
-                del chunk  # else it stays alive while the next chunk is made
+                yield _synthesize(spec, *draws)
 
     meta = Provenance(scenario=spec.to_dict(), seed=spec.seed, rng=RNG_SCHEME)
     return _Stream(domain, count, rows, spec.antennas, meta, chunks)
@@ -183,10 +180,10 @@ def generate_dataset(spec: ScenarioSpec, count: int) -> Dataset:
     and the dataset is independent of batching.
 
     The per-sample products run on one OpenBLAS thread, and the caller's
-    thread count is restored after each chunk.  That count is process-global
-    and NumPy's OpenBLAS has no thread-local setter, so BLAS work in another
-    Python thread also runs single-threaded while a chunk is synthesised, and
-    calls in several threads synthesise their chunks in turn.
+    thread count is restored after each chunk's product.  The count is
+    process-global (the build's ``openblas_set_num_threads_local`` sets it for
+    every thread too), so BLAS work in another Python thread also runs
+    single-threaded meanwhile, and calls in several threads take turns.
     """
     return _source(spec, count, spec.subcarriers, Domain.SPATIAL_FREQUENCY).collect()
 

@@ -80,6 +80,15 @@ class UsageError(Exception):
     """Flag combination or value the parser grammar cannot express."""
 
 
+def _augment_flags(parser: argparse.ArgumentParser) -> None:
+    """The ``--method``, ``--direction`` and ``--mode`` of ``augment`` and ``sweep``."""
+    parser.add_argument("--method", required=True, choices=[m.value for m in AugmentMethod])
+    parser.add_argument("--direction", choices=[d.value for d in ShiftDirection], default="down",
+                        help="cyclic shift direction for md (default: down)")
+    parser.add_argument("--mode", choices=[m.value for m in AugmentMode], default="append",
+                        help="append augmented copies (default) or replace the originals")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csiaug",
@@ -101,18 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     aug = sub.add_parser("augment", help="apply one amplitude-domain augmentation")
     aug.add_argument("--in", dest="input", required=True, help="angular-delay dataset (.csia)")
-    aug.add_argument("--method", required=True, choices=[m.value for m in AugmentMethod])
+    _augment_flags(aug)
     aug.add_argument("--shift", type=int, help="shift steps (bs-up, bs-down, md)")
     aug.add_argument("--block", type=int, help="block edge length (rg)")
     aug.add_argument("--seed", type=int, default=0, help="augmentation pass seed")
-    aug.add_argument(
-        "--direction", choices=[d.value for d in ShiftDirection], default="down",
-        help="cyclic shift direction for md (default: down)",
-    )
-    aug.add_argument(
-        "--mode", choices=[m.value for m in AugmentMode], default="append",
-        help="append augmented copies (default) or replace the originals",
-    )
     aug.add_argument("--out", required=True, help="output dataset (.csia)")
 
     fit = sub.add_parser("fit", help="fit the linear codec on a training dataset")
@@ -149,13 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
                        ("na", "delay rows kept"), ("trials", "independent trials")):
         sw.add_argument("--" + flag.replace("_", "-"), type=int,
                         help=f"{what} (scenario only, default {_SCENARIO_FLAGS[flag]})")
-    sw.add_argument("--method", required=True, choices=[m.value for m in AugmentMethod])
+    _augment_flags(sw)
     sw.add_argument("--values", required=True, help="block sizes (rg) or shifts, e.g. 0,1,2,3")
     sw.add_argument("--ratio", required=True, help="compression ratio, e.g. 1/4")
     sw.add_argument("--seed", type=int, default=0,
                     help="augmentation seed (files) or seed base (scenario)")
-    sw.add_argument("--direction", choices=[d.value for d in ShiftDirection], default="down")
-    sw.add_argument("--mode", choices=[m.value for m in AugmentMode], default="append")
     sw.add_argument("--out", required=True, help="output summary (.json)")
 
     return parser

@@ -1,5 +1,6 @@
 """Tests for the synthetic multipath channel generator."""
 
+import contextlib
 import hashlib
 import json
 import math
@@ -316,28 +317,38 @@ def blas_threads():
 
 
 def record_threads(monkeypatch, blas, name, fail=False):
-    """Thread counts seen by each call of ``channel.<name>``."""
+    """Thread counts seen by each call of ``channel.<name>``; for the
+    ``_one_thread`` pin, the count inside each pinned block."""
     seen, original = [], getattr(channel, name)
 
-    def wrapped(*args):
+    def record():
         seen.append(blas.get_num_threads())
         if fail:
             raise RuntimeError("synthesis failed")
+
+    @contextlib.contextmanager
+    def pinned():
+        with original():
+            record()
+            yield
+
+    def called(*args):
+        record()
         return original(*args)
 
-    monkeypatch.setattr(channel, name, wrapped)
+    monkeypatch.setattr(channel, name, pinned if name == "_one_thread" else called)
     return seen
 
 
 def test_frequency_synthesis_runs_on_one_blas_thread(monkeypatch, blas_threads):
-    seen = record_threads(monkeypatch, blas_threads, "_synthesize")
+    seen = record_threads(monkeypatch, blas_threads, "_one_thread")
     generate_dataset(small_spec(), 40)
     assert seen == [1]
     assert blas_threads.get_num_threads() == 2
 
 
 def test_failed_frequency_synthesis_restores_blas_threads(monkeypatch, blas_threads):
-    seen = record_threads(monkeypatch, blas_threads, "_synthesize", fail=True)
+    seen = record_threads(monkeypatch, blas_threads, "_one_thread", fail=True)
     with pytest.raises(RuntimeError, match="synthesis failed"):
         generate_dataset(small_spec(), 4)
     assert seen == [1]
@@ -345,7 +356,7 @@ def test_failed_frequency_synthesis_restores_blas_threads(monkeypatch, blas_thre
 
 
 def test_frequency_stream_consumer_runs_at_the_callers_blas_threads(monkeypatch, blas_threads):
-    seen = record_threads(monkeypatch, blas_threads, "_synthesize")
+    seen = record_threads(monkeypatch, blas_threads, "_one_thread")
     stream = _source(small_spec(), 12, 32, Domain.SPATIAL_FREQUENCY)
     between = [blas_threads.get_num_threads() for _ in stream.chunks(4)]
     assert seen == [1, 1, 1] and between == [2, 2, 2]

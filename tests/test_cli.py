@@ -725,6 +725,14 @@ def test_help_and_parse_failures(capsys):
     capsys.readouterr()
 
 
+def test_sweep_help_describes_direction_and_mode(capsys):
+    assert cli.run(["sweep", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--direction {up,down} cyclic shift direction for md (default: down)" in text
+    assert ("--mode {replace,append} append augmented copies (default) or replace the "
+            "originals") in text
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "csiaug", "--help"], capture_output=True, text=True

@@ -12,7 +12,11 @@ one seed and workload are a pair.  ``BENCH_<tag>_parent.json`` and
 workload and end-to-end metric gives both medians, the parent's quartiles
 and the pairs the change won, ties counting for neither side; ``gain`` marks
 a metric the change won in at least nine tenths of the pairs by a median
-difference larger than the parent's quartile distance.
+difference larger than the parent's quartile distance.  With the metric's
+BENCHMARK.json ``bound``, taken relative to the parent median, ``worse``
+marks a change median worse than the parent's by more than the bound, and
+``unresolved`` a parent quartile distance larger than the bound, unless
+every change run beats every parent run.
 """
 
 from __future__ import annotations
@@ -38,14 +42,20 @@ def wins(parent: list[float], change: list[float], better: str) -> int:
     return sum(c < p if better == "lower" else c > p for p, c in zip(parent, change))
 
 
-def compare(parent: list[float], change: list[float], better: str) -> dict[str, object]:
-    """Both medians, the parent's quartiles, the change's wins and the gain verdict."""
+def compare(parent: list[float], change: list[float], better: str,
+            bound: float) -> dict[str, object]:
+    """Both medians, the parent's quartiles, the change's wins and the gain,
+    worse and unresolved verdicts."""
     won = wins(parent, change, better)
     q1, _, q3 = statistics.quantiles(parent, n=4)
     before, after = statistics.median(parent), statistics.median(change)
     gained = before - after if better == "lower" else after - before
+    beats_all = (max(change) < min(parent) if better == "lower"
+                 else min(change) > max(parent))
     return {"parent": before, "change": after, "q1": q1, "q3": q3, "wins": won,
-            "pairs": len(parent), "gain": won >= 0.9 * len(parent) and gained > q3 - q1}
+            "pairs": len(parent), "gain": won >= 0.9 * len(parent) and gained > q3 - q1,
+            "worse": -gained > bound * before,
+            "unresolved": q3 - q1 > bound * before and not beats_all}
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -77,7 +87,7 @@ def main() -> int:
     ap.add_argument("--tag", required=True, help="names BENCH_<tag>_{parent,change}.json")
     args = ap.parse_args()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     workloads = args.workloads.split(",")
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, dict[str, list]] = {side: {w: [] for w in workloads} for side in sides}
@@ -95,13 +105,14 @@ def main() -> int:
         failed = {side: sum(r["failed"] for r in runs[side][workload]) for side in sides}
         print(f"{workload}: failed iterations parent {failed['parent']}, "
               f"change {failed['change']}")
-        for name, direction in better.items():
+        for name, metric in metrics.items():
             values = {side: [r["metrics"][name]["value"] for r in runs[side][workload]]
                       for side in sides}
-            c = compare(values["parent"], values["change"], direction)
+            c = compare(values["parent"], values["change"], metric["better"], metric["bound"])
+            flags = "".join(f"  {flag}" for flag in ("gain", "worse", "unresolved") if c[flag])
             print(f"  {name:<12} parent {c['parent']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
-                  f"  change {c['change']:.6g}  won {c['wins']}/{c['pairs']}"
-                  f"{'  gain' if c['gain'] else ''}", flush=True)
+                  f"  change {c['change']:.6g}  won {c['wins']}/{c['pairs']}{flags}",
+                  flush=True)
     return 0
 
 
