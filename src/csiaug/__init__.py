@@ -74,6 +74,7 @@ from csiaug.dataset_io import (
     write_report,
 )
 from csiaug.rng import derive_seed, make_generator
+from csiaug.study import SweepSummary, TrialResult, read_summary, sweep
 from csiaug.transform import inverse_transform_dataset, transform_dataset
 
 __version__ = "0.1.0"
@@ -94,6 +95,8 @@ __all__ = [
     "ScenarioSpec",
     "ShiftDirection",
     "Spectrum",
+    "SweepSummary",
+    "TrialResult",
     "augment_dataset",
     "bubble_shift_down",
     "bubble_shift_up",
@@ -114,8 +117,10 @@ __all__ = [
     "read_codec",
     "read_dataset",
     "read_report",
+    "read_summary",
     "recompose",
     "save_scenario",
+    "sweep",
     "transform_dataset",
     "write_codec",
     "write_dataset",

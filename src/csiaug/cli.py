@@ -5,12 +5,10 @@ a scenario JSON, ``transform`` moves them to the truncated angular-delay
 domain (and an angular-delay input back), ``augment`` applies one
 amplitude-domain augmentation, ``fit`` trains the linear codec, ``eval``
 measures NMSE on a test set, ``report`` lays multiple evaluations out as
-a methods-by-ratios grid, and ``sweep`` runs the delay-gap studies:
-per trial, a codec fitted on the plain training set and one per value of
-the method's one parameter, evaluated on one test set, the sets read
-from ``--train``/``--test`` files (one trial) or drawn from scenarios.
-``sweep`` reads its files again for each pass and never holds an augmented
-set.
+a methods-by-ratios grid, and ``sweep`` runs :func:`csiaug.study.sweep` on
+``--train``/``--test`` files or on a training scenario and a test scenario
+(or the training one shifted by ``--gap-bins``), one pass per ``--values``
+entry, printing each trial as it ends and then writing the summary.
 
 Exit codes: 0 on success, 2 for usage errors (bad flags, flag
 combinations, flag values out of range whatever the input holds, or an
@@ -20,9 +18,7 @@ flag values that conflict with the input).  ``AugmentParams`` judges the
 augmentation flags (one pass per distinct sweep value) before any file is
 read, so a shift or block size it rejects is a usage error even where the
 method ignores it; a file source mixed with a scenario source is a usage
-error too.  ``sweep`` judges its scenarios against the flags before the
-first draw, and its test set against its training set, then the ratio
-against the feature dimension, before the first fit reads a sample.  Reruns
+error too, and so is a file sweep given a scenario sweep's sizes.  Reruns
 with the same inputs and seeds write byte-identical artifacts.
 """
 
@@ -34,14 +30,13 @@ import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from csiaug.augment import _augmented
-from csiaug.channel import ScenarioSpec, _source, generate_angular_dataset, load_scenario
-from csiaug.codec import EvalReport, _check_test, _evaluate, _fit, check_components, parse_ratio
+from csiaug.channel import _source, load_scenario
+from csiaug.codec import EvalReport, _evaluate, _fit, parse_ratio
 from csiaug.core import (
-    AugmentMethod, AugmentMode, AugmentParams, Domain, ShiftDirection, _param_field, _stream,
-    _Stream,
+    AugmentMethod, AugmentMode, AugmentParams, Domain, ShiftDirection, _param_field,
 )
 from csiaug.dataset_io import (
     _open_dataset,
@@ -54,13 +49,13 @@ from csiaug.dataset_io import (
     write_record,
     write_report,
 )
-from csiaug.rng import MASK64, check_int, check_ints, derive_seed
-from csiaug.transform import _transform, check_delay_bins
+from csiaug.rng import MASK64, check_int, check_ints
+from csiaug.study import MAX_TRIALS, SIZES, TrialResult, sweep
+from csiaug.transform import _transform
 
 # (flag, lowest, highest) for values invalid whatever the input holds, which
 # no object can judge before a file is read. Counts are u32 header fields;
-# a codec fits on two samples and evaluates one. Trial i draws under seed
-# indices 2i and 2i + 1 and augments under 100 + i, so 50 trials keep them apart.
+# a codec fits on two samples and evaluates one; a sweep runs at most MAX_TRIALS.
 _U32 = 2**32 - 1
 _FLAG_RANGES = (
     ("count", 0, _U32),
@@ -69,11 +64,12 @@ _FLAG_RANGES = (
     ("nc", 1, _U32),
     ("train_count", 2, _U32),
     ("test_count", 1, _U32),
-    ("trials", 1, 50),
+    ("trials", 1, MAX_TRIALS),
 )
-# The flags only a scenario sweep reads, with their defaults; a file sweep
-# given any of them is a usage error.
-_SCENARIO_FLAGS = {"train_count": 2000, "test_count": 500, "na": 32, "trials": 5}
+# The flags only a scenario sweep reads, each with the ``sweep`` size it sets;
+# a file sweep given any of them is a usage error.
+_SCENARIO_FLAGS = {"train_count": "train_count", "test_count": "test_count", "na": "delay_bins",
+                   "trials": "trials"}
 
 
 class UsageError(Exception):
@@ -149,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, what in (("train_count", "training samples"), ("test_count", "test samples"),
                        ("na", "delay rows kept"), ("trials", "independent trials")):
         sw.add_argument("--" + flag.replace("_", "-"), type=int,
-                        help=f"{what} (scenario only, default {_SCENARIO_FLAGS[flag]})")
+                        help=f"{what} (scenario only, default {SIZES[_SCENARIO_FLAGS[flag]]})")
     _augment_flags(sw)
     sw.add_argument("--values", required=True, help="block sizes (rg) or shifts, e.g. 0,1,2,3")
     sw.add_argument("--ratio", required=True, help="compression ratio, e.g. 1/4")
@@ -303,49 +299,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_scenarios(
-    args: argparse.Namespace, ratio: Fraction,
-) -> tuple[ScenarioSpec, ScenarioSpec]:
-    """The training and test scenarios, judged against each other and the flags."""
-    train = load_scenario(args.train_scenario)
-    if args.gap_bins is None:
-        test = load_scenario(args.test_scenario)
-    else:
-        lo, hi = train.delay_range
-        test = replace(train, delay_range=(lo + args.gap_bins, hi + args.gap_bins))
-    if test.antennas != train.antennas:
-        raise ValueError(f"test scenario has {test.antennas} antennas, "
-                         f"training scenario {train.antennas}")
-    for spec in (train, test):
-        check_delay_bins(args.na, spec.subcarriers)
-    check_components(ratio, 2 * args.na * train.antennas)
-    return train, test
-
-
-def _sweep_trials(
-    args: argparse.Namespace, specs: tuple[ScenarioSpec, ScenarioSpec] | None,
-) -> Iterator[tuple[_Stream, _Stream, int]]:
-    """``(train, test, augmentation seed)`` per trial: the files once, under
-    ``--seed``, or ``--trials`` draws of ``specs``, trial i training under
-    ``derive_seed(seed, 2i)``, testing under ``2i + 1`` and augmenting under
-    ``100 + i``.  Files are served from disk for each pass and stay open while
-    their trial runs; drawn sets are collected once, since drawing them again
-    for each pass would cost more than holding them."""
-    if specs is None:
-        with _open_dataset(args.train) as train, _open_dataset(args.test) as test:
-            yield train, test, args.seed
-        return
-    train_spec, test_spec = specs
-    for i in range(args.trials):
-        yield (
-            _stream(generate_angular_dataset(
-                train_spec.with_seed(derive_seed(args.seed, 2 * i)), args.train_count, args.na)),
-            _stream(generate_angular_dataset(
-                test_spec.with_seed(derive_seed(args.seed, 2 * i + 1)), args.test_count, args.na)),
-            derive_seed(args.seed, 100 + i),
-        )
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # The augment flag of the field the method reads: shift or block.
     param = _param_field(AugmentMethod(args.method)).removesuffix("_size")
@@ -355,45 +308,30 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if (args.train is None) != (args.test is None):
         raise UsageError("--train and --test are files; a --train-scenario takes "
                          "--test-scenario or --gap-bins")
-    for flag, default in _SCENARIO_FLAGS.items():
-        if args.train is None and getattr(args, flag) is None:
-            setattr(args, flag, default)
-        elif args.train is not None and getattr(args, flag) is not None:
+    for flag in _SCENARIO_FLAGS:
+        if args.train is not None and getattr(args, flag) is not None:
             raise UsageError(f"--{flag.replace('_', '-')} sizes a scenario sweep; "
                              "a sweep of --train and --test files takes them as they are")
-    specs = None if args.train is not None else _sweep_scenarios(args, ratio)
-    mode = AugmentMode(args.mode)
-    trials: list[dict[str, Any]] = []
-    for i, (train, test, seed) in enumerate(_sweep_trials(args, specs)):
-        _check_test(test, (train.rows, train.cols))
-        # Pass 0 is the plain training set: the baseline every value is judged by.
-        seeded = [None] + [replace(p, seed=seed) for p in passes]
-        base, *nmse_db = [_evaluate(_fit(train if p is None else _augmented(train, p, mode),
-                                         ratio).codec(ratio), test).nmse_db for p in seeded]
-        best = values[nmse_db.index(min(nmse_db))]
-        trials.append({"trial": i, "baseline_db": base, "nmse_db": nmse_db, "best_value": best})
-        cells = "  ".join(f"{param}={v}: {db:.3f}" for v, db in zip(values, nmse_db))
-        print(f"trial {i}: baseline {base:.3f}  {cells} dB  -> best {param}={best}")
-    margins = [sum(t["baseline_db"] - t["nmse_db"][j] for t in trials) / len(trials)
-               for j in range(len(values))]
-    summary = {
-        "method": args.method,
-        "param": param,
-        "values": values,
-        "ratio": str(ratio),
-        "mode": mode.value,
-        "seed": args.seed,
-        "direction": args.direction,
-        "train_scenario": specs[0].to_dict() if specs else None,
-        "test_scenario": specs[1].to_dict() if specs else None,
-        "train_samples": train.count,
-        "test_samples": test.count,
-        "trials": trials,
-        "mean_margin_db": margins,
-    }
-    write_record(args.out, summary)
-    cells = "  ".join(f"{param}={v}: {m:+.3f}" for v, m in zip(values, margins))
-    print(f"mean margin over {len(trials)} trials: {cells} dB -> {args.out}")
+    if args.train is not None:
+        train, test = args.train, args.test
+    else:
+        train = load_scenario(args.train_scenario)
+        if args.gap_bins is None:
+            test = load_scenario(args.test_scenario)
+        else:
+            lo, hi = train.delay_range
+            test = replace(train, delay_range=(lo + args.gap_bins, hi + args.gap_bins))
+
+    def show(trial: TrialResult) -> None:
+        cells = "  ".join(f"{param}={v}: {db:.3f}" for v, db in zip(values, trial.nmse_db))
+        print(f"trial {trial.trial}: baseline {trial.baseline_db:.3f}  {cells} dB  "
+              f"-> best {param}={trial.best_value}")
+
+    summary = sweep(train, test, passes, ratio, args.mode, args.seed, on_trial=show,
+                    **{size: getattr(args, flag) for flag, size in _SCENARIO_FLAGS.items()})
+    write_record(args.out, summary.to_dict())
+    cells = "  ".join(f"{param}={v}: {m:+.3f}" for v, m in zip(values, summary.mean_margin_db))
+    print(f"mean margin over {len(summary.trials)} trials: {cells} dB -> {args.out}")
     return 0
 
 

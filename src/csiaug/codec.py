@@ -43,7 +43,7 @@ import numpy as np
 
 from csiaug._openblas import _blas
 from csiaug.core import Dataset, Domain, Record, _stream, _Stream, check_object
-from csiaug.rng import check_int, check_real, check_str
+from csiaug.rng import check_finite, check_int, check_str
 
 DB_FLOOR = -300.0
 ORTHONORMALITY_TOL = 1e-8
@@ -72,6 +72,15 @@ def parse_ratio(value: Fraction | str | int) -> Fraction:
     if ratio <= 0:
         raise ValueError(f"ratio must be positive, got {ratio}")
     return ratio
+
+
+def check_ratio(value: str) -> str:
+    """``value``; ``ValueError`` unless it is a ratio written in lowest terms,
+    as a record stores it."""
+    check_str(value, "ratio")
+    if str(parse_ratio(value)) != value:
+        raise ValueError(f"ratio must be in lowest terms, like '1/4', got {value!r}")
+    return value
 
 
 def to_db(linear: float) -> float:
@@ -566,16 +575,11 @@ class EvalReport(Record):
     db_floor: float = DB_FLOOR
 
     def __post_init__(self) -> None:
-        for name in ("label", "ratio"):
-            check_str(getattr(self, name), name)
-        if str(parse_ratio(self.ratio)) != self.ratio:
-            raise ValueError(f"ratio must be in lowest terms, like '1/4', got {self.ratio!r}")
+        check_str(self.label, "label")
+        check_ratio(self.ratio)
         object.__setattr__(self, "sample_count", check_int(self.sample_count, "sample_count"))
         for name in ("nmse_linear", "nmse_db", "db_floor"):
-            value = check_real(getattr(self, name), name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, check_finite(getattr(self, name), name))
         object.__setattr__(self, "codec_info", check_object(self.codec_info, "codec_info"))
         if self.test_provenance is not None:
             provenance = check_object(self.test_provenance, "test_provenance")

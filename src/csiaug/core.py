@@ -219,6 +219,14 @@ def check_object(value: Mapping[str, Any], name: str) -> dict[str, Any]:
     return dict(value)
 
 
+def check_items(value: Any, name: str, check: Callable[[Any, str], Any]) -> tuple:
+    """``check(item, name)`` of each item; ``ValueError`` naming ``name``
+    unless ``value`` is a JSON array."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a JSON array, got {value!r}")
+    return tuple(check(item, name) for item in value)
+
+
 @dataclass(frozen=True)
 class AugmentationRecord(Record):
     """One applied augmentation step: method token, parameters, base seed,
@@ -264,10 +272,8 @@ class Provenance(Record):
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Provenance":
         data = check_object(data, cls.__name__)
-        records = data.get("augmentations", ())
-        if not isinstance(records, (list, tuple)):
-            raise ValueError(f"augmentations must be a JSON array, got {records!r}")
-        decoded = [AugmentationRecord.from_dict(rec) for rec in records]
+        decoded = check_items(data.get("augmentations", ()), "augmentations",
+                              lambda record, _: AugmentationRecord.from_dict(record))
         return super().from_dict({**data, "augmentations": decoded})
 
 

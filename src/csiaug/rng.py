@@ -12,11 +12,13 @@ Stream ``(s, 0)`` is the stream of ``Philox(key=s)``, so a one-matrix
 call draws what a plain 64-bit key would.  :func:`check_int` is the
 integer check that seeds and every other integer field share, and
 :func:`check_ints` reads a comma-separated list of them;
-:func:`check_real` and :func:`check_str` do the same for reals and strings.
+:func:`check_real` and :func:`check_str` do the same for reals and strings,
+and :func:`check_finite` for finite reals.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -60,6 +62,14 @@ def check_real(value: float, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def check_finite(value: float, name: str) -> float:
+    """``check_real(value, name)``; ``ValueError`` naming ``name`` unless it is finite."""
+    value = check_real(value, name)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def check_str(value: str, name: str) -> str:

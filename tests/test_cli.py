@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import csiaug.study
 from csiaug import (
     AugmentMethod, AugmentMode, AugmentParams, augment, augment_dataset, channel, cli, codec,
     derive_seed, evaluate, fit_codec, generate_angular_dataset, load_scenario,
@@ -451,9 +452,10 @@ def test_sweep_judges_the_test_file_before_any_fit(
     else:
         test = workspace / test
     calls = []
-    eigh, augmented = codec._eigh, cli._augmented
+    eigh, augmented = codec._eigh, csiaug.study._augmented
     monkeypatch.setattr(codec, "_eigh", lambda m, k: calls.append("eigh") or eigh(m, k))
-    monkeypatch.setattr(cli, "_augmented", lambda *a: calls.append("augment") or augmented(*a))
+    monkeypatch.setattr(csiaug.study, "_augmented",
+                        lambda *a: calls.append("augment") or augmented(*a))
     out = tmp_path / "sweep.json"
     assert cli.run(["sweep", "--train", str(workspace / "train_ang.csia"), "--test", str(test),
                     "--method", "bs-down", "--values", "0,1",
@@ -560,11 +562,11 @@ def test_scenario_sweep_defaults_reach_the_trial_loop(tmp_path, monkeypatch):
 
     seen, draws = [], []
 
-    def trials(args, specs):
-        seen.append((args.trials, args.train_count, args.test_count, args.na))
+    def trial_sets(train, test, seed, trials, train_count, test_count, delay_bins):
+        seen.append((trials, train_count, test_count, delay_bins))
         raise Stop
 
-    monkeypatch.setattr(cli, "_sweep_trials", trials)
+    monkeypatch.setattr(csiaug.study, "_trial_sets", trial_sets)
     monkeypatch.setattr(channel, "_batch_draws", lambda *a: draws.append(a))
     out = tmp_path / "summary.json"
     with pytest.raises(Stop):

@@ -1,6 +1,8 @@
 """Tests for the pair counting of tools/pairs.py."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +67,36 @@ def test_unresolved_is_a_parent_spread_beyond_the_bound_unless_the_change_beats_
     assert pairs.compare(wide, [5.9] * 9 + [6.0], "lower", 0.25)["unresolved"]
     assert not pairs.compare(wide, [14.1] * 10, "higher", 0.25)["unresolved"]
     assert pairs.compare(wide, [5.9] * 10, "higher", 0.25)["unresolved"]
+
+
+def test_a_failed_run_keeps_the_whole_pairs_and_exits_1(tmp_path, monkeypatch, capsys):
+    # Seeds 1-3 on one workload: the third call, seed 2's change run (the side
+    # that goes first swaps), fails, so seeds 1 and 3 are the whole pairs.
+    names = [m["name"] for m in json.loads((pairs.ROOT / "BENCHMARK.json").read_text())
+             ["end_to_end"]]
+    calls = []
+
+    def run(checkout, workload, seed, seconds):
+        calls.append((checkout.name, seed))
+        if len(calls) == 3:
+            raise RuntimeError(f"{checkout}: perfbench/run.py --workload {workload} "
+                               f"--seed {seed} exited 1\nlast line of its output")
+        value = 2.0 if checkout.name == "change" else 1.0
+        return {"seed": seed, "env": {}, "failed": int(checkout.name == "change"),
+                "metrics": {name: {"unit": "s", "value": value + seed} for name in names}}
+
+    monkeypatch.setattr(pairs, "run", run)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["pairs.py", "--parent", "parent", "--change", "change",
+                                      "--workloads", "study", "--seeds", "1-3", "--tag", "t"])
+    assert pairs.main() == 1
+    assert calls == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
+                     ("parent", 3), ("change", 3)]
+    for side, value in (("parent", 1.0), ("change", 2.0)):
+        bench = json.loads((tmp_path / f"BENCH_t_{side}.json").read_text())
+        assert [r["seed"] for r in bench["study"]["runs"]] == [1, 3]
+        assert bench["study"]["metrics"]["iter_s_p50"]["values"] == [value + 1, value + 3]
+    out = capsys.readouterr().out
+    assert "study: failed iterations parent 0, change 2  more failures" in out
+    assert out.endswith("failed run: change: perfbench/run.py --workload study --seed 2 "
+                        "exited 1\nlast line of its output\n")

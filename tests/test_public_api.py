@@ -21,6 +21,8 @@ PUBLIC_NAMES = {
     "ScenarioSpec",
     "ShiftDirection",
     "Spectrum",
+    "SweepSummary",
+    "TrialResult",
     "augment_dataset",
     "bubble_shift_down",
     "bubble_shift_up",
@@ -41,8 +43,10 @@ PUBLIC_NAMES = {
     "read_codec",
     "read_dataset",
     "read_report",
+    "read_summary",
     "recompose",
     "save_scenario",
+    "sweep",
     "transform_dataset",
     "write_codec",
     "write_dataset",

@@ -16,7 +16,13 @@ difference larger than the parent's quartile distance.  With the metric's
 BENCHMARK.json ``bound``, taken relative to the parent median, ``worse``
 marks a change median worse than the parent's by more than the bound, and
 ``unresolved`` a parent quartile distance larger than the bound, unless
-every change run beats every parent run.
+every change run beats every parent run; ``more failures`` marks a workload
+whose change runs failed more iterations than its parent runs.
+
+A run that exits non-zero does not stop the others: its pair is left out,
+the BENCH files hold each workload with at least two whole pairs, and the
+failed run's checkout, workload and seed are printed with the tail of its
+output before the script exits 1.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 from repeat import seed_list, summarise  # noqa: E402
+
+# Lines of a failed run's output that are printed.
+TAIL_LINES = 20
 
 
 def wins(parent: list[float], change: list[float], better: str) -> int:
@@ -63,8 +72,9 @@ def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: {' '.join(argv)} exited {proc.returncode}\n"
-                           f"{proc.stdout}{proc.stderr}")
+        tail = (proc.stdout + proc.stderr).splitlines()[-TAIL_LINES:]
+        raise RuntimeError("\n".join(
+            [f"{checkout}: {' '.join(argv)} exited {proc.returncode}", *tail]))
     lines = proc.stdout.splitlines()
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
     return {"seed": seed, "env": env, **json.loads(lines[-1])}
@@ -91,20 +101,30 @@ def main() -> int:
     workloads = args.workloads.split(",")
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, dict[str, list]] = {side: {w: [] for w in workloads} for side in sides}
+    failures = []
     for i, seed in enumerate(seed_list(args.seeds)):
         for workload in workloads:
+            pair = {}
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                result = run(sides[side], workload, seed, bench["run_seconds"])
-                runs[side][workload].append(result)
-                print(side, workload, seed, json.dumps(result["metrics"]), flush=True)
-    for side, by_workload in runs.items():
+                try:
+                    pair[side] = run(sides[side], workload, seed, bench["run_seconds"])
+                except RuntimeError as exc:
+                    failures.append(exc)
+                    print(side, workload, seed, "failed", flush=True)
+                    continue
+                print(side, workload, seed, json.dumps(pair[side]["metrics"]), flush=True)
+            if len(pair) == len(sides):
+                for side, result in pair.items():
+                    runs[side][workload].append(result)
+    whole = [w for w in workloads if len(runs["parent"][w]) >= 2]
+    for side, by_workload in runs.items() if whole else ():
         out = Path(f"BENCH_{args.tag}_{side}.json")
-        out.write_text(json.dumps({w: summary(r) for w, r in by_workload.items()}, indent=1)
-                       + "\n")
-    for workload in workloads:
+        out.write_text(json.dumps({w: summary(by_workload[w]) for w in whole}, indent=1) + "\n")
+    for workload in whole:
         failed = {side: sum(r["failed"] for r in runs[side][workload]) for side in sides}
+        more = "  more failures" if failed["change"] > failed["parent"] else ""
         print(f"{workload}: failed iterations parent {failed['parent']}, "
-              f"change {failed['change']}")
+              f"change {failed['change']}{more}")
         for name, metric in metrics.items():
             values = {side: [r["metrics"][name]["value"] for r in runs[side][workload]]
                       for side in sides}
@@ -113,7 +133,9 @@ def main() -> int:
             print(f"  {name:<12} parent {c['parent']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
                   f"  change {c['change']:.6g}  won {c['wins']}/{c['pairs']}{flags}",
                   flush=True)
-    return 0
+    for exc in failures:
+        print(f"failed run: {exc}", flush=True)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
